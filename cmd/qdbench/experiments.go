@@ -1097,13 +1097,13 @@ func expIngest(cfg config) error {
 	eval := func() (skip float64, sim time.Duration, err error) {
 		var scanned, total int64
 		for _, q := range spec.Queries {
-			res, err := srv.Query(q)
+			res, err := srv.Execute(qd.Statement{Filter: q}, nil)
 			if err != nil {
 				return 0, 0, err
 			}
-			scanned += res.RowsScanned
-			total += res.RowsTotal
-			sim += res.SimTime
+			scanned += res.Filter.RowsScanned
+			total += res.Filter.RowsTotal
+			sim += res.Filter.SimTime
 		}
 		if total > 0 {
 			skip = 1 - float64(scanned)/float64(total)

@@ -238,18 +238,18 @@ func expRows(cfg config) error {
 	start := time.Now()
 	for i := 0; i < reps; i++ {
 		sql := fmt.Sprintf("SELECT event_type, ingest_date FROM logs WHERE ingest_date < %d ORDER BY ingest_date DESC LIMIT 10", i+1)
-		if _, err := srv.ParseRowSelectSQL(sql); err != nil {
+		if _, err := srv.ParseStatement(sql); err != nil {
 			return err
 		}
 	}
 	missNS := time.Since(start).Nanoseconds() / reps
 	hot := "SELECT event_type, ingest_date FROM logs WHERE ingest_date < 24 ORDER BY ingest_date DESC LIMIT 10"
-	if _, err := srv.ParseRowSelectSQL(hot); err != nil { // warm the entry
+	if _, err := srv.ParseStatement(hot); err != nil { // warm the entry
 		return err
 	}
 	start = time.Now()
 	for i := 0; i < reps; i++ {
-		if _, err := srv.ParseRowSelectSQL(hot); err != nil {
+		if _, err := srv.ParseStatement(hot); err != nil {
 			return err
 		}
 	}

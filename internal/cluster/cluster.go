@@ -20,7 +20,7 @@
 //     canonical SQL to the surviving shards in parallel with per-shard
 //     timeout and bounded retry, and gathers partials with the same
 //     order-independent merge arithmetic the in-process worker pool uses
-//     (exec.MergeAggPartials / exec.MergeResults) — so cluster answers
+//     (exec.MergeAggPartials / exec.Header.Merge) — so cluster answers
 //     are bit-identical to a single-node run over the union of the rows.
 //
 // Ingest flows through the same assignment: POST /ingest on the front

@@ -235,17 +235,16 @@ type ShardError struct {
 	Err   string `json:"error"`
 }
 
-// Result is one gathered cluster query: the merged filter or aggregation
-// answer plus the scatter's shape — how many shards were pruned by the
-// summary envelopes, contacted, and lost. Partial marks an answer that is
+// Result is one gathered cluster query: the statement, the merged
+// answer in the shape a single node returns (named after the canonical
+// SQL that was scattered; Generation stays 0 — a cluster has none) and
+// the scatter's shape — how many shards were pruned by the summary
+// envelopes, contacted, and lost. Partial marks an answer that is
 // missing failed shards' rows; bit-identity to a single-node run holds
 // exactly when Partial is false.
 type Result struct {
-	SQL     string
-	Filter  *exec.Result     // set for bare filter queries
-	Agg     *exec.AggResult  // set for aggregation statements
-	Rows    *exec.RowsResult // set for row-returning statements
-	GroupBy []int            // schema ordinals, aggregation only
+	Stmt expr.Statement
+	serve.Result
 
 	ShardsTotal     int
 	ShardsPruned    int
@@ -256,62 +255,25 @@ type Result struct {
 	Failed          []ShardError
 }
 
-// parsedStmt is one routed front-door statement: exactly one of agg,
-// row, or filter is set.
-type parsedStmt struct {
-	agg    expr.AggQuery
-	isAgg  bool
-	row    expr.RowStmt
-	isRow  bool
-	filter expr.Query
-}
-
-// parse runs the same statement routing as a standalone server: SELECT →
-// aggregation, then the row grammar, with the legacy plain-select
-// fallback to the filter path; anything else → bare filter. Joins are
-// rejected with ErrJoinUnsupported — a sharded scatter would miss every
-// cross-shard pair. The front door's AC table seeds the parser, and a
-// statement that would intern a new cut is rejected — the shards were
-// not planned with it.
-func (fd *FrontDoor) parse(sql string) (parsedStmt, error) {
+// parse routes the statement exactly like a standalone server
+// (sqlparse.Parser.ParseStatement). Joins are rejected with
+// ErrJoinUnsupported — a sharded scatter would miss every cross-shard
+// pair. The front door's AC table seeds the parser, and a statement that
+// would intern a new cut is rejected — the shards were not planned with
+// it.
+func (fd *FrontDoor) parse(sql string) (expr.Statement, error) {
 	p := sqlparse.NewParser(fd.schema)
 	p.ACs = append([]expr.AdvCut(nil), fd.acs...)
-	guard := func() error {
-		if len(p.ACs) > len(fd.acs) {
-			return fmt.Errorf("cluster: statement introduces advanced cut %v not in the cluster's table", p.ACs[len(p.ACs)-1])
-		}
-		return nil
+	stmt, err := p.ParseStatement(sql)
+	switch {
+	case err != nil:
+		return stmt, ClientError{err}
+	case stmt.Join != nil:
+		return stmt, ErrJoinUnsupported
+	case len(p.ACs) > len(fd.acs):
+		return stmt, ClientError{fmt.Errorf("cluster: statement introduces advanced cut %v not in the cluster's table", p.ACs[len(p.ACs)-1])}
 	}
-	if serve.IsSelect(sql) {
-		aq, aggErr := p.ParseSelect(sql)
-		if aggErr == nil {
-			return parsedStmt{agg: aq, isAgg: true}, guard()
-		}
-		p.ACs = append([]expr.AdvCut(nil), fd.acs...)
-		stmt, rowErr := p.ParseRowSelect(sql)
-		if rowErr == nil {
-			if stmt.Join != nil {
-				return parsedStmt{}, ErrJoinUnsupported
-			}
-			return parsedStmt{row: stmt, isRow: true}, guard()
-		}
-		if !serve.LegacySelectShape(sql) {
-			return parsedStmt{}, aggErr
-		}
-		p.ACs = append([]expr.AdvCut(nil), fd.acs...)
-		q, ferr := p.Parse(sql)
-		if ferr != nil {
-			// A parenthesis-free select list is the row shape; its error
-			// names the actual problem better than the aggregate one.
-			return parsedStmt{}, rowErr
-		}
-		return parsedStmt{filter: q}, guard()
-	}
-	q, err := p.Parse(sql)
-	if err != nil {
-		return parsedStmt{}, err
-	}
-	return parsedStmt{filter: q}, guard()
+	return stmt, nil
 }
 
 // Query parses the statement once, prunes shards whose summary envelope
@@ -323,38 +285,23 @@ func (fd *FrontDoor) Query(sql string) (*Result, error) {
 
 // QueryTraced is Query recording the scatter's stage spans into tr (nil
 // starts a fresh internal trace — the front door traces every gathered
-// query for its metrics and trace ring). With deep set, the scatter
-// also asks each shard for its own spans and imports them under the
-// shard-call offsets, yielding the full parse → shard_prune →
-// per-shard block_prune/scan → merge picture a "trace": true client
-// sees.
+// query for its metrics and trace ring). With deep set, the scatter also
+// asks each shard for its own spans and imports them under the
+// shard-call offsets, yielding the full parse → shard_prune → per-shard
+// block_prune/scan → merge picture a "trace": true client sees.
 func (fd *FrontDoor) QueryTraced(sql string, tr *obs.Trace, deep bool) (*Result, error) {
 	if tr == nil {
 		tr = obs.NewTrace("")
 	}
 	psp := tr.Start("parse")
-	ps, err := fd.parse(sql)
+	stmt, err := fd.parse(sql)
 	if err != nil {
-		if errors.Is(err, ErrJoinUnsupported) {
-			return nil, err
-		}
-		return nil, ClientError{err}
+		return nil, err
 	}
 	psp.End()
 	fd.queries.Add(1)
-	var res *Result
-	typ := "filter"
-	switch {
-	case ps.isAgg:
-		typ = "select"
-		res, err = fd.scatterAgg(ps.agg, tr, deep)
-	case ps.isRow:
-		typ = "rows"
-		res, err = fd.scatterRows(ps.row, tr, deep)
-	default:
-		res, err = fd.scatterFilter(ps.filter, tr, deep)
-	}
-	fd.observe(tr, typ, err)
+	res, err := fd.scatterGather(stmt, tr, deep)
+	fd.observe(tr, stmt.Type(), err)
 	return res, err
 }
 
@@ -389,11 +336,13 @@ func (fd *FrontDoor) owners(filter expr.Query, tr *obs.Trace) (owning []*shardSt
 	return owning, prunedRows, prunedBlocks
 }
 
+// shardCall is one scattered request: aggregation statements answer
+// with a partial (agg), every other kind with a standalone /query reply.
 type shardCall struct {
 	st      *shardState
 	retries int
 	err     error
-	filter  serve.QueryResponse
+	reply   serve.QueryResponse
 	agg     SelectPartialResponse
 }
 
@@ -406,13 +355,17 @@ func shardLabel(st *shardState) string {
 	return fmt.Sprintf("shard_%d", st.id)
 }
 
-// scatter fans one request out to the owning shards, bounded by the
-// per-shard timeout and retry budget, and waits for all of them. Each
-// call gets a "shard" span; with deep set the shards are asked for
+// scatter fans one statement out to the owning shards (aggregations to
+// /cluster/select for partial state, everything else to /query), bounded
+// by the per-shard timeout and retry budget, and waits for all of them.
+// Each call gets a "shard" span; with deep set the shards are asked for
 // their own spans, which are imported under the call's start offset so
 // the gathered trace shows the remote block_prune/scan work inline.
-func (fd *FrontDoor) scatter(owning []*shardState, path string, body serve.QueryRequest, decodeAgg bool, tr *obs.Trace, deep bool) []*shardCall {
-	body.Trace = deep
+func (fd *FrontDoor) scatter(owning []*shardState, canonical string, decodeAgg bool, tr *obs.Trace, deep bool) []*shardCall {
+	path, body := "/query", serve.QueryRequest{SQL: canonical, Trace: deep}
+	if decodeAgg {
+		path = "/cluster/select"
+	}
 	calls := make([]*shardCall, len(owning))
 	var wg sync.WaitGroup
 	for i, st := range owning {
@@ -428,7 +381,7 @@ func (fd *FrontDoor) scatter(owning []*shardState, path string, body serve.Query
 				if decodeAgg {
 					dst = &c.agg
 				} else {
-					dst = &c.filter
+					dst = &c.reply
 				}
 				err := fd.postTraced(c.st.addr+path, body, dst, tr.ID())
 				if err == nil {
@@ -456,7 +409,7 @@ func (fd *FrontDoor) scatter(owning []*shardState, path string, body serve.Query
 				if decodeAgg {
 					remote = c.agg.Trace
 				} else {
-					remote = c.filter.Trace
+					remote = c.reply.Trace
 				}
 				if remote != nil {
 					tr.AddRemote(label, ssp.StartNS(), remote.Spans)
@@ -498,138 +451,80 @@ func (fd *FrontDoor) gatherShape(res *Result, calls []*shardCall) []*shardCall {
 	return ok
 }
 
-func (fd *FrontDoor) scatterFilter(q expr.Query, tr *obs.Trace, deep bool) (*Result, error) {
-	canonical := q.StringWith(fd.schema.Names(), fd.acs)
-	owning, prunedRows, prunedBlocks := fd.owners(q, tr)
+// scatterGather runs one statement across the cluster. Pruning, the
+// scatter and the shape accounting do not depend on the statement kind;
+// only the merge does:
+//
+//   - Filter counts sum.
+//   - Aggregations fold the shards' partial states (exec.MergeAggPartials)
+//     and finalize once, so AVG/MIN/MAX are bit-identical to one node.
+//   - Row statements carry their ORDER BY/LIMIT in the canonical SQL, so
+//     each shard answers with its own local top-k (at most k rows cross
+//     the wire per shard); the gather re-sorts the union with the same
+//     deterministic comparator and re-applies the limit. Shards partition
+//     the rows disjointly, so the re-merged union is bit-identical to a
+//     single-node run whenever no shard failed.
+func (fd *FrontDoor) scatterGather(stmt expr.Statement, tr *obs.Trace, deep bool) (*Result, error) {
+	canonical := stmt.StringWith(fd.schema.Names(), fd.acs)
+	owning, prunedRows, prunedBlocks := fd.owners(stmt.Filters()[0], tr)
 	res := &Result{
-		SQL:          canonical,
-		ShardsTotal:  len(fd.shards),
-		ShardsPruned: len(fd.shards) - len(owning),
+		Stmt:            stmt,
+		ShardsTotal:     len(fd.shards),
+		ShardsPruned:    len(fd.shards) - len(owning),
+		ShardsContacted: len(owning),
 	}
 	fd.pruned.Add(int64(res.ShardsPruned))
-	calls := fd.scatter(owning, "/query", serve.QueryRequest{SQL: canonical}, false, tr, deep)
+	calls := fd.scatter(owning, canonical, stmt.Agg != nil, tr, deep)
 	msp := tr.Start("merge")
 	defer msp.End()
 	ok := fd.gatherShape(res, calls)
-	res.ShardsContacted = len(owning)
 	msp.SetAttr("shards_merged", len(ok))
 	if len(owning) > 0 && len(ok) == 0 {
 		return nil, fmt.Errorf("%w: %s", ErrAllShardsFailed, canonical)
 	}
-	parts := make([]exec.Result, len(ok))
-	for i, c := range ok {
-		parts[i] = exec.Result{
-			Query: canonical,
-			ScanStats: exec.ScanStats{
-				BlocksScanned: c.filter.BlocksScanned,
-				RowsScanned:   c.filter.RowsScanned,
-				RowsMatched:   c.filter.RowsMatched,
-				BytesRead:     c.filter.BytesRead,
-			},
-			BlocksTotal: c.filter.BlocksTotal,
-			RowsTotal:   c.filter.RowsTotal,
-			SimTime:     time.Duration(c.filter.SimTimeNS),
-			WallTime:    time.Duration(c.filter.WallTimeNS),
+	if aq := stmt.Agg; aq != nil {
+		// Seed with the empty partial so an all-pruned scatter still yields
+		// the result a single-node run over zero matching rows produces.
+		parts := []*exec.AggPartialResult{exec.EmptyAggPartial(canonical, len(aq.Aggs), aq.GroupBy)}
+		for _, c := range ok {
+			if c.agg.Partial == nil {
+				return nil, fmt.Errorf("cluster: shard %d returned no partial", c.st.id)
+			}
+			parts = append(parts, c.agg.Partial)
+		}
+		merged, err := exec.MergeAggPartials(aq.Aggs, parts...)
+		if err != nil {
+			return nil, err
+		}
+		res.Agg = merged.Finalize(aq.Aggs)
+	} else {
+		var h exec.Header
+		rows := [][]int64{}
+		for _, c := range ok {
+			h.Merge(c.reply.Header())
+			rows = append(rows, c.reply.Data...)
+		}
+		if rq := stmt.Row; rq != nil {
+			exec.SortRows(rows, rq.OrderBy)
+			if rq.Limit > 0 && len(rows) > rq.Limit {
+				rows = rows[:rq.Limit]
+			}
+			res.Rows = &exec.RowsResult{Header: h, Rows: rows}
+			for _, c := range rq.Cols {
+				res.Rows.Cols = append(res.Rows.Cols, expr.ColRef{Col: c})
+			}
+			msp.SetAttr("rows_returned", len(rows))
+		} else {
+			res.Filter = &exec.Result{Header: h}
 		}
 	}
-	merged := exec.MergeResults(canonical, parts...)
 	// Pruned shards' rows are part of the universe the cluster skipped —
 	// count them in the totals so the cluster-wide skip rate reflects
 	// shard-level pruning.
-	merged.RowsTotal += prunedRows
-	merged.BlocksTotal += prunedBlocks
-	res.Filter = &merged
-	return res, nil
-}
-
-// scatterRows fans a single-table row statement out to the owning
-// shards and gathers the tuples. The canonical SQL carries the ORDER
-// BY/LIMIT, so each shard answers with its own local top-k (at most k
-// rows cross the wire per shard); the gather re-sorts the union with
-// the same deterministic comparator and re-applies the limit. Shards
-// partition the rows disjointly, so the re-merged union is bit-identical
-// to a single-node run whenever no shard failed.
-func (fd *FrontDoor) scatterRows(stmt expr.RowStmt, tr *obs.Trace, deep bool) (*Result, error) {
-	rq := stmt.Row
-	canonical := stmt.StringWith(fd.schema.Names(), fd.acs)
-	owning, prunedRows, prunedBlocks := fd.owners(rq.Filter, tr)
-	res := &Result{
-		SQL:          canonical,
-		ShardsTotal:  len(fd.shards),
-		ShardsPruned: len(fd.shards) - len(owning),
-	}
-	fd.pruned.Add(int64(res.ShardsPruned))
-	calls := fd.scatter(owning, "/query", serve.QueryRequest{SQL: canonical}, false, tr, deep)
-	msp := tr.Start("merge")
-	defer msp.End()
-	ok := fd.gatherShape(res, calls)
-	res.ShardsContacted = len(owning)
-	if len(owning) > 0 && len(ok) == 0 {
-		return nil, fmt.Errorf("%w: %s", ErrAllShardsFailed, canonical)
-	}
-	merged := &exec.RowsResult{Query: canonical, Rows: [][]int64{}}
-	for _, c := range rq.Cols {
-		merged.Cols = append(merged.Cols, expr.ColRef{Col: c})
-	}
-	for _, c := range ok {
-		merged.BlocksScanned += c.filter.BlocksScanned
-		merged.BlocksTotal += c.filter.BlocksTotal
-		merged.RowsScanned += c.filter.RowsScanned
-		merged.RowsTotal += c.filter.RowsTotal
-		merged.RowsMatched += c.filter.RowsMatched
-		merged.BytesRead += c.filter.BytesRead
-		if st := time.Duration(c.filter.SimTimeNS); st > merged.SimTime {
-			merged.SimTime = st // shards scan in parallel, like workers
-		}
-		merged.Rows = append(merged.Rows, c.filter.Data...)
-	}
-	exec.SortRows(merged.Rows, rq.OrderBy)
-	if rq.Limit > 0 && len(merged.Rows) > rq.Limit {
-		merged.Rows = merged.Rows[:rq.Limit]
-	}
-	merged.RowsTotal += prunedRows
-	merged.BlocksTotal += prunedBlocks
-	msp.SetAttr("shards_merged", len(ok)).SetAttr("rows_returned", len(merged.Rows))
-	res.Rows = merged
-	return res, nil
-}
-
-func (fd *FrontDoor) scatterAgg(aq expr.AggQuery, tr *obs.Trace, deep bool) (*Result, error) {
-	canonical := aq.StringWith(fd.schema.Names(), fd.acs)
-	owning, prunedRows, prunedBlocks := fd.owners(aq.Filter, tr)
-	res := &Result{
-		SQL:          canonical,
-		GroupBy:      append([]int(nil), aq.GroupBy...),
-		ShardsTotal:  len(fd.shards),
-		ShardsPruned: len(fd.shards) - len(owning),
-	}
-	fd.pruned.Add(int64(res.ShardsPruned))
-	calls := fd.scatter(owning, "/cluster/select", serve.QueryRequest{SQL: canonical}, true, tr, deep)
-	msp := tr.Start("merge")
-	defer msp.End()
-	ok := fd.gatherShape(res, calls)
-	res.ShardsContacted = len(owning)
-	msp.SetAttr("shards_merged", len(ok))
-	if len(owning) > 0 && len(ok) == 0 {
-		return nil, fmt.Errorf("%w: %s", ErrAllShardsFailed, canonical)
-	}
-	// Seed with the empty partial so an all-pruned scatter still yields
-	// the result a single-node run over zero matching rows produces.
-	parts := []*exec.AggPartialResult{exec.EmptyAggPartial(canonical, len(aq.Aggs), aq.GroupBy)}
-	for _, c := range ok {
-		if c.agg.Partial == nil {
-			return nil, fmt.Errorf("cluster: shard %d returned no partial", c.st.id)
-		}
-		parts = append(parts, c.agg.Partial)
-	}
-	merged, err := exec.MergeAggPartials(aq.Aggs, parts...)
-	if err != nil {
-		return nil, err
-	}
-	merged.Query = canonical
-	merged.RowsTotal += prunedRows
-	merged.BlocksTotal += prunedBlocks
-	res.Agg = merged.Finalize(aq.Aggs)
+	h := res.Header()
+	h.Query = canonical
+	h.RowsTotal += prunedRows
+	h.BlocksTotal += prunedBlocks
 	return res, nil
 }
 

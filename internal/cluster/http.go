@@ -96,7 +96,17 @@ func FrontDoorHandler(fd *FrontDoor) http.Handler {
 			}
 			return
 		}
-		resp := toQueryResponse(fd, res, time.Since(start))
+		resp := QueryResponse{
+			QueryResponse:   serve.Render(fd.Schema(), res.Stmt, res.Result),
+			ShardsTotal:     res.ShardsTotal,
+			ShardsPruned:    res.ShardsPruned,
+			ShardsContacted: res.ShardsContacted,
+			ShardsFailed:    res.ShardsFailed,
+			Retries:         res.Retries,
+			Partial:         res.Partial,
+			Failed:          res.Failed,
+		}
+		resp.WallTimeNS = int64(time.Since(start))
 		if req.Trace {
 			resp.Trace = tr.Snapshot()
 		}
@@ -153,100 +163,4 @@ func FrontDoorHandler(fd *FrontDoor) http.Handler {
 		w.Write([]byte("ok\n"))
 	})
 	return mux
-}
-
-// toQueryResponse renders a gathered Result in the standalone response
-// shape (typed rows, dictionary key spellings) plus the scatter shape.
-func toQueryResponse(fd *FrontDoor, res *Result, wall time.Duration) QueryResponse {
-	out := QueryResponse{
-		ShardsTotal:     res.ShardsTotal,
-		ShardsPruned:    res.ShardsPruned,
-		ShardsContacted: res.ShardsContacted,
-		ShardsFailed:    res.ShardsFailed,
-		Retries:         res.Retries,
-		Partial:         res.Partial,
-		Failed:          res.Failed,
-	}
-	out.Query = res.SQL
-	out.WallTimeNS = int64(wall)
-	schema := fd.Schema()
-	if res.Filter != nil {
-		f := res.Filter
-		out.BlocksScanned = f.BlocksScanned
-		out.BlocksTotal = f.BlocksTotal
-		out.RowsScanned = f.RowsScanned
-		out.RowsTotal = f.RowsTotal
-		out.RowsMatched = f.RowsMatched
-		out.BytesRead = f.BytesRead
-		out.SkipRate = f.SkipRate()
-		out.SimTimeNS = int64(f.SimTime)
-		return out
-	}
-	if res.Rows != nil {
-		rr := res.Rows
-		out.BlocksScanned = rr.BlocksScanned
-		out.BlocksTotal = rr.BlocksTotal
-		out.RowsScanned = rr.RowsScanned
-		out.RowsTotal = rr.RowsTotal
-		out.RowsMatched = rr.RowsMatched
-		out.BytesRead = rr.BytesRead
-		out.SkipRate = rr.SkipRate()
-		out.SimTimeNS = int64(rr.SimTime)
-		out.Data = rr.Rows
-		hasDict := false
-		for _, cr := range rr.Cols {
-			col := schema.Cols[cr.Col]
-			out.Columns = append(out.Columns, col.Name)
-			if len(col.Dict) > 0 {
-				hasDict = true
-			}
-		}
-		if hasDict {
-			out.DataStrings = make([][]string, len(rr.Rows))
-			for ri, row := range rr.Rows {
-				strs := make([]string, len(row))
-				for j, v := range row {
-					if d := schema.Cols[rr.Cols[j].Col].Dict; v >= 0 && v < int64(len(d)) {
-						strs[j] = d[v]
-					}
-				}
-				out.DataStrings[ri] = strs
-			}
-		}
-		return out
-	}
-	a := res.Agg
-	out.BlocksScanned = a.BlocksScanned
-	out.BlocksTotal = a.BlocksTotal
-	out.RowsScanned = a.RowsScanned
-	out.RowsTotal = a.RowsTotal
-	out.RowsMatched = a.RowsMatched
-	out.BytesRead = a.BytesRead
-	out.SkipRate = a.SkipRate()
-	out.SimTimeNS = int64(a.SimTime)
-	for _, g := range res.GroupBy {
-		out.GroupBy = append(out.GroupBy, schema.Cols[g].Name)
-	}
-	hasDict := false
-	for _, g := range res.GroupBy {
-		if len(schema.Cols[g].Dict) > 0 {
-			hasDict = true
-		}
-	}
-	out.Rows = make([]serve.QueryRow, len(a.Rows))
-	for i, row := range a.Rows {
-		qr := serve.QueryRow{Key: row.Key, Aggs: row.Vals}
-		if hasDict {
-			for ki, k := range row.Key {
-				dict := schema.Cols[res.GroupBy[ki]].Dict
-				if k >= 0 && k < int64(len(dict)) {
-					qr.KeyStrings = append(qr.KeyStrings, dict[k])
-				} else {
-					qr.KeyStrings = append(qr.KeyStrings, "")
-				}
-			}
-		}
-		out.Rows[i] = qr
-	}
-	return out
 }

@@ -49,27 +49,27 @@ func ShardHandler(s *serve.Server) http.Handler {
 			httpErr(w, http.StatusBadRequest, "bad JSON: %v", err)
 			return
 		}
-		if !serve.IsSelect(req.SQL) {
-			httpErr(w, http.StatusBadRequest, "/cluster/select takes an aggregation statement; send filters to /query")
-			return
-		}
 		tr := obs.NewTrace(r.Header.Get(obs.TraceHeader))
 		psp := tr.Start("parse")
-		aq, err := s.ParseSelectSQL(req.SQL)
+		stmt, err := s.ParseStatement(req.SQL)
+		if err == nil && stmt.Agg == nil {
+			err = fmt.Errorf("/cluster/select takes an aggregation statement; send %s statements to /query", stmt.Type())
+		}
 		if err != nil {
 			httpErr(w, http.StatusBadRequest, "%v", err)
 			return
 		}
 		psp.End()
-		pr, err := s.SelectPartialTraced(aq, tr)
+		stmt.Partial = true
+		res, err := s.Execute(stmt, tr)
 		if err != nil {
 			httpErr(w, http.StatusInternalServerError, "%v", err)
 			return
 		}
 		resp := SelectPartialResponse{
 			Shard:      s.Stats().Shard,
-			Generation: pr.Generation,
-			Partial:    pr.AggPartialResult,
+			Generation: res.Generation,
+			Partial:    res.AggPartial,
 		}
 		if req.Trace {
 			resp.Trace = tr.Snapshot()

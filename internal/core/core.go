@@ -356,6 +356,25 @@ func NewTree(s *table.Schema, acs []expr.AdvCut) *Tree {
 	return t
 }
 
+// Clone returns a deep copy of the node graph and every description, so
+// the copy can be re-routed and re-frozen — Freeze rewrites leaf
+// descriptions in place — while layouts derived from the original keep
+// pruning with theirs. The schema, the advanced-cut table and the cuts
+// are immutable and stay shared.
+func (t *Tree) Clone() *Tree {
+	var clone func(n *Node) *Node
+	clone = func(n *Node) *Node {
+		if n == nil {
+			return nil
+		}
+		c := *n
+		c.Desc = n.Desc.Clone()
+		c.Left, c.Right = clone(n.Left), clone(n.Right)
+		return &c
+	}
+	return &Tree{Schema: t.Schema, ACs: t.ACs, Root: clone(t.Root), nextID: t.nextID}
+}
+
 // Split applies cut c to leaf n, producing two children with restricted
 // descriptions (the T ⊕ (p, n) operation of Sec. 4). It panics if n already
 // has children.

@@ -63,26 +63,12 @@ type AggRow struct {
 // filterless COUNT) contribute RowsMatched but no scanned blocks, rows,
 // or bytes.
 type AggResult struct {
-	Query string
-	ScanStats
-	BlocksTotal int
-	RowsTotal   int64
+	Header
 	// GroupBy is the grouping column set (schema ordinals, GROUP BY order).
 	GroupBy []int
 	// Rows holds the result sorted by group key (one keyless row for
 	// global aggregates — present even when nothing matched).
-	Rows     []AggRow
-	SimTime  time.Duration
-	WallTime time.Duration
-}
-
-// SkipRate is the fraction of the store's rows the aggregation skipped —
-// identical semantics to Result.SkipRate.
-func (r *AggResult) SkipRate() float64 {
-	if r.RowsTotal == 0 {
-		return 1
-	}
-	return 1 - float64(r.RowsScanned)/float64(r.RowsTotal)
+	Rows []AggRow
 }
 
 // aggCell accumulates one aggregate for one group. count doubles as the
@@ -281,14 +267,6 @@ type aggPlan struct {
 	dataCols []int // read set for fully-selected blocks (nil = all columns)
 }
 
-// width is the logical decoded width of one read set.
-func (pl *aggPlan) width(cols []int, ncols int) int64 {
-	if cols == nil {
-		return 8 * int64(ncols)
-	}
-	return 8 * int64(len(cols))
-}
-
 // planAgg validates the query and decides metadata shortcuts and read
 // sets.
 func planAgg(store *blockstore.Store, aq expr.AggQuery, acs []expr.AdvCut, prof Profile) (*aggPlan, error) {
@@ -363,26 +341,15 @@ func sortedCols(seen map[int]bool) []int {
 	return out
 }
 
-// RunAgg executes one aggregate query sequentially. It is RunAggOpts at
-// Parallelism 1.
-func RunAgg(store *blockstore.Store, layout *cost.Layout, aq expr.AggQuery, acs []expr.AdvCut, prof Profile, mode Mode) (*AggResult, error) {
-	return RunAggOpts(store, layout, aq, acs, prof, mode, Options{Parallelism: 1})
-}
-
-// RunAggOpts executes one aggregate query with a pool of opt.Parallelism
-// scan workers. Per-worker partial aggregates are merged after the pool
-// drains; the result is bit-identical for every Options value, both
-// block formats, and both pruning modes.
-func RunAggOpts(store *blockstore.Store, layout *cost.Layout, aq expr.AggQuery, acs []expr.AdvCut, prof Profile, mode Mode, opt Options) (*AggResult, error) {
-	return RunAggDelta(store, layout, aq, acs, prof, mode, opt, nil)
-}
-
-// RunAggDelta is RunAggOpts over the merged view `delta ∪ base`: after
-// the pruned block scan, every delta table is aggregated in full through
-// the same batch kernels (no zone-map shortcuts — delta rows carry no
-// metadata). The merge arithmetic is order-independent, so results stay
-// bit-identical to the reference evaluator over the concatenated table.
-// A nil view is a plain RunAggOpts.
+// RunAggDelta executes one aggregate query over the merged view `delta ∪
+// base` with a pool of opt.Parallelism scan workers: after the pruned
+// block scan, every delta table is aggregated in full through the same
+// batch kernels (no zone-map shortcuts — delta rows carry no metadata).
+// Per-worker partial aggregates are merged after the pool drains with
+// order-independent arithmetic, so the result is bit-identical for every
+// Options value, both block formats, both pruning modes, and to the
+// reference evaluator over the concatenated table. A nil view means no
+// delta.
 func RunAggDelta(store *blockstore.Store, layout *cost.Layout, aq expr.AggQuery, acs []expr.AdvCut, prof Profile, mode Mode, opt Options, dv *DeltaView) (*AggResult, error) {
 	p, err := RunAggPartialDelta(store, layout, aq, acs, prof, mode, opt, dv)
 	if err != nil {
@@ -391,73 +358,49 @@ func RunAggDelta(store *blockstore.Store, layout *cost.Layout, aq expr.AggQuery,
 	return p.Finalize(aq.Aggs), nil
 }
 
-// RunAggPartial executes one aggregate query but stops short of
-// finalization, returning the mergeable per-group accumulator state — the
-// shard-side entry point of distributed scatter/gather (see merge.go).
-func RunAggPartial(store *blockstore.Store, layout *cost.Layout, aq expr.AggQuery, acs []expr.AdvCut, prof Profile, mode Mode, opt Options) (*AggPartialResult, error) {
-	return RunAggPartialDelta(store, layout, aq, acs, prof, mode, opt, nil)
-}
-
-// RunAggPartialDelta is RunAggPartial over the merged view `delta ∪ base`.
+// RunAggPartialDelta is RunAggDelta stopping short of finalization: it
+// returns the mergeable per-group accumulator state — the shard-side
+// entry point of distributed scatter/gather (see merge.go).
 func RunAggPartialDelta(store *blockstore.Store, layout *cost.Layout, aq expr.AggQuery, acs []expr.AdvCut, prof Profile, mode Mode, opt Options, dv *DeltaView) (*AggPartialResult, error) {
-	res := &AggPartialResult{Query: aq.Name, GroupBy: append([]int(nil), aq.GroupBy...), Grouped: len(aq.GroupBy) > 0}
-	res.BlocksTotal, res.RowsTotal = storeTotals(store)
-	res.RowsTotal += dv.Rows()
-	var rec *pruneRecorder
-	if opt.Trace != nil {
-		rec = &pruneRecorder{}
-	}
-	psp := opt.Trace.Start("block_prune")
-	candidates, err := candidateBlocks(store, layout, aq.Filter, mode, rec)
-	rec.annotate(psp, res.BlocksTotal, len(candidates))
-	psp.End()
-	if err != nil {
-		return nil, err
-	}
-	ncols := store.Schema.NumCols()
+	start := time.Now()
 	pl, err := planAgg(store, aq, acs, prof)
 	if err != nil {
 		return nil, err
 	}
-	start := time.Now()
-
-	workers := opt.workers()
-	readWidth := pl.width(pl.readCols, ncols)
-	dataWidth := pl.width(pl.dataCols, ncols)
-	type acc struct {
-		stats   ScanStats
-		crit    time.Duration
-		scratch vecScratch
-		sel     blockstore.SelVec
-		part    *aggPartial
-		grp     aggScratch
-		arena   *blockstore.Arena
+	ncols := store.Schema.NumCols()
+	sp := scanSpec{filter: aq.Filter, cols: pl.readCols, workers: opt.workers()}
+	type aggWorker struct {
+		part *aggPartial
+		grp  aggScratch
 	}
-	accs := make([]acc, max(workers, 1))
-	for i := range accs {
-		accs[i].part = newAggPartial(len(aq.Aggs), pl.denseDom)
-		accs[i].arena = blockstore.GetArena()
+	aws := make([]aggWorker, sp.workers)
+	for i := range aws {
+		aws[i].part = newAggPartial(len(aq.Aggs), pl.denseDom)
 	}
-	defer func() {
-		for i := range accs {
-			blockstore.PutArena(accs[i].arena)
+	sp.fold = func(w *scanWorker, vecs []*blockstore.ColVec, nrows int, full bool) int64 {
+		aw := &aws[w.slot]
+		if full {
+			aggregateFullySelected(pl, vecs, nrows, &w.sel, aw.part)
+			return 0 // counted from the catalog row count below
 		}
-	}()
-	ssp := opt.Trace.Start("scan")
-	err = runPool(len(candidates), workers, func(slot, i int) error {
-		b := candidates[i]
-		a := &accs[slot]
-		m := store.Blocks[b]
-		if !pl.grouped && len(m.Min) == ncols && cost.SMAFullyMatches(m.Min, m.Max, aq.Filter) {
+		return aggregateBlock(pl, vecs, nrows, &w.sel, &w.scratch, &aw.grp, w.arena, aw.part)
+	}
+	if !pl.grouped {
+		sp.catalog = func(w *scanWorker, b int) ([]int, bool, bool) {
+			m := store.Blocks[b]
+			if len(m.Min) != ncols || !cost.SMAFullyMatches(m.Min, m.Max, aq.Filter) {
+				return pl.readCols, false, false
+			}
 			// Every row of this block satisfies the filter: COUNT comes
 			// from the catalog row count, MIN/MAX from the zone maps, and
 			// the filter columns are never read. Only SUM/AVG columns (if
-			// any) are fetched, with the whole block selected.
+			// any) are fetched, with the whole block selected; without
+			// them the block is answered entirely from the catalog.
 			rows := int64(m.Rows)
-			a.stats.RowsMatched += rows
+			w.stats.RowsMatched += rows
 			for _, ai := range pl.metaAggs {
 				ag := aq.Aggs[ai]
-				cell := &a.part.global.cells[ai]
+				cell := &aws[w.slot].part.global.cells[ai]
 				switch ag.Func {
 				case expr.AggCountStar, expr.AggCount:
 					cell.count += rows
@@ -465,84 +408,25 @@ func RunAggPartialDelta(store *blockstore.Store, layout *cost.Layout, aq expr.Ag
 					cell.addBulk(ag.Func, 0, m.Min[ag.Col], m.Max[ag.Col], rows)
 				}
 			}
-			if len(pl.dataAggs) == 0 {
-				return nil // answered entirely from the catalog
-			}
-			vecs, nrows, nbytes, err := store.ReadColVecsArena(b, pl.dataCols, a.arena)
-			if err != nil {
-				return err
-			}
-			if vecs == nil {
-				return nil
-			}
-			a.stats.BlocksScanned++
-			a.stats.RowsScanned += int64(nrows)
-			a.stats.BytesRead += nbytes
-			a.stats.BytesLogical += dataWidth * int64(nrows)
-			aggregateFullySelected(pl, vecs, nrows, &a.sel, a.part)
-			if c := blockCost(prof, nbytes, nrows, 1); c > a.crit {
-				a.crit = c
-			}
-			return nil
+			return pl.dataCols, true, len(pl.dataAggs) == 0
 		}
-		vecs, nrows, nbytes, err := store.ReadColVecsArena(b, pl.readCols, a.arena)
-		if err != nil {
-			return err
-		}
-		if vecs == nil {
-			return nil
-		}
-		a.stats.BlocksScanned++
-		a.stats.RowsScanned += int64(nrows)
-		a.stats.BytesRead += nbytes
-		a.stats.BytesLogical += readWidth * int64(nrows)
-		a.stats.RowsMatched += aggregateBlock(pl, vecs, nrows, &a.sel, &a.scratch, &a.grp, a.arena, a.part)
-		if c := blockCost(prof, nbytes, nrows, 1); c > a.crit {
-			a.crit = c
-		}
-		return nil
-	})
-	ssp.End()
+	}
+	h, _, err := scan(store, layout, prof, mode, opt, dv, sp)
 	if err != nil {
 		return nil, err
 	}
-	if tabs := dv.tables(); len(tabs) > 0 {
-		dsp := opt.Trace.Start("delta_scan")
-		for _, t := range tabs {
-			a := &accs[0]
-			a.arena.ResetPlain()
-			vecs, nbytes := deltaColVecs(t, pl.readCols, a.arena)
-			a.stats.BlocksScanned++
-			a.stats.DeltaRows += int64(t.N)
-			a.stats.RowsScanned += int64(t.N)
-			a.stats.BytesRead += nbytes
-			a.stats.BytesLogical += readWidth * int64(t.N)
-			a.stats.RowsMatched += aggregateBlock(pl, vecs, t.N, &a.sel, &a.scratch, &a.grp, a.arena, a.part)
-			if c := blockCost(prof, nbytes, t.N, 1); c > a.crit {
-				a.crit = c
-			}
-		}
-		dsp.SetAttr("delta_tables", len(tabs))
-		dsp.End()
-	}
+	h.Query = aq.Name
+	res := &AggPartialResult{Header: h, GroupBy: append([]int(nil), aq.GroupBy...), Grouped: pl.grouped}
 
 	msp := opt.Trace.Start("merge")
-	var crit time.Duration
-	part := accs[0].part
-	for i := range accs {
-		res.ScanStats.merge(accs[i].stats)
-		if accs[i].crit > crit {
-			crit = accs[i].crit
-		}
-		if i > 0 {
-			part.merge(accs[i].part, aq.Aggs)
-		}
+	part := aws[0].part
+	for i := 1; i < len(aws); i++ {
+		part.merge(aws[i].part, aq.Aggs)
 	}
 	res.Global, res.Groups = exportPartial(part, pl.grouped)
 	msp.SetAttr("rows_matched", res.RowsMatched).SetAttr("groups", len(res.Groups))
 	msp.End()
 	res.WallTime = time.Since(start)
-	res.SimTime = parallelSimTime(res.simTime(prof), crit, workers)
 	return res, nil
 }
 

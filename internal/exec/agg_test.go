@@ -158,7 +158,7 @@ func TestAggregateMatchesReference(t *testing.T) {
 				for _, prof := range []Profile{EngineSpark, EngineDBMS} {
 					for _, par := range []int{1, 4} {
 						label := fmt.Sprintf("%s/%s/mode%d/p%d", aq.Name, prof.Name, mode, par)
-						res, err := RunAggOpts(st, layout, aq, acs, prof, mode, Options{Parallelism: par})
+						res, err := RunAggDelta(st, layout, aq, acs, prof, mode, Options{Parallelism: par}, nil)
 						if err != nil {
 							t.Fatalf("%s: %v", label, err)
 						}
@@ -185,7 +185,7 @@ func TestAggregateMetadataShortcuts(t *testing.T) {
 			{Func: expr.AggCount, Col: 2},
 		},
 	}
-	res, err := RunAgg(st, layout, metaOnly, acs, EngineSpark, RouteQdTree)
+	res, err := RunAggDelta(st, layout, metaOnly, acs, EngineSpark, RouteQdTree, Options{Parallelism: 1}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -206,7 +206,7 @@ func TestAggregateMetadataShortcuts(t *testing.T) {
 		Name: "mixed",
 		Aggs: []expr.Agg{{Func: expr.AggSum, Col: 2}, {Func: expr.AggMin, Col: 4}},
 	}
-	mres, err := RunAgg(st, layout, mixed, acs, EngineDBMS, RouteQdTree)
+	mres, err := RunAggDelta(st, layout, mixed, acs, EngineDBMS, RouteQdTree, Options{Parallelism: 1}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -237,7 +237,7 @@ func TestAggregateFilteredZoneMapShortcut(t *testing.T) {
 		Aggs:   []expr.Agg{{Func: expr.AggCountStar}, {Func: expr.AggMin, Col: 4}, {Func: expr.AggMax, Col: 4}},
 		Filter: expr.Query{Root: expr.NewPred(expr.Pred{Col: 0, Op: expr.Ge, Literal: threshold})},
 	}
-	res, err := RunAggOpts(st, layout, aq, acs, EngineDBMS, RouteQdTree, Options{Parallelism: 2})
+	res, err := RunAggDelta(st, layout, aq, acs, EngineDBMS, RouteQdTree, Options{Parallelism: 2}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -267,7 +267,7 @@ func TestAggregateEmptySelection(t *testing.T) {
 		Aggs:   []expr.Agg{{Func: expr.AggCountStar}, {Func: expr.AggSum, Col: 2}, {Func: expr.AggMin, Col: 0}, {Func: expr.AggAvg, Col: 2}},
 		Filter: none,
 	}
-	res, err := RunAgg(st, layout, global, acs, EngineSpark, RouteQdTree)
+	res, err := RunAggDelta(st, layout, global, acs, EngineSpark, RouteQdTree, Options{Parallelism: 1}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -285,7 +285,7 @@ func TestAggregateEmptySelection(t *testing.T) {
 	}
 	grouped := global
 	grouped.GroupBy = []int{1}
-	gres, err := RunAgg(st, layout, grouped, acs, EngineSpark, RouteQdTree)
+	gres, err := RunAggDelta(st, layout, grouped, acs, EngineSpark, RouteQdTree, Options{Parallelism: 1}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -297,12 +297,12 @@ func TestAggregateEmptySelection(t *testing.T) {
 // TestAggregateColumnValidation rejects out-of-schema columns.
 func TestAggregateColumnValidation(t *testing.T) {
 	st, layout, _, acs := aggFixture(t, 11)
-	if _, err := RunAgg(st, layout, expr.AggQuery{Aggs: []expr.Agg{{Func: expr.AggSum, Col: 99}}}, acs, EngineSpark, RouteQdTree); err == nil {
+	if _, err := RunAggDelta(st, layout, expr.AggQuery{Aggs: []expr.Agg{{Func: expr.AggSum, Col: 99}}}, acs, EngineSpark, RouteQdTree, Options{Parallelism: 1}, nil); err == nil {
 		t.Error("aggregate over unknown column must error")
 	}
-	if _, err := RunAgg(st, layout, expr.AggQuery{
+	if _, err := RunAggDelta(st, layout, expr.AggQuery{
 		Aggs: []expr.Agg{{Func: expr.AggCountStar}}, GroupBy: []int{-1},
-	}, acs, EngineSpark, RouteQdTree); err == nil {
+	}, acs, EngineSpark, RouteQdTree, Options{Parallelism: 1}, nil); err == nil {
 		t.Error("grouping on unknown column must error")
 	}
 }
@@ -344,7 +344,7 @@ func TestAggregateDensePathMatchesMapPath(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		res, err := RunAggOpts(st, layout, aq, nil, EngineSpark, RouteQdTree, Options{Parallelism: 3})
+		res, err := RunAggDelta(st, layout, aq, nil, EngineSpark, RouteQdTree, Options{Parallelism: 3}, nil)
 		st.Close()
 		if err != nil {
 			t.Fatal(err)

@@ -69,7 +69,7 @@ func TestScanAllocsDoNotScaleWithBlocks(t *testing.T) {
 	for _, prof := range []Profile{EngineSpark, EngineDBMS} {
 		run := func(st *blockstore.Store, lay *cost.Layout) func() {
 			return func() {
-				res, err := RunOpts(st, lay, matchAll, nil, prof, NoRoute, Options{Parallelism: 1})
+				res, err := RunDelta(st, lay, matchAll, nil, prof, NoRoute, Options{Parallelism: 1}, nil)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -101,7 +101,7 @@ func TestAggAllocsDoNotScaleWithBlocks(t *testing.T) {
 	}
 	run := func(st *blockstore.Store, lay *cost.Layout) func() {
 		return func() {
-			res, err := RunAggOpts(st, lay, aq, nil, EngineDBMS, NoRoute, Options{Parallelism: 1})
+			res, err := RunAggDelta(st, lay, aq, nil, EngineDBMS, NoRoute, Options{Parallelism: 1}, nil)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -134,7 +134,7 @@ func TestRowScanMarginalAllocsAreEmitsOnly(t *testing.T) {
 	var smallRows, bigRows int64
 	run := func(st *blockstore.Store, lay *cost.Layout, matched *int64) func() {
 		return func() {
-			res, err := RunRowsOpts(st, lay, rq, nil, EngineDBMS, NoRoute, Options{Parallelism: 1})
+			res, err := RunRowsDelta(st, lay, rq, nil, EngineDBMS, NoRoute, Options{Parallelism: 1}, nil)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -153,5 +153,43 @@ func TestRowScanMarginalAllocsAreEmitsOnly(t *testing.T) {
 	if extra := big - small; extra > budget {
 		t.Errorf("row scan: %.1f extra allocs/query for %d extra matched rows (budget %.0f; small=%.1f big=%.1f)",
 			extra, bigRows-smallRows, budget, small, big)
+	}
+}
+
+// TestJoinMarginalAllocsAreTuplesOnly pins both join sides — the fourth
+// and fifth callbacks of the one scan driver. What may scale with the
+// store is what escapes into the result: one tuple per build row, per
+// probing row and per output row (plus amortized list, table and sink
+// growth) — never per-block scratch, which would cost both sides of all
+// 56 extra blocks.
+func TestJoinMarginalAllocsAreTuplesOnly(t *testing.T) {
+	smallSt, smallLay := allocFixture(t, 4000)
+	bigSt, bigLay := allocFixture(t, 32000)
+	narrow := expr.Query{Root: expr.NewPred(expr.Pred{Col: 1, Op: expr.Lt, Literal: 10})} // ~0.1% of rows
+	jq := expr.JoinQuery{
+		Name: "narrow", LeftTable: "a", RightTable: "b",
+		LeftKey: 0, RightKey: 0,
+		Cols:       []expr.ColRef{{Side: 0, Col: 1}, {Side: 1, Col: 1}},
+		LeftFilter: narrow, RightFilter: narrow,
+	}
+	var smallTuples, bigTuples int64
+	run := func(st *blockstore.Store, lay *cost.Layout, tuples *int64) func() {
+		return func() {
+			res, err := RunJoinDelta(st, lay, jq, nil, EngineDBMS, NoRoute, Options{Parallelism: 1}, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			*tuples = res.Join.RowsBuild + res.Join.RowsProbe + res.RowsMatched
+		}
+	}
+	small := measureAllocs(t, run(smallSt, smallLay, &smallTuples))
+	big := measureAllocs(t, run(bigSt, bigLay, &bigTuples))
+	if bigTuples <= smallTuples {
+		t.Fatalf("fixture broken: big store made %d tuples, small %d", bigTuples, smallTuples)
+	}
+	budget := 3*float64(bigTuples-smallTuples) + 16
+	if extra := big - small; extra > budget {
+		t.Errorf("join: %.1f extra allocs/query for %d extra tuples (budget %.0f; small=%.1f big=%.1f)",
+			extra, bigTuples-smallTuples, budget, small, big)
 	}
 }

@@ -141,17 +141,21 @@ func (s ScanStats) simTime(prof Profile) time.Duration {
 		time.Duration(s.RowsScanned)*prof.RowCost
 }
 
-// Result reports one query execution.
-type Result struct {
-	Query string
+// Header is the part of every execution result that does not depend on
+// what was computed over the surviving rows: which query ran, what the
+// scan physically touched, and the universe it is measured against.
+// Result, AggResult, AggPartialResult and RowsResult all embed it. The
+// JSON names are the shard wire format of AggPartialResult.
+type Header struct {
+	Query string `json:"query"`
 	ScanStats
 	// BlocksTotal / RowsTotal are the store's non-empty block universe —
 	// the denominator of the query's skip rate, surfaced so serving layers
 	// can log per-query layout effectiveness without holding the store.
-	BlocksTotal int
-	RowsTotal   int64
-	SimTime     time.Duration // deterministic cost-model time (see package doc)
-	WallTime    time.Duration // measured wall clock of the scan
+	BlocksTotal int           `json:"blocks_total"`
+	RowsTotal   int64         `json:"rows_total"`
+	SimTime     time.Duration `json:"sim_time_ns"`  // deterministic cost-model time (see package doc)
+	WallTime    time.Duration `json:"wall_time_ns"` // measured wall clock of the execution
 }
 
 // SkipRate is the fraction of the store's rows the query skipped
@@ -160,11 +164,28 @@ type Result struct {
 // log to detect layout decay. An empty store reports 1 (the query
 // touched nothing), never a divide-by-zero — a zero here would read as
 // "full scan" and trip drift monitors on stores with no data.
-func (r Result) SkipRate() float64 {
-	if r.RowsTotal == 0 {
+func (h Header) SkipRate() float64 {
+	if h.RowsTotal == 0 {
 		return 1
 	}
-	return 1 - float64(r.RowsScanned)/float64(r.RowsTotal)
+	return 1 - float64(h.RowsScanned)/float64(h.RowsTotal)
+}
+
+// Merge folds the header of another part of the same gathered execution
+// into h: counters and totals sum (the parts partition the row
+// universe), SimTime/WallTime take the maximum (the parts ran
+// concurrently, so the critical path is the slowest one).
+func (h *Header) Merge(o Header) {
+	h.ScanStats.merge(o.ScanStats)
+	h.BlocksTotal += o.BlocksTotal
+	h.RowsTotal += o.RowsTotal
+	h.SimTime = max(h.SimTime, o.SimTime)
+	h.WallTime = max(h.WallTime, o.WallTime)
+}
+
+// Result reports one filter-count execution.
+type Result struct {
+	Header
 }
 
 // storeTotals counts the store's non-empty blocks and their rows.
@@ -198,7 +219,7 @@ type Options struct {
 	// Parallelism is the scan worker pool size. 1 scans on the calling
 	// goroutine; 0 or negative selects GOMAXPROCS.
 	Parallelism int
-	// ShareReads lets RunWorkloadOpts read each block once for all queries
+	// ShareReads lets RunWorkloadDelta read each block once for all queries
 	// that scan it (read-once, filter-many) instead of once per query.
 	// Per-query accounting is unchanged — each query is still charged
 	// exactly the bytes it alone would have read — but the workload-level
@@ -351,144 +372,36 @@ func runPool(n, workers int, fn func(worker, task int) error) error {
 	return firstErr
 }
 
-// Run executes query q over the store under the given layout and profile,
-// sequentially. It is RunOpts at Parallelism 1.
-func Run(store *blockstore.Store, layout *cost.Layout, q expr.Query, acs []expr.AdvCut, prof Profile, mode Mode) (Result, error) {
-	return RunOpts(store, layout, q, acs, prof, mode, Options{Parallelism: 1})
-}
-
-// RunOpts executes query q with a pool of opt.Parallelism scan workers
-// pulling candidate blocks from a shared channel. ScanStats are identical
-// to a sequential run; SimTime follows the deterministic parallel model of
-// the package doc.
-func RunOpts(store *blockstore.Store, layout *cost.Layout, q expr.Query, acs []expr.AdvCut, prof Profile, mode Mode, opt Options) (Result, error) {
-	return RunDelta(store, layout, q, acs, prof, mode, opt, nil)
-}
-
-// RunDelta is RunOpts over the merged view `delta ∪ base`: base blocks
-// are pruned as usual, then every table of the delta view is scanned in
-// full (see delta.go). A nil view is a plain RunOpts.
+// RunDelta counts the rows matching q over the merged view `delta ∪
+// base` with a pool of opt.Parallelism scan workers: base blocks are
+// pruned through the layout, then every table of the delta view is
+// scanned in full (see scan.go and delta.go). ScanStats are identical
+// for every Options value; SimTime follows the deterministic parallel
+// model of the package doc. A nil view means no delta.
 func RunDelta(store *blockstore.Store, layout *cost.Layout, q expr.Query, acs []expr.AdvCut, prof Profile, mode Mode, opt Options, dv *DeltaView) (Result, error) {
-	res := Result{Query: q.Name}
-	res.BlocksTotal, res.RowsTotal = storeTotals(store)
-	res.RowsTotal += dv.Rows()
-	var rec *pruneRecorder
-	if opt.Trace != nil {
-		rec = &pruneRecorder{}
-	}
-	psp := opt.Trace.Start("block_prune")
-	candidates, err := candidateBlocks(store, layout, q, mode, rec)
-	rec.annotate(psp, res.BlocksTotal, len(candidates))
-	psp.End()
-	if err != nil {
-		return res, err
-	}
-	var needCols []int
-	if prof.Columnar {
-		needCols = queryColumns(q, acs)
-	}
-	workers := opt.workers()
-	logicalWidth := int64(8) * int64(len(needCols))
-	if needCols == nil {
-		logicalWidth = int64(8) * int64(store.Schema.NumCols())
-	}
-	type acc struct {
-		stats   ScanStats
-		crit    time.Duration
-		scratch vecScratch
-		arena   *blockstore.Arena
-	}
-	accs := make([]acc, max(workers, 1))
-	for i := range accs {
-		accs[i].arena = blockstore.GetArena()
-	}
-	defer func() {
-		for i := range accs {
-			blockstore.PutArena(accs[i].arena)
-		}
-	}()
 	start := time.Now()
-	ssp := opt.Trace.Start("scan")
-	err = runPool(len(candidates), workers, func(slot, i int) error {
-		a := &accs[slot]
-		vecs, nrows, nbytes, err := store.ReadColVecsArena(candidates[i], needCols, a.arena)
-		if err != nil {
-			return err
-		}
-		if vecs == nil {
-			return nil
-		}
-		a.stats.BlocksScanned++
-		a.stats.RowsScanned += int64(nrows)
-		a.stats.BytesRead += nbytes
-		a.stats.BytesLogical += logicalWidth * int64(nrows)
-		a.stats.RowsMatched += int64(countMatchesVec(q, acs, vecs, nrows, &a.scratch))
-		if c := blockCost(prof, nbytes, nrows, 1); c > a.crit {
-			a.crit = c
-		}
-		return nil
+	var cols []int
+	if prof.Columnar {
+		cols = queryColumns(q, acs)
+	}
+	h, _, err := scan(store, layout, prof, mode, opt, dv, scanSpec{
+		filter:  q,
+		cols:    cols,
+		workers: opt.workers(),
+		fold: func(w *scanWorker, vecs []*blockstore.ColVec, nrows int, _ bool) int64 {
+			return int64(countMatchesVec(q, acs, vecs, nrows, &w.scratch))
+		},
 	})
-	if err != nil {
-		ssp.End()
-		return res, err
-	}
-	var crit time.Duration
-	for i := range accs {
-		res.ScanStats.merge(accs[i].stats)
-		if accs[i].crit > crit {
-			crit = accs[i].crit
-		}
-	}
-	ssp.SetAttr("blocks_scanned", res.BlocksScanned).
-		SetAttr("rows_scanned", res.RowsScanned).
-		SetAttr("rows_matched", res.RowsMatched).
-		SetAttr("bytes_read", res.BytesRead)
-	ssp.End()
-	if tabs := dv.tables(); len(tabs) > 0 {
-		dsp := opt.Trace.Start("delta_scan")
-		for _, t := range tabs {
-			accs[0].arena.ResetPlain()
-			vecs, nbytes := deltaColVecs(t, needCols, accs[0].arena)
-			res.BlocksScanned++
-			res.DeltaRows += int64(t.N)
-			res.RowsScanned += int64(t.N)
-			res.BytesRead += nbytes
-			res.BytesLogical += logicalWidth * int64(t.N)
-			res.RowsMatched += int64(countMatchesVec(q, acs, vecs, t.N, &accs[0].scratch))
-			if c := blockCost(prof, nbytes, t.N, 1); c > crit {
-				crit = c
-			}
-		}
-		dsp.SetAttr("delta_tables", len(tabs)).SetAttr("delta_rows", res.DeltaRows)
-		dsp.End()
-	}
-	res.WallTime = time.Since(start)
-	res.SimTime = parallelSimTime(res.simTime(prof), crit, workers)
-	return res, nil
-}
-
-// RunWorkload executes every query sequentially and returns per-query
-// results plus the aggregate simulated time. It is the compatibility
-// entry point; RunWorkloadOpts is the batched parallel engine.
-func RunWorkload(store *blockstore.Store, layout *cost.Layout, w []expr.Query, acs []expr.AdvCut, prof Profile, mode Mode) ([]Result, time.Duration, error) {
-	out := make([]Result, 0, len(w))
-	var total time.Duration
-	for _, q := range w {
-		r, err := Run(store, layout, q, acs, prof, mode)
-		if err != nil {
-			return nil, 0, err
-		}
-		out = append(out, r)
-		total += r.SimTime
-	}
-	return out, total, nil
+	h.Query = q.Name
+	h.WallTime = time.Since(start)
+	return Result{Header: h}, err
 }
 
 // WorkloadResult reports a batched multi-query execution.
 type WorkloadResult struct {
 	Results []Result
-	// TotalSimTime is Σ per-query SimTime — the single-stream engine time
-	// RunWorkload reports, preserved here for profile-ordering comparisons.
+	// TotalSimTime is Σ per-query SimTime — the single-stream engine time,
+	// kept for profile-ordering comparisons.
 	TotalSimTime time.Duration
 	// SimTime is the deterministic estimate for the whole batch under
 	// Options.Parallelism workers (and shared reads, if enabled).
@@ -502,22 +415,17 @@ type WorkloadResult struct {
 	PhysicalBytes int64
 }
 
-// RunWorkloadOpts executes a whole workload as one batch: candidates are
-// pruned per query via the layout plus the store's SMA metadata, then
-// dispatched to a pool of scan workers. With ShareReads, queries touching
-// the same block share one physical read (read-once, filter-many).
-// Per-query ScanStats and SimTime are bit-identical to sequential
-// execution for every Options value.
-func RunWorkloadOpts(store *blockstore.Store, layout *cost.Layout, w []expr.Query, acs []expr.AdvCut, prof Profile, mode Mode, opt Options) (*WorkloadResult, error) {
-	return RunWorkloadDelta(store, layout, w, acs, prof, mode, opt, nil)
-}
-
-// RunWorkloadDelta is RunWorkloadOpts over `delta ∪ base`: after the
-// batched block scan, every query additionally scans every delta table in
-// full. Column conversions are shared across queries per delta table, but
-// each query is charged exactly the bytes it alone references, matching
-// the unshared accounting of block scans. A nil view is a plain
-// RunWorkloadOpts.
+// RunWorkloadDelta executes a whole workload as one batch over `delta ∪
+// base`: candidates are pruned per query via the layout plus the store's
+// SMA metadata, then dispatched to a pool of scan workers. With
+// ShareReads, queries touching the same block share one physical read
+// (read-once, filter-many). After the batched block scan every query
+// additionally scans every delta table in full; column conversions are
+// shared across queries per delta table, but each query is charged
+// exactly the bytes it alone references, matching the unshared
+// accounting of block scans. Per-query ScanStats and SimTime are
+// bit-identical to sequential execution for every Options value. A nil
+// view means no delta.
 func RunWorkloadDelta(store *blockstore.Store, layout *cost.Layout, w []expr.Query, acs []expr.AdvCut, prof Profile, mode Mode, opt Options, dv *DeltaView) (*WorkloadResult, error) {
 	workers := opt.workers()
 	cands := make([][]int, len(w))
@@ -681,7 +589,7 @@ func RunWorkloadDelta(store *blockstore.Store, layout *cost.Layout, w []expr.Que
 	totBlocks, totRows := storeTotals(store)
 	totRows += dv.Rows()
 	for qi := range merged {
-		r := Result{Query: w[qi].Name, ScanStats: merged[qi], BlocksTotal: totBlocks, RowsTotal: totRows}
+		r := Result{Header{Query: w[qi].Name, ScanStats: merged[qi], BlocksTotal: totBlocks, RowsTotal: totRows}}
 		r.SimTime = r.simTime(prof)
 		res.Results[qi] = r
 		res.TotalSimTime += r.SimTime

@@ -2,6 +2,7 @@ package exec
 
 import (
 	"testing"
+	"time"
 
 	"repro/internal/blockstore"
 	"repro/internal/cost"
@@ -46,7 +47,7 @@ func TestRunMatchesExactCounts(t *testing.T) {
 	st, layout, spec := fixture(t)
 	exact := cost.PerQueryMatches(spec.Table, spec.Queries, spec.ACs)
 	for i, q := range spec.Queries {
-		res, err := Run(st, layout, q, spec.ACs, EngineSpark, RouteQdTree)
+		res, err := RunDelta(st, layout, q, spec.ACs, EngineSpark, RouteQdTree, Options{Parallelism: 1}, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -66,7 +67,7 @@ func TestNoRouteNeverMissesMatches(t *testing.T) {
 	st, layout, spec := fixture(t)
 	exact := cost.PerQueryMatches(spec.Table, spec.Queries, spec.ACs)
 	for i, q := range spec.Queries {
-		res, err := Run(st, layout, q, spec.ACs, EngineSpark, NoRoute)
+		res, err := RunDelta(st, layout, q, spec.ACs, EngineSpark, NoRoute, Options{Parallelism: 1}, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -79,11 +80,11 @@ func TestNoRouteNeverMissesMatches(t *testing.T) {
 func TestRoutingNeverScansMoreThanNoRoute(t *testing.T) {
 	st, layout, spec := fixture(t)
 	for _, q := range spec.Queries {
-		routed, err := Run(st, layout, q, spec.ACs, EngineSpark, RouteQdTree)
+		routed, err := RunDelta(st, layout, q, spec.ACs, EngineSpark, RouteQdTree, Options{Parallelism: 1}, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
-		plain, err := Run(st, layout, q, spec.ACs, EngineSpark, NoRoute)
+		plain, err := RunDelta(st, layout, q, spec.ACs, EngineSpark, NoRoute, Options{Parallelism: 1}, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -96,11 +97,11 @@ func TestRoutingNeverScansMoreThanNoRoute(t *testing.T) {
 func TestColumnarProfileReadsFewerBytes(t *testing.T) {
 	st, layout, spec := fixture(t)
 	q := spec.Queries[1] // single-column query
-	full, err := Run(st, layout, q, spec.ACs, EngineSpark, RouteQdTree)
+	full, err := RunDelta(st, layout, q, spec.ACs, EngineSpark, RouteQdTree, Options{Parallelism: 1}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	pruned, err := Run(st, layout, q, spec.ACs, EngineDBMS, RouteQdTree)
+	pruned, err := RunDelta(st, layout, q, spec.ACs, EngineDBMS, RouteQdTree, Options{Parallelism: 1}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -115,11 +116,11 @@ func TestColumnarProfileReadsFewerBytes(t *testing.T) {
 func TestSimTimeMonotoneInWork(t *testing.T) {
 	st, layout, spec := fixture(t)
 	// The full-scan query Q1 must cost at least as much as selective Q2.
-	r1, err := Run(st, layout, spec.Queries[0], spec.ACs, EngineSpark, RouteQdTree)
+	r1, err := RunDelta(st, layout, spec.Queries[0], spec.ACs, EngineSpark, RouteQdTree, Options{Parallelism: 1}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	r2, err := Run(st, layout, spec.Queries[1], spec.ACs, EngineSpark, RouteQdTree)
+	r2, err := RunDelta(st, layout, spec.Queries[1], spec.ACs, EngineSpark, RouteQdTree, Options{Parallelism: 1}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -132,12 +133,29 @@ func TestSimTimeMonotoneInWork(t *testing.T) {
 	}
 }
 
+// runSequential executes every query on its own, one worker each — the
+// single-stream ground truth the batched engine is held to.
+func runSequential(store *blockstore.Store, layout *cost.Layout, w []expr.Query, acs []expr.AdvCut, prof Profile, mode Mode) ([]Result, time.Duration, error) {
+	out := make([]Result, 0, len(w))
+	var total time.Duration
+	for _, q := range w {
+		r, err := RunDelta(store, layout, q, acs, prof, mode, Options{Parallelism: 1}, nil)
+		if err != nil {
+			return nil, 0, err
+		}
+		out = append(out, r)
+		total += r.SimTime
+	}
+	return out, total, nil
+}
+
 func TestRunWorkloadAggregates(t *testing.T) {
 	st, layout, spec := fixture(t)
-	results, total, err := RunWorkload(st, layout, spec.Queries, spec.ACs, EngineDBMS, RouteQdTree)
+	wr, err := RunWorkloadDelta(st, layout, spec.Queries, spec.ACs, EngineDBMS, RouteQdTree, Options{Parallelism: 1}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
+	results, total := wr.Results, wr.TotalSimTime
 	if len(results) != len(spec.Queries) {
 		t.Fatalf("results = %d", len(results))
 	}
@@ -179,7 +197,7 @@ func TestQueryColumnsIncludesACs(t *testing.T) {
 
 func TestRunUnknownMode(t *testing.T) {
 	st, layout, spec := fixture(t)
-	if _, err := Run(st, layout, spec.Queries[0], spec.ACs, EngineSpark, Mode(99)); err == nil {
+	if _, err := RunDelta(st, layout, spec.Queries[0], spec.ACs, EngineSpark, Mode(99), Options{Parallelism: 1}, nil); err == nil {
 		t.Error("unknown mode must error")
 	}
 }
@@ -187,7 +205,7 @@ func TestRunUnknownMode(t *testing.T) {
 func TestNoRouteOnFullScanQueryReadsEverything(t *testing.T) {
 	st, layout, spec := fixture(t)
 	full := expr.Query{Name: "full"} // nil root matches all rows
-	res, err := Run(st, layout, full, spec.ACs, EngineSpark, NoRoute)
+	res, err := RunDelta(st, layout, full, spec.ACs, EngineSpark, NoRoute, Options{Parallelism: 1}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

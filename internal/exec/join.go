@@ -201,126 +201,48 @@ func (bt *buildTable) lookup(k int64) [][]int64 {
 	return bt.parts[hashJoinKey(k)%joinPartitions][k]
 }
 
-// RunJoin executes the join sequentially (RunJoinOpts at Parallelism 1).
-func RunJoin(store *blockstore.Store, layout *cost.Layout, jq expr.JoinQuery, acs []expr.AdvCut, prof Profile, mode Mode) (*RowsResult, error) {
-	return RunJoinOpts(store, layout, jq, acs, prof, mode, Options{Parallelism: 1})
-}
-
-// RunJoinOpts executes the join with a pool of scan workers per phase.
-func RunJoinOpts(store *blockstore.Store, layout *cost.Layout, jq expr.JoinQuery, acs []expr.AdvCut, prof Profile, mode Mode, opt Options) (*RowsResult, error) {
-	return RunJoinDelta(store, layout, jq, acs, prof, mode, opt, nil)
-}
-
-// RunJoinDelta is RunJoinOpts over the merged view `delta ∪ base`:
-// both join sides see base blocks plus every delta table. BlocksTotal
-// and RowsTotal count the universe twice — the query's scan universe
-// is left ∪ right — so SkipRate keeps its usual meaning.
+// RunJoinDelta executes the join over the merged view `delta ∪ base`
+// with a pool of scan workers per phase: both join sides see base blocks
+// plus every delta table. BlocksTotal and RowsTotal count the universe
+// twice — the query's scan universe is left ∪ right — so SkipRate keeps
+// its usual meaning. A nil view means no delta.
 func RunJoinDelta(store *blockstore.Store, layout *cost.Layout, jq expr.JoinQuery, acs []expr.AdvCut, prof Profile, mode Mode, opt Options, dv *DeltaView) (*RowsResult, error) {
+	start := time.Now()
 	pl, err := planJoin(store, jq, acs, prof)
 	if err != nil {
 		return nil, err
 	}
-	res := &RowsResult{Query: jq.Name, Cols: append([]expr.ColRef(nil), jq.Cols...)}
-	blocks, rows := storeTotals(store)
-	rows += dv.Rows()
-	res.BlocksTotal, res.RowsTotal = 2*blocks, 2*rows
+	res := &RowsResult{Header: Header{Query: jq.Name}, Cols: append([]expr.ColRef(nil), jq.Cols...)}
 	res.Join = &JoinStats{PartitionCount: joinPartitions, CodeSpace: pl.codeSpace}
 	if pl.codeSpace {
 		res.Join.PartitionCount = 1
 	}
 	workers := opt.workers()
-	ncols := store.Schema.NumCols()
-	start := time.Now()
 
 	// scanSide runs one phase: pruned block scan plus the full delta,
 	// with each worker's emit receiving [key, sideProj...] tuples.
-	scanSide := func(side string, filter expr.Query, readCols, scan []int, emit []func([]int64)) (ScanStats, time.Duration, error) {
-		var rec *pruneRecorder
-		if opt.Trace != nil {
-			rec = &pruneRecorder{}
-		}
-		psp := opt.Trace.Start("block_prune").SetAttr("side", side)
-		candidates, err := candidateBlocks(store, layout, filter, mode, rec)
-		rec.annotate(psp, blocks, len(candidates))
-		psp.End()
-		if err != nil {
-			return ScanStats{}, 0, err
-		}
-		logicalWidth := int64(8) * int64(len(readCols))
-		if readCols == nil {
-			logicalWidth = int64(8) * int64(ncols)
-		}
-		accs := make([]rowAcc, max(workers, 1))
-		for i := range accs {
-			accs[i].arena = blockstore.GetArena()
-		}
-		defer func() {
-			for i := range accs {
-				blockstore.PutArena(accs[i].arena)
-			}
-		}()
-		ssp := opt.Trace.Start(side + "_scan")
-		err = runPool(len(candidates), workers, func(slot, i int) error {
-			a := &accs[slot]
-			vecs, nrows, nbytes, err := store.ReadColVecsArena(candidates[i], readCols, a.arena)
-			if err != nil {
-				return err
-			}
-			if vecs == nil {
-				return nil
-			}
-			a.stats.BlocksScanned++
-			a.stats.RowsScanned += int64(nrows)
-			a.stats.BytesRead += nbytes
-			a.stats.BytesLogical += logicalWidth * int64(nrows)
-			a.stats.RowsMatched += projectBlock(filter.Root, acs, vecs, nrows, scan, a, emit[slot])
-			if c := blockCost(prof, nbytes, nrows, 1); c > a.crit {
-				a.crit = c
-			}
-			return nil
+	scanSide := func(side string, filter expr.Query, readCols, cols []int, emit []func([]int64)) (Header, error) {
+		h, _, err := scan(store, layout, prof, mode, opt, dv, scanSpec{
+			filter:  filter,
+			cols:    readCols,
+			side:    side,
+			workers: workers,
+			fold: func(w *scanWorker, vecs []*blockstore.ColVec, nrows int, _ bool) int64 {
+				return projectBlock(filter.Root, acs, vecs, nrows, cols, w, emit[w.slot])
+			},
 		})
-		if err != nil {
-			ssp.End()
-			return ScanStats{}, 0, err
-		}
-		for _, t := range dv.tables() {
-			a := &accs[0]
-			a.arena.ResetPlain()
-			vecs, nbytes := deltaColVecs(t, readCols, a.arena)
-			a.stats.BlocksScanned++
-			a.stats.DeltaRows += int64(t.N)
-			a.stats.RowsScanned += int64(t.N)
-			a.stats.BytesRead += nbytes
-			a.stats.BytesLogical += logicalWidth * int64(t.N)
-			a.stats.RowsMatched += projectBlock(filter.Root, acs, vecs, t.N, scan, a, emit[0])
-			if c := blockCost(prof, nbytes, t.N, 1); c > a.crit {
-				a.crit = c
-			}
-		}
-		var stats ScanStats
-		var crit time.Duration
-		for i := range accs {
-			stats.merge(accs[i].stats)
-			if accs[i].crit > crit {
-				crit = accs[i].crit
-			}
-		}
-		ssp.SetAttr("blocks_scanned", stats.BlocksScanned).
-			SetAttr("rows_scanned", stats.RowsScanned).
-			SetAttr("rows_matched", stats.RowsMatched)
-		ssp.End()
-		return stats, parallelSimTime(stats.simTime(prof), crit, workers), nil
+		return h, err
 	}
 
 	// Build: collect per-worker tuple lists, then insert into the
 	// shared table once the pool is quiet.
-	buildLists := make([][][]int64, max(workers, 1))
+	buildLists := make([][][]int64, workers)
 	buildEmit := make([]func([]int64), len(buildLists))
 	for i := range buildLists {
 		i := i
 		buildEmit[i] = func(t []int64) { buildLists[i] = append(buildLists[i], t) }
 	}
-	leftStats, leftSim, err := scanSide("build", jq.LeftFilter, pl.readL, pl.scanL, buildEmit)
+	left, err := scanSide("build", jq.LeftFilter, pl.readL, pl.scanL, buildEmit)
 	if err != nil {
 		return nil, err
 	}
@@ -339,7 +261,7 @@ func RunJoinDelta(store *blockstore.Store, layout *cost.Layout, jq expr.JoinQuer
 
 	// Probe: each worker assembles output tuples into its own sink.
 	less := rowLess(jq.OrderBy)
-	sinks := make([]*rowSink, max(workers, 1))
+	sinks := make([]*rowSink, workers)
 	probeEmit := make([]func([]int64), len(sinks))
 	emitted := make([]int64, len(sinks))
 	for i := range sinks {
@@ -360,18 +282,19 @@ func RunJoinDelta(store *blockstore.Store, layout *cost.Layout, jq expr.JoinQuer
 			}
 		}
 	}
-	rightStats, rightSim, err := scanSide("probe", jq.RightFilter, pl.readR, pl.scanR, probeEmit)
+	right, err := scanSide("probe", jq.RightFilter, pl.readR, pl.scanR, probeEmit)
 	if err != nil {
 		return nil, err
 	}
-	res.Join.RowsProbe = rightStats.RowsMatched
+	res.Join.RowsProbe = right.RowsMatched
 
 	msp := opt.Trace.Start("merge")
 	res.Rows = finishSinks(sinks, jq.OrderBy, jq.Limit)
-	res.Left = &leftStats
-	res.Right = &rightStats
-	res.ScanStats.merge(leftStats)
-	res.ScanStats.merge(rightStats)
+	res.Left, res.Right = &left.ScanStats, &right.ScanStats
+	res.ScanStats.merge(left.ScanStats)
+	res.ScanStats.merge(right.ScanStats)
+	res.BlocksTotal = left.BlocksTotal + right.BlocksTotal
+	res.RowsTotal = left.RowsTotal + right.RowsTotal
 	var outRows int64
 	for _, e := range emitted {
 		outRows += e
@@ -385,6 +308,6 @@ func RunJoinDelta(store *blockstore.Store, layout *cost.Layout, jq expr.JoinQuer
 		SetAttr("code_space", pl.codeSpace)
 	msp.End()
 	res.WallTime = time.Since(start)
-	res.SimTime = leftSim + rightSim
+	res.SimTime = left.SimTime + right.SimTime // the phases run one after the other
 	return res, nil
 }

@@ -5,10 +5,10 @@ package exec
 //
 // A shard cannot ship finalized AggResult rows: AVG is already divided,
 // and MIN/MAX of an absent group is indistinguishable from a valid zero.
-// Instead a shard runs RunAggPartial* and ships AggPartialResult — the
+// Instead a shard runs RunAggPartialDelta and ships AggPartialResult — the
 // same per-group (count, sum, min, max) cells the in-process worker pool
 // accumulates — and the front door folds shard partials with
-// MergeAggPartials exactly as RunAggOpts folds per-worker partials. The
+// MergeAggPartials exactly as RunAggDelta folds per-worker partials. The
 // merge arithmetic is the order-independent integer arithmetic of
 // aggPartial.merge, so a scatter/gather execution is bit-identical to a
 // single-node run over the union of the shards' rows.
@@ -16,7 +16,6 @@ package exec
 import (
 	"fmt"
 	"sort"
-	"time"
 
 	"repro/internal/expr"
 )
@@ -46,10 +45,7 @@ type AggGroupState struct {
 // accumulators. Finalize turns it into an AggResult; MergeAggPartials
 // folds several partials into one.
 type AggPartialResult struct {
-	Query string `json:"query"`
-	ScanStats
-	BlocksTotal int   `json:"blocks_total"`
-	RowsTotal   int64 `json:"rows_total"`
+	Header
 	// GroupBy is the grouping column set (schema ordinals, GROUP BY order);
 	// Grouped distinguishes "GROUP BY over zero groups" from a global
 	// aggregate.
@@ -57,19 +53,8 @@ type AggPartialResult struct {
 	Grouped bool  `json:"grouped"`
 	// Global holds the accumulators of a non-grouped query; Groups the
 	// per-group accumulators of a grouped one, sorted by key.
-	Global   AggGroupState   `json:"global"`
-	Groups   []AggGroupState `json:"groups,omitempty"`
-	SimTime  time.Duration   `json:"sim_time_ns"`
-	WallTime time.Duration   `json:"wall_time_ns"`
-}
-
-// SkipRate is the fraction of the store's rows the aggregation skipped —
-// identical semantics to Result.SkipRate.
-func (p *AggPartialResult) SkipRate() float64 {
-	if p.RowsTotal == 0 {
-		return 1
-	}
-	return 1 - float64(p.RowsScanned)/float64(p.RowsTotal)
+	Global AggGroupState   `json:"global"`
+	Groups []AggGroupState `json:"groups,omitempty"`
 }
 
 // cellState exports one internal accumulator cell.
@@ -141,15 +126,7 @@ func importPartial(dst *aggPartial, src *AggPartialResult, aggs []expr.Agg) {
 // row per group (sorted by key), global results one keyless row, and AVG
 // divides the merged exact integer sum by the merged exact count.
 func (p *AggPartialResult) Finalize(aggs []expr.Agg) *AggResult {
-	res := &AggResult{
-		Query:       p.Query,
-		ScanStats:   p.ScanStats,
-		BlocksTotal: p.BlocksTotal,
-		RowsTotal:   p.RowsTotal,
-		GroupBy:     append([]int(nil), p.GroupBy...),
-		SimTime:     p.SimTime,
-		WallTime:    p.WallTime,
-	}
+	res := &AggResult{Header: p.Header, GroupBy: append([]int(nil), p.GroupBy...)}
 	if p.Grouped {
 		res.Rows = make([]AggRow, len(p.Groups))
 		for i, g := range p.Groups {
@@ -176,7 +153,7 @@ func (p *AggPartialResult) Finalize(aggs []expr.Agg) *AggResult {
 // shard pruning leaves no shard to contact.
 func EmptyAggPartial(query string, naggs int, groupBy []int) *AggPartialResult {
 	out := &AggPartialResult{
-		Query:   query,
+		Header:  Header{Query: query},
 		GroupBy: append([]int(nil), groupBy...),
 		Grouped: len(groupBy) > 0,
 	}
@@ -198,7 +175,7 @@ func MergeAggPartials(aggs []expr.Agg, parts ...*AggPartialResult) (*AggPartialR
 	first := parts[0]
 	acc := newAggPartial(len(aggs), 0)
 	out := &AggPartialResult{
-		Query:   first.Query,
+		Header:  Header{Query: first.Query},
 		GroupBy: append([]int(nil), first.GroupBy...),
 		Grouped: first.Grouped,
 	}
@@ -218,36 +195,8 @@ func MergeAggPartials(aggs []expr.Agg, parts ...*AggPartialResult) (*AggPartialR
 			}
 		}
 		importPartial(acc, p, aggs)
-		out.ScanStats.merge(p.ScanStats)
-		out.BlocksTotal += p.BlocksTotal
-		out.RowsTotal += p.RowsTotal
-		if p.SimTime > out.SimTime {
-			out.SimTime = p.SimTime
-		}
-		if p.WallTime > out.WallTime {
-			out.WallTime = p.WallTime
-		}
+		out.Header.Merge(p.Header)
 	}
 	out.Global, out.Groups = exportPartial(acc, out.Grouped)
 	return out, nil
-}
-
-// MergeResults folds per-shard filter results into the cluster-wide
-// answer: counters and totals sum (the shards partition the row universe),
-// SimTime/WallTime take the maximum (shards scan concurrently), and
-// SkipRate derives from the merged totals.
-func MergeResults(name string, parts ...Result) Result {
-	out := Result{Query: name}
-	for _, p := range parts {
-		out.ScanStats.merge(p.ScanStats)
-		out.BlocksTotal += p.BlocksTotal
-		out.RowsTotal += p.RowsTotal
-		if p.SimTime > out.SimTime {
-			out.SimTime = p.SimTime
-		}
-		if p.WallTime > out.WallTime {
-			out.WallTime = p.WallTime
-		}
-	}
-	return out
 }

@@ -25,12 +25,12 @@ func TestWorkloadParallelEquivalence(t *testing.T) {
 	defer st.Close()
 	for _, prof := range eqProfiles {
 		for _, mode := range eqModes {
-			seq, seqTotal, err := RunWorkload(st, layout, spec.Queries, spec.ACs, prof, mode)
+			seq, seqTotal, err := runSequential(st, layout, spec.Queries, spec.ACs, prof, mode)
 			if err != nil {
 				t.Fatal(err)
 			}
 			for _, opt := range eqOptions {
-				wr, err := RunWorkloadOpts(st, layout, spec.Queries, spec.ACs, prof, mode, opt)
+				wr, err := RunWorkloadDelta(st, layout, spec.Queries, spec.ACs, prof, mode, opt, nil)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -66,12 +66,12 @@ func TestRunOptsEquivalence(t *testing.T) {
 	st, layout, spec := fixture(t)
 	defer st.Close()
 	for _, q := range spec.Queries {
-		seq, err := Run(st, layout, q, spec.ACs, EngineSpark, RouteQdTree)
+		seq, err := RunDelta(st, layout, q, spec.ACs, EngineSpark, RouteQdTree, Options{Parallelism: 1}, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
 		for _, p := range []int{2, 4, 8} {
-			par, err := RunOpts(st, layout, q, spec.ACs, EngineSpark, RouteQdTree, Options{Parallelism: p})
+			par, err := RunDelta(st, layout, q, spec.ACs, EngineSpark, RouteQdTree, Options{Parallelism: p}, nil)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -92,12 +92,12 @@ func TestParallelSimTimeDeterministic(t *testing.T) {
 	st, layout, spec := fixture(t)
 	defer st.Close()
 	opt := Options{Parallelism: 4, ShareReads: true}
-	first, err := RunWorkloadOpts(st, layout, spec.Queries, spec.ACs, EngineSpark, RouteQdTree, opt)
+	first, err := RunWorkloadDelta(st, layout, spec.Queries, spec.ACs, EngineSpark, RouteQdTree, opt, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for i := 0; i < 5; i++ {
-		again, err := RunWorkloadOpts(st, layout, spec.Queries, spec.ACs, EngineSpark, RouteQdTree, opt)
+		again, err := RunWorkloadDelta(st, layout, spec.Queries, spec.ACs, EngineSpark, RouteQdTree, opt, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -134,7 +134,7 @@ func TestParallelSimTimeModel(t *testing.T) {
 func TestSharedReadsReadOnceFilterMany(t *testing.T) {
 	st, layout, spec := fixture(t)
 	defer st.Close()
-	wr, err := RunWorkloadOpts(st, layout, spec.Queries, spec.ACs, EngineSpark, RouteQdTree, Options{Parallelism: 2, ShareReads: true})
+	wr, err := RunWorkloadDelta(st, layout, spec.Queries, spec.ACs, EngineSpark, RouteQdTree, Options{Parallelism: 2, ShareReads: true}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -163,7 +163,7 @@ func TestSharedReadsReadOnceFilterMany(t *testing.T) {
 func TestConcurrentScanStress(t *testing.T) {
 	st, layout, spec := fixture(t)
 	defer st.Close()
-	exact, _, err := RunWorkload(st, layout, spec.Queries, spec.ACs, EngineDBMS, RouteQdTree)
+	exact, _, err := runSequential(st, layout, spec.Queries, spec.ACs, EngineDBMS, RouteQdTree)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -176,7 +176,7 @@ func TestConcurrentScanStress(t *testing.T) {
 			defer wg.Done()
 			for i := 0; i < 4; i++ {
 				q := spec.Queries[(g+i)%len(spec.Queries)]
-				res, err := RunOpts(st, layout, q, spec.ACs, EngineDBMS, RouteQdTree, Options{Parallelism: 4})
+				res, err := RunDelta(st, layout, q, spec.ACs, EngineDBMS, RouteQdTree, Options{Parallelism: 4}, nil)
 				if err != nil {
 					errs <- err
 					return

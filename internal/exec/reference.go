@@ -130,7 +130,7 @@ func refFinalize(f expr.AggFunc, c refCell) AggVal {
 }
 
 // rows materializes the accumulated result in the same shape and order as
-// RunAggOpts: sorted by group key, or one keyless row for global
+// RunAggDelta: sorted by group key, or one keyless row for global
 // aggregates.
 func (rs *refState) rows() []AggRow {
 	finalize := func(g *refGroup) []AggVal {
@@ -184,7 +184,7 @@ func ReferenceAggregate(tbl *table.Table, aq expr.AggQuery, acs []expr.AdvCut) [
 // BenchmarkAggregatePushdown and qdbench -exp agg compare against, and a
 // second differential witness for correctness tests.
 func RunAggNaive(store *blockstore.Store, layout *cost.Layout, aq expr.AggQuery, acs []expr.AdvCut, prof Profile, mode Mode) (*AggResult, error) {
-	res := &AggResult{Query: aq.Name, GroupBy: append([]int(nil), aq.GroupBy...)}
+	res := &AggResult{Header: Header{Query: aq.Name}, GroupBy: append([]int(nil), aq.GroupBy...)}
 	res.BlocksTotal, res.RowsTotal = storeTotals(store)
 	candidates, err := candidateBlocks(store, layout, aq.Filter, mode, nil)
 	if err != nil {
@@ -320,7 +320,7 @@ func ReferenceJoin(tbl *table.Table, jq expr.JoinQuery, acs []expr.AdvCut) [][]i
 // qdbench -exp rows holds the bounded-heap path against. BytesRead
 // charges the decoded logical footprint, as in RunAggNaive.
 func RunRowsNaive(store *blockstore.Store, layout *cost.Layout, rq expr.RowQuery, acs []expr.AdvCut, prof Profile, mode Mode) (*RowsResult, error) {
-	res := &RowsResult{Query: rq.Name}
+	res := &RowsResult{Header: Header{Query: rq.Name}}
 	res.BlocksTotal, res.RowsTotal = storeTotals(store)
 	res.Cols = make([]expr.ColRef, len(rq.Cols))
 	for i, c := range rq.Cols {

@@ -58,10 +58,7 @@ type JoinStats struct {
 // so under the TopK short-circuit it is a lower bound (stopping early
 // is the whole point).
 type RowsResult struct {
-	Query string
-	ScanStats
-	BlocksTotal int
-	RowsTotal   int64
+	Header
 	// Cols names the output columns; Side is 0 for single-table
 	// queries and selects the join side otherwise.
 	Cols []expr.ColRef
@@ -76,27 +73,6 @@ type RowsResult struct {
 	// before visiting every candidate block, so RowsMatched undercounts
 	// and must not be compared against an exhaustive scan's counter.
 	MatchedLowerBound bool
-	SimTime           time.Duration
-	WallTime          time.Duration
-}
-
-// SkipRate is the fraction of the store's rows the query skipped —
-// identical semantics to Result.SkipRate.
-func (r *RowsResult) SkipRate() float64 {
-	if r.RowsTotal == 0 {
-		return 1
-	}
-	return 1 - float64(r.RowsScanned)/float64(r.RowsTotal)
-}
-
-// rowAcc is one scan worker's private state.
-type rowAcc struct {
-	stats   ScanStats
-	crit    time.Duration
-	scratch vecScratch
-	sel     blockstore.SelVec
-	arena   *blockstore.Arena
-	sink    *rowSink
 }
 
 // validateRowQuery bounds-checks the query against the store schema.
@@ -143,195 +119,89 @@ func rowQueryColumns(rq expr.RowQuery, acs []expr.AdvCut) []int {
 	return sortedCols(seen)
 }
 
-// RunRows executes a row query sequentially (RunRowsOpts at
-// Parallelism 1).
-func RunRows(store *blockstore.Store, layout *cost.Layout, rq expr.RowQuery, acs []expr.AdvCut, prof Profile, mode Mode) (*RowsResult, error) {
-	return RunRowsOpts(store, layout, rq, acs, prof, mode, Options{Parallelism: 1})
-}
-
-// RunRowsOpts executes a row query with a pool of scan workers (or the
-// sequential TopK path — see package comment). Emitted rows are
-// bit-identical for every Options value.
-func RunRowsOpts(store *blockstore.Store, layout *cost.Layout, rq expr.RowQuery, acs []expr.AdvCut, prof Profile, mode Mode, opt Options) (*RowsResult, error) {
-	return RunRowsDelta(store, layout, rq, acs, prof, mode, opt, nil)
-}
-
-// RunRowsDelta is RunRowsOpts over the merged view `delta ∪ base`.
+// RunRowsDelta executes a row query over the merged view `delta ∪ base`
+// with a pool of scan workers (or the sequential TopK path — see package
+// comment). Emitted rows are bit-identical for every Options value. A
+// nil view means no delta.
 func RunRowsDelta(store *blockstore.Store, layout *cost.Layout, rq expr.RowQuery, acs []expr.AdvCut, prof Profile, mode Mode, opt Options, dv *DeltaView) (*RowsResult, error) {
-	res := &RowsResult{Query: rq.Name}
-	res.BlocksTotal, res.RowsTotal = storeTotals(store)
-	res.RowsTotal += dv.Rows()
+	start := time.Now()
+	if err := validateRowQuery(store, rq, acs); err != nil {
+		return nil, err
+	}
+	sp := scanSpec{filter: rq.Filter, workers: opt.workers()}
+	if prof.Columnar {
+		sp.cols = rowQueryColumns(rq, acs)
+	}
+	topk := rq.Limit > 0 && len(rq.OrderBy) > 0
+	if topk {
+		sp.workers = 1 // the bound must be current when each block is considered
+	}
+	less := rowLess(rq.OrderBy)
+	sinks := make([]*rowSink, sp.workers)
+	emit := make([]func([]int64), sp.workers)
+	for i := range sinks {
+		sinks[i] = newRowSink(rq.Limit, less)
+		emit[i] = sinks[i].add
+	}
+	sp.fold = func(w *scanWorker, vecs []*blockstore.ColVec, nrows int, _ bool) int64 {
+		return projectBlock(rq.Filter.Root, acs, vecs, nrows, rq.Cols, w, emit[w.slot])
+	}
+	if topk {
+		// Zone-map-ordered visitation: unmapped blocks first (no bound
+		// available), then SMA-sorted blocks until the heap bound beats
+		// the next block's best value.
+		pos, desc := rq.OrderBy[0].Pos, rq.OrderBy[0].Desc
+		pc := rq.Cols[pos]
+		sp.order = func(candidates []int) []int {
+			var unmapped, mapped []int
+			for _, b := range candidates {
+				if pc < len(store.Blocks[b].Min) {
+					mapped = append(mapped, b)
+				} else {
+					unmapped = append(unmapped, b)
+				}
+			}
+			sort.Slice(mapped, func(i, j int) bool {
+				bi, bj := mapped[i], mapped[j]
+				vi, vj := store.Blocks[bi].Min[pc], store.Blocks[bj].Min[pc]
+				if desc {
+					vi, vj = store.Blocks[bi].Max[pc], store.Blocks[bj].Max[pc]
+					if vi != vj {
+						return vi > vj
+					}
+					return bi < bj
+				}
+				if vi != vj {
+					return vi < vj
+				}
+				return bi < bj
+			})
+			return append(unmapped, mapped...)
+		}
+		sp.stop = func(b int) bool {
+			m := store.Blocks[b]
+			if pc >= len(m.Min) || !sinks[0].full() {
+				return false
+			}
+			bound := sinks[0].worst()[pos]
+			return (!desc && m.Min[pc] > bound) || (desc && m.Max[pc] < bound)
+		}
+	}
+	h, stopped, err := scan(store, layout, prof, mode, opt, dv, sp)
+	if err != nil {
+		return nil, err
+	}
+	h.Query = rq.Name
+	res := &RowsResult{Header: h, MatchedLowerBound: stopped > 0}
 	res.Cols = make([]expr.ColRef, len(rq.Cols))
 	for i, c := range rq.Cols {
 		res.Cols[i] = expr.ColRef{Side: 0, Col: c}
 	}
-	if err := validateRowQuery(store, rq, acs); err != nil {
-		return nil, err
-	}
-	var rec *pruneRecorder
-	if opt.Trace != nil {
-		rec = &pruneRecorder{}
-	}
-	psp := opt.Trace.Start("block_prune")
-	candidates, err := candidateBlocks(store, layout, rq.Filter, mode, rec)
-	rec.annotate(psp, res.BlocksTotal, len(candidates))
-	psp.End()
-	if err != nil {
-		return nil, err
-	}
-	var readCols []int
-	if prof.Columnar {
-		readCols = rowQueryColumns(rq, acs)
-	}
-	logicalWidth := int64(8) * int64(len(readCols))
-	if readCols == nil {
-		logicalWidth = int64(8) * int64(store.Schema.NumCols())
-	}
-	less := rowLess(rq.OrderBy)
-	workers := opt.workers()
-	topk := rq.Limit > 0 && len(rq.OrderBy) > 0
-	if topk {
-		workers = 1 // the bound must be current when each block is considered
-	}
-	accs := make([]rowAcc, max(workers, 1))
-	for i := range accs {
-		accs[i].arena = blockstore.GetArena()
-		accs[i].sink = newRowSink(rq.Limit, less)
-	}
-	defer func() {
-		for i := range accs {
-			blockstore.PutArena(accs[i].arena)
-		}
-	}()
-	scanBlock := func(a *rowAcc, b int) error {
-		vecs, nrows, nbytes, err := store.ReadColVecsArena(b, readCols, a.arena)
-		if err != nil {
-			return err
-		}
-		if vecs == nil {
-			return nil
-		}
-		a.stats.BlocksScanned++
-		a.stats.RowsScanned += int64(nrows)
-		a.stats.BytesRead += nbytes
-		a.stats.BytesLogical += logicalWidth * int64(nrows)
-		a.stats.RowsMatched += projectBlock(rq.Filter.Root, acs, vecs, nrows, rq.Cols, a, a.sink.add)
-		if c := blockCost(prof, nbytes, nrows, 1); c > a.crit {
-			a.crit = c
-		}
-		return nil
-	}
-	scanDelta := func(a *rowAcc) {
-		tabs := dv.tables()
-		if len(tabs) == 0 {
-			return
-		}
-		dsp := opt.Trace.Start("delta_scan")
-		for _, t := range tabs {
-			a.arena.ResetPlain()
-			vecs, nbytes := deltaColVecs(t, readCols, a.arena)
-			a.stats.BlocksScanned++
-			a.stats.DeltaRows += int64(t.N)
-			a.stats.RowsScanned += int64(t.N)
-			a.stats.BytesRead += nbytes
-			a.stats.BytesLogical += logicalWidth * int64(t.N)
-			a.stats.RowsMatched += projectBlock(rq.Filter.Root, acs, vecs, t.N, rq.Cols, a, a.sink.add)
-			if c := blockCost(prof, nbytes, t.N, 1); c > a.crit {
-				a.crit = c
-			}
-		}
-		dsp.SetAttr("delta_tables", len(tabs)).SetAttr("delta_rows", a.stats.DeltaRows)
-		dsp.End()
-	}
-
-	start := time.Now()
-	ssp := opt.Trace.Start("scan")
-	if topk {
-		// Sequential zone-map-ordered visitation: delta and unmapped
-		// blocks first (no bound available), then SMA-sorted blocks
-		// until the heap bound beats the next block's best value.
-		pc := rq.Cols[rq.OrderBy[0].Pos]
-		desc := rq.OrderBy[0].Desc
-		a := &accs[0]
-		scanDelta(a)
-		var unmapped, mapped []int
-		for _, b := range candidates {
-			if m := store.Blocks[b]; pc < len(m.Min) {
-				mapped = append(mapped, b)
-			} else {
-				unmapped = append(unmapped, b)
-			}
-		}
-		sort.Slice(mapped, func(i, j int) bool {
-			bi, bj := mapped[i], mapped[j]
-			vi, vj := store.Blocks[bi].Min[pc], store.Blocks[bj].Min[pc]
-			if desc {
-				vi, vj = store.Blocks[bi].Max[pc], store.Blocks[bj].Max[pc]
-				if vi != vj {
-					return vi > vj
-				}
-				return bi < bj
-			}
-			if vi != vj {
-				return vi < vj
-			}
-			return bi < bj
-		})
-		for _, b := range unmapped {
-			if err := scanBlock(a, b); err != nil {
-				ssp.End()
-				return nil, err
-			}
-		}
-		pruned := 0
-		for i, b := range mapped {
-			if a.sink.full() {
-				bound := a.sink.worst()[rq.OrderBy[0].Pos]
-				m := store.Blocks[b]
-				if (!desc && m.Min[pc] > bound) || (desc && m.Max[pc] < bound) {
-					pruned = len(mapped) - i
-					break
-				}
-			}
-			if err := scanBlock(a, b); err != nil {
-				ssp.End()
-				return nil, err
-			}
-		}
-		res.MatchedLowerBound = pruned > 0
-		ssp.SetAttr("topk_shortcircuit", 1).SetAttr("topk_pruned_blocks", pruned)
-	} else {
-		err = runPool(len(candidates), workers, func(slot, i int) error {
-			return scanBlock(&accs[slot], candidates[i])
-		})
-		if err != nil {
-			ssp.End()
-			return nil, err
-		}
-		scanDelta(&accs[0])
-	}
-	var crit time.Duration
-	for i := range accs {
-		res.ScanStats.merge(accs[i].stats)
-		if accs[i].crit > crit {
-			crit = accs[i].crit
-		}
-	}
-	ssp.SetAttr("blocks_scanned", res.BlocksScanned).
-		SetAttr("rows_scanned", res.RowsScanned).
-		SetAttr("rows_matched", res.RowsMatched).
-		SetAttr("bytes_read", res.BytesRead)
-	ssp.End()
 	msp := opt.Trace.Start("merge")
-	sinks := make([]*rowSink, len(accs))
-	for i := range accs {
-		sinks[i] = accs[i].sink
-	}
 	res.Rows = finishSinks(sinks, rq.OrderBy, rq.Limit)
 	msp.SetAttr("rows_returned", len(res.Rows))
 	msp.End()
 	res.WallTime = time.Since(start)
-	res.SimTime = parallelSimTime(res.simTime(prof), crit, workers)
 	return res, nil
 }
 
@@ -340,7 +210,7 @@ func RunRowsDelta(store *blockstore.Store, layout *cost.Layout, rq expr.RowQuery
 // tuple transfers to emit). Only projected columns of batches with
 // survivors are decoded (late materialization). Returns the number of
 // selected rows.
-func projectBlock(root *expr.Node, acs []expr.AdvCut, vecs []*blockstore.ColVec, nrows int, proj []int, a *rowAcc, emit func([]int64)) int64 {
+func projectBlock(root *expr.Node, acs []expr.AdvCut, vecs []*blockstore.ColVec, nrows int, proj []int, a *scanWorker, emit func([]int64)) int64 {
 	var matched int64
 	decodedAt := a.arena.DecodedAt(len(vecs))
 	for start := 0; start < nrows; start += blockstore.BatchSize {

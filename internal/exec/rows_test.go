@@ -95,7 +95,7 @@ func TestRowsMatchReference(t *testing.T) {
 				for _, prof := range []Profile{EngineSpark, EngineDBMS} {
 					for _, par := range []int{1, 4} {
 						label := fmt.Sprintf("%s/%s/mode%d/p%d", rq.Name, prof.Name, mode, par)
-						res, err := RunRowsOpts(st, layout, rq, acs, prof, mode, Options{Parallelism: par})
+						res, err := RunRowsDelta(st, layout, rq, acs, prof, mode, Options{Parallelism: par}, nil)
 						if err != nil {
 							t.Fatalf("%s: %v", label, err)
 						}
@@ -174,7 +174,7 @@ func TestJoinMatchesReference(t *testing.T) {
 				for _, prof := range []Profile{EngineSpark, EngineDBMS} {
 					for _, par := range []int{1, 4} {
 						label := fmt.Sprintf("%s/%s/mode%d/p%d", jq.Name, prof.Name, mode, par)
-						res, err := RunJoinOpts(st, layout, jq, acs, prof, mode, Options{Parallelism: par})
+						res, err := RunJoinDelta(st, layout, jq, acs, prof, mode, Options{Parallelism: par}, nil)
 						if err != nil {
 							t.Fatalf("%s: %v", label, err)
 						}
@@ -206,7 +206,7 @@ func TestJoinMatchesReference(t *testing.T) {
 func TestJoinStatsAccounting(t *testing.T) {
 	st, layout, tbl, acs := aggFixture(t, 4)
 	jq := joinWorkload(rand.New(rand.NewSource(9)))[0]
-	res, err := RunJoin(st, layout, jq, acs, EngineDBMS, RouteQdTree)
+	res, err := RunJoinDelta(st, layout, jq, acs, EngineDBMS, RouteQdTree, Options{Parallelism: 1}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -226,7 +226,7 @@ func TestJoinStatsAccounting(t *testing.T) {
 	}
 	full := jq
 	full.Limit = 0
-	fres, err := RunJoin(st, layout, full, acs, EngineDBMS, RouteQdTree)
+	fres, err := RunJoinDelta(st, layout, full, acs, EngineDBMS, RouteQdTree, Options{Parallelism: 1}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -255,7 +255,7 @@ func TestTopKShortCircuit(t *testing.T) {
 			OrderBy: []expr.OrderKey{{Pos: 0, Desc: desc}},
 			Limit:   10,
 		}
-		res, err := RunRowsOpts(st, layout, rq, acs, EngineDBMS, RouteQdTree, Options{Parallelism: 4})
+		res, err := RunRowsDelta(st, layout, rq, acs, EngineDBMS, RouteQdTree, Options{Parallelism: 4}, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -266,7 +266,7 @@ func TestTopKShortCircuit(t *testing.T) {
 	}
 	// Without a LIMIT the scan must still visit every block.
 	full := expr.RowQuery{Name: "full", Cols: []int{0}, OrderBy: []expr.OrderKey{{Pos: 0}}}
-	res, err := RunRows(st, layout, full, acs, EngineDBMS, RouteQdTree)
+	res, err := RunRowsDelta(st, layout, full, acs, EngineDBMS, RouteQdTree, Options{Parallelism: 1}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -285,7 +285,7 @@ func TestRowsLateMaterialization(t *testing.T) {
 		Cols:   []int{2},
 		Filter: expr.Query{Root: expr.NewPred(expr.Pred{Col: 1, Op: expr.Ge, Literal: 3})},
 	}
-	res, err := RunRows(st, layout, rq, acs, EngineDBMS, RouteQdTree)
+	res, err := RunRowsDelta(st, layout, rq, acs, EngineDBMS, RouteQdTree, Options{Parallelism: 1}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -366,7 +366,7 @@ func TestRowQueryValidation(t *testing.T) {
 		{Name: "neg-limit", Cols: []int{0}, Limit: -1},
 	}
 	for _, rq := range bad {
-		if _, err := RunRows(st, layout, rq, acs, EngineSpark, RouteQdTree); err == nil {
+		if _, err := RunRowsDelta(st, layout, rq, acs, EngineSpark, RouteQdTree, Options{Parallelism: 1}, nil); err == nil {
 			t.Errorf("%s: must error", rq.Name)
 		}
 	}
@@ -377,7 +377,7 @@ func TestRowQueryValidation(t *testing.T) {
 		{Name: "j-order", LeftKey: 0, RightKey: 0, Cols: []expr.ColRef{{Side: 0, Col: 0}}, OrderBy: []expr.OrderKey{{Pos: 5}}},
 	}
 	for _, jq := range badJoins {
-		if _, err := RunJoin(st, layout, jq, acs, EngineSpark, RouteQdTree); err == nil {
+		if _, err := RunJoinDelta(st, layout, jq, acs, EngineSpark, RouteQdTree, Options{Parallelism: 1}, nil); err == nil {
 			t.Errorf("%s: must error", jq.Name)
 		}
 	}

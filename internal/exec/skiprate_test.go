@@ -31,7 +31,7 @@ func TestSkipRateEmptyStore(t *testing.T) {
 	st, layout := emptyFixture(t)
 	q := expr.Query{Name: "q", Root: expr.NewPred(expr.Pred{Col: 0, Op: expr.Ge, Literal: 3})}
 	for _, mode := range []Mode{RouteQdTree, NoRoute} {
-		res, err := Run(st, layout, q, nil, EngineSpark, mode)
+		res, err := RunDelta(st, layout, q, nil, EngineSpark, mode, Options{Parallelism: 1}, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -47,7 +47,7 @@ func TestSkipRateEmptyStore(t *testing.T) {
 		Aggs:   []expr.Agg{{Func: expr.AggCountStar}, {Func: expr.AggSum, Col: 0}, {Func: expr.AggAvg, Col: 0}},
 		Filter: q,
 	}
-	ares, err := RunAgg(st, layout, aq, nil, EngineSpark, RouteQdTree)
+	ares, err := RunAggDelta(st, layout, aq, nil, EngineSpark, RouteQdTree, Options{Parallelism: 1}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -62,7 +62,7 @@ func TestSkipRateEmptyStore(t *testing.T) {
 	}
 	// The grouped form yields no groups and no NaNs.
 	aq.GroupBy = []int{0}
-	gres, err := RunAgg(st, layout, aq, nil, EngineSpark, RouteQdTree)
+	gres, err := RunAggDelta(st, layout, aq, nil, EngineSpark, RouteQdTree, Options{Parallelism: 1}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -77,7 +77,7 @@ func TestSkipRateFullyPruned(t *testing.T) {
 	st, layout, spec := fixture(t)
 	pruned := expr.Query{Name: "none", Root: expr.NewPred(expr.Pred{Col: 0, Op: expr.Gt, Literal: 1 << 40})}
 	for _, mode := range []Mode{RouteQdTree, NoRoute} {
-		res, err := Run(st, layout, pruned, spec.ACs, EngineSpark, mode)
+		res, err := RunDelta(st, layout, pruned, spec.ACs, EngineSpark, mode, Options{Parallelism: 1}, nil)
 		if err != nil {
 			t.Fatal(err)
 		}

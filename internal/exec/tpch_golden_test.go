@@ -60,10 +60,10 @@ func TestTPCHGoldenRows(t *testing.T) {
 		var res *RowsResult
 		var truth [][]int64
 		if stmt.Join != nil {
-			res, err = RunJoinOpts(st, layout, *stmt.Join, p.ACs, EngineDBMS, RouteQdTree, Options{Parallelism: 2})
+			res, err = RunJoinDelta(st, layout, *stmt.Join, p.ACs, EngineDBMS, RouteQdTree, Options{Parallelism: 2}, nil)
 			truth = ReferenceJoin(tbl, *stmt.Join, p.ACs)
 		} else {
-			res, err = RunRowsOpts(st, layout, *stmt.Row, p.ACs, EngineDBMS, RouteQdTree, Options{Parallelism: 2})
+			res, err = RunRowsDelta(st, layout, *stmt.Row, p.ACs, EngineDBMS, RouteQdTree, Options{Parallelism: 2}, nil)
 			truth = ReferenceSelect(tbl, *stmt.Row, p.ACs)
 		}
 		if err != nil {

@@ -68,10 +68,10 @@ func TestServerSelect(t *testing.T) {
 	if _, err := s.SelectSQL("SELECT NOPE(x) FROM t"); err == nil {
 		t.Error("unknown aggregate must error")
 	}
-	if _, err := s.Select(expr.AggQuery{
+	if _, err := s.Execute(expr.Statement{Agg: &expr.AggQuery{
 		Aggs:   []expr.Agg{{Func: expr.AggCountStar}},
 		Filter: expr.Query{Root: expr.NewAdv(7)},
-	}); err == nil {
+	}}, nil); err == nil {
 		t.Error("out-of-range advanced cut must be rejected")
 	}
 }
@@ -89,11 +89,11 @@ func TestServerSelectDrivesDrift(t *testing.T) {
 
 	// Drifted aggregate traffic over workload B's band.
 	for i := 0; i < 4; i++ {
-		if _, err := s.Select(expr.AggQuery{
+		if _, err := s.Execute(expr.Statement{Agg: &expr.AggQuery{
 			Name:   "drift",
 			Aggs:   []expr.Agg{{Func: expr.AggSum, Col: 0}},
 			Filter: expr.Query{Root: bandQuery("b", 800, 1000).Root},
-		}); err != nil {
+		}}, nil); err != nil {
 			t.Fatal(err)
 		}
 	}

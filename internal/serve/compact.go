@@ -177,7 +177,11 @@ func (s *Server) RunCompaction(force bool) (CompactReport, error) {
 func (s *Server) compactionLayout(liveLayout *cost.Layout, merged *table.Table, newID int) (*cost.Layout, string, error) {
 	name := genName(newID)
 	if liveLayout.Tree != nil {
-		return cost.FromTree(name, liveLayout.Tree, merged), "tree", nil
+		// FromTree re-freezes the tree it is given, rewriting every leaf
+		// description in place; the live layout's Descs share those slices
+		// and maps and queries are pruning with them right now, so route
+		// and freeze a private copy.
+		return cost.FromTree(name, liveLayout.Tree.Clone(), merged), "tree", nil
 	}
 	if window := s.log.Queries(s.cfg.WindowSize); len(window) > 0 {
 		cand, err := s.cfg.Replan(merged, s.cfg.ACs, window)

@@ -5,12 +5,17 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"reflect"
 	"sync"
 	"sync/atomic"
 	"testing"
 
 	"repro/internal/blockstore"
+	"repro/internal/cost"
 	"repro/internal/delta"
+	"repro/internal/exec"
+	"repro/internal/expr"
+	"repro/internal/sqlparse"
 )
 
 // insertRows builds n rows with the fixture schema, all carrying value x.
@@ -32,19 +37,19 @@ func TestInsertVisibleBeforeCompaction(t *testing.T) {
 	defer s.Close()
 
 	q := bandQuery("probe", 500, 501)
-	res, err := s.Query(q)
-	if err != nil || res.RowsMatched != 2 {
-		t.Fatalf("base: matched %d err %v, want 2", res.RowsMatched, err)
+	res, err := s.Execute(expr.Statement{Filter: q}, nil)
+	if err != nil || res.Filter.RowsMatched != 2 {
+		t.Fatalf("base: matched %d err %v, want 2", res.Filter.RowsMatched, err)
 	}
 	if err := s.Insert(insertRows(5, 500)); err != nil {
 		t.Fatal(err)
 	}
-	res, err = s.Query(q)
-	if err != nil || res.RowsMatched != 7 {
-		t.Fatalf("after insert: matched %d err %v, want 7 (visible immediately)", res.RowsMatched, err)
+	res, err = s.Execute(expr.Statement{Filter: q}, nil)
+	if err != nil || res.Filter.RowsMatched != 7 {
+		t.Fatalf("after insert: matched %d err %v, want 7 (visible immediately)", res.Filter.RowsMatched, err)
 	}
-	if res.DeltaRows != 5 {
-		t.Fatalf("DeltaRows %d, want 5", res.DeltaRows)
+	if res.Filter.DeltaRows != 5 {
+		t.Fatalf("DeltaRows %d, want 5", res.Filter.DeltaRows)
 	}
 	if s.Rows() != 2005 {
 		t.Fatalf("Rows() %d, want 2005", s.Rows())
@@ -74,7 +79,7 @@ func TestCompactionFoldsDeltaIntoFreshGeneration(t *testing.T) {
 	}
 	// Log some traffic so the compaction has a window to replan over.
 	for _, q := range workloadA() {
-		if _, err := s.Query(q); err != nil {
+		if _, err := s.Execute(expr.Statement{Filter: q}, nil); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -93,12 +98,12 @@ func TestCompactionFoldsDeltaIntoFreshGeneration(t *testing.T) {
 	}
 
 	// The folded rows still answer queries, now from the base.
-	res, err := s.Query(bandQuery("probe", 500, 501))
-	if err != nil || res.RowsMatched != 12 {
-		t.Fatalf("post-compaction: matched %d err %v, want 12", res.RowsMatched, err)
+	res, err := s.Execute(expr.Statement{Filter: bandQuery("probe", 500, 501)}, nil)
+	if err != nil || res.Filter.RowsMatched != 12 {
+		t.Fatalf("post-compaction: matched %d err %v, want 12", res.Filter.RowsMatched, err)
 	}
-	if res.DeltaRows != 0 {
-		t.Fatalf("post-compaction DeltaRows %d, want 0", res.DeltaRows)
+	if res.Filter.DeltaRows != 0 {
+		t.Fatalf("post-compaction DeltaRows %d, want 0", res.Filter.DeltaRows)
 	}
 	st := s.Stats()
 	if st.DeltaRows != 0 || st.Compactions != 1 || st.CompactedRows != 10 {
@@ -277,29 +282,29 @@ func TestConcurrentInsertQueryCompactRace(t *testing.T) {
 			<-start
 			lastHot := int64(0)
 			for i := 0; i < reads; i++ {
-				res, err := s.Query(stable)
+				res, err := s.Execute(expr.Statement{Filter: stable}, nil)
 				if err != nil {
 					errs <- fmt.Errorf("reader %d: %w", g, err)
 					return
 				}
-				if res.RowsMatched != 800 {
-					errs <- fmt.Errorf("reader %d: stable band matched %d, want 800", g, res.RowsMatched)
+				if res.Filter.RowsMatched != 800 {
+					errs <- fmt.Errorf("reader %d: stable band matched %d, want 800", g, res.Filter.RowsMatched)
 					return
 				}
 				// Lower bound published before the read began; the count
 				// may exceed it (concurrent inserts) but never shrink.
 				lo := 4 + inserted.Load()
-				res, err = s.Query(hot)
+				res, err = s.Execute(expr.Statement{Filter: hot}, nil)
 				if err != nil {
 					errs <- fmt.Errorf("reader %d: %w", g, err)
 					return
 				}
-				if res.RowsMatched < lastHot || res.RowsMatched < lo {
+				if res.Filter.RowsMatched < lastHot || res.Filter.RowsMatched < lo {
 					errs <- fmt.Errorf("reader %d: hot band shrank: matched %d, floor %d, last %d",
-						g, res.RowsMatched, lo, lastHot)
+						g, res.Filter.RowsMatched, lo, lastHot)
 					return
 				}
-				lastHot = res.RowsMatched
+				lastHot = res.Filter.RowsMatched
 			}
 		}(g)
 	}
@@ -334,22 +339,139 @@ func TestConcurrentInsertQueryCompactRace(t *testing.T) {
 	}
 
 	// Final state is exact once the stream has drained.
-	res, err := s.Query(hot)
-	if err != nil || res.RowsMatched != 4+batches*batchRows {
-		t.Fatalf("final hot count %d err %v, want %d", res.RowsMatched, err, 4+batches*batchRows)
+	res, err := s.Execute(expr.Statement{Filter: hot}, nil)
+	if err != nil || res.Filter.RowsMatched != 4+batches*batchRows {
+		t.Fatalf("final hot count %d err %v, want %d", res.Filter.RowsMatched, err, 4+batches*batchRows)
 	}
 	if _, err := s.RunCompaction(true); err != nil {
 		t.Fatal(err)
 	}
-	res, err = s.Query(hot)
-	if err != nil || res.RowsMatched != 4+batches*batchRows || res.DeltaRows != 0 {
-		t.Fatalf("post-final-compaction: %+v err %v", res.Result, err)
+	res, err = s.Execute(expr.Statement{Filter: hot}, nil)
+	if err != nil || res.Filter.RowsMatched != 4+batches*batchRows || res.Filter.DeltaRows != 0 {
+		t.Fatalf("post-final-compaction: %+v err %v", res.Filter.Header, err)
 	}
 	if s.Rows() != 4000+batches*batchRows {
 		t.Fatalf("Rows() %d", s.Rows())
 	}
 	// Disk is consistent and reopenable.
 	if _, _, err := blockstore.OpenCurrent(root); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestCompactionNeverMutatesLiveLayout runs statements of all four kinds
+// against a tree-backed live layout while compactions loop. A compaction
+// routes the merged table through the live layout's qd-tree and
+// re-freezes it; if that rewrote the live tree's leaf descriptions in
+// place (they share their Lo/Hi slices and Masks map with the live
+// layout's Descs), the race detector fails this test and, without it,
+// queries prune with half-written intervals. The writer only inserts
+// x = 600, which no statement below selects, so every answer must equal
+// the reference over the base table at every instant.
+func TestCompactionNeverMutatesLiveLayout(t *testing.T) {
+	tbl := fixtureTable(6000) // x cycles 0..999: every value six times
+	root := newTestRoot(t, tbl, workloadA())
+	s, err := New(root, testConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	// A reopened generation has no tree; a forced relayout installs one.
+	for _, q := range workloadA() {
+		if _, err := s.QuerySQL(q.StringWith(tbl.Schema.Names(), nil)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if _, err := s.Relayout(true); err != nil {
+		t.Fatal(err)
+	}
+	s.mu.RLock()
+	treeBacked := s.gen.layout.Tree != nil
+	s.mu.RUnlock()
+	if !treeBacked {
+		t.Fatal("forced relayout left the live layout without a qd-tree")
+	}
+
+	const (
+		filterSQL = "x >= 100 AND x < 300"
+		aggSQL    = "SELECT COUNT(*), MIN(x), MAX(x) FROM t WHERE x < 500"
+		rowsSQL   = "SELECT x FROM t WHERE x >= 900 ORDER BY x DESC LIMIT 7"
+		joinSQL   = "SELECT a.x, b.x FROM a JOIN b ON a.x = b.x WHERE a.x < 2 AND b.x < 2"
+	)
+	p := sqlparse.NewParser(tbl.Schema)
+	stmt := func(sql string) expr.Statement {
+		st, err := p.ParseStatement(sql)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return st
+	}
+	wantFilter := cost.PerQueryMatches(tbl, []expr.Query{stmt(filterSQL).Filter}, nil)[0]
+	wantAgg := exec.ReferenceAggregate(tbl, *stmt(aggSQL).Agg, nil)
+	wantRows := exec.ReferenceSelect(tbl, *stmt(rowsSQL).Row, nil)
+	wantJoin := exec.ReferenceJoin(tbl, *stmt(joinSQL).Join, nil)
+
+	checks := []func() error{
+		func() error {
+			res, err := s.QuerySQL(filterSQL)
+			if err == nil && res.RowsMatched != int64(wantFilter) {
+				err = fmt.Errorf("filter matched %d, want %d", res.RowsMatched, wantFilter)
+			}
+			return err
+		},
+		func() error {
+			res, err := s.SelectSQL(aggSQL)
+			if err == nil && !reflect.DeepEqual(res.Rows, wantAgg) {
+				err = fmt.Errorf("aggregate = %+v, want %+v", res.Rows, wantAgg)
+			}
+			return err
+		},
+		func() error {
+			res, err := s.SelectRowsSQL(rowsSQL)
+			if err == nil && !reflect.DeepEqual(res.Rows, wantRows) {
+				err = fmt.Errorf("rows = %v, want %v", res.Rows, wantRows)
+			}
+			return err
+		},
+		func() error {
+			res, err := s.SelectRowsSQL(joinSQL)
+			if err == nil && !reflect.DeepEqual(res.Rows, wantJoin) {
+				err = fmt.Errorf("join = %v, want %v", res.Rows, wantJoin)
+			}
+			return err
+		},
+	}
+	done := make(chan struct{})
+	var wg sync.WaitGroup
+	for _, check := range checks {
+		wg.Add(1)
+		go func(check func() error) {
+			defer wg.Done()
+			for {
+				select {
+				case <-done:
+					return
+				default:
+				}
+				if err := check(); err != nil {
+					t.Error(err)
+					return
+				}
+			}
+		}(check)
+	}
+	for i := 0; i < 8 && err == nil; i++ {
+		var rep CompactReport
+		if err = s.Insert(insertRows(3, 600)); err != nil {
+			break
+		}
+		if rep, err = s.RunCompaction(true); err == nil && rep.Routed != "tree" {
+			err = fmt.Errorf("compaction %d routed by %q, want the live qd-tree", i, rep.Routed)
+		}
+	}
+	close(done)
+	wg.Wait()
+	if err != nil {
 		t.Fatal(err)
 	}
 }

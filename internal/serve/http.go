@@ -6,7 +6,6 @@ import (
 	"fmt"
 	"io"
 	"net/http"
-	"strings"
 	"time"
 
 	"repro/internal/delta"
@@ -15,38 +14,6 @@ import (
 	"repro/internal/obs"
 	"repro/internal/table"
 )
-
-// IsSelect reports whether the SQL text starts with the SELECT keyword
-// (as opposed to a bare filter expression). The keyword must end at a
-// word boundary so a filter on a column named e.g. "selector" is not
-// misrouted to the aggregation parser. Exported so the cluster front
-// door routes statements exactly like a standalone server.
-func IsSelect(sql string) bool {
-	trimmed := strings.TrimSpace(sql)
-	if len(trimmed) < 6 || !strings.EqualFold(trimmed[:6], "SELECT") {
-		return false
-	}
-	if len(trimmed) == 6 {
-		return true
-	}
-	c := trimmed[6]
-	return !(c == '_' || c >= '0' && c <= '9' ||
-		c >= 'a' && c <= 'z' || c >= 'A' && c <= 'Z')
-}
-
-// LegacySelectShape reports whether the statement's select list (the text
-// between SELECT and the first FROM) is the pre-aggregation shape — plain
-// identifiers or * with no function calls — and therefore eligible for
-// the skip-to-WHERE filter fallback. Exported for the cluster front door.
-func LegacySelectShape(sql string) bool {
-	rest := strings.TrimSpace(sql)[6:]
-	upper := strings.ToUpper(rest)
-	from := strings.Index(upper, " FROM ")
-	if from < 0 {
-		return false
-	}
-	return !strings.ContainsAny(rest[:from], "()")
-}
 
 // HTTP/JSON surface of a Server, mounted by cmd/qdserve:
 //
@@ -66,12 +33,12 @@ func LegacySelectShape(sql string) bool {
 // cluster front door propagates its own ID to shards this way — and
 // generated otherwise.
 //
-// A /query body whose SQL starts with SELECT first tries the
-// aggregation grammar (COUNT/SUM/MIN/MAX/AVG, optional GROUP BY), then
-// the row grammar (projection lists, ORDER BY ... LIMIT, two-table
-// equi-joins) — row statements answer with the ordered tuples in
-// Columns/Data. Any other SQL is a bare filter answered as a match
-// count. All three are logged into the drift window.
+// A /query body is routed by sqlparse.Parser.ParseStatement: an
+// aggregation statement (COUNT/SUM/MIN/MAX/AVG, optional GROUP BY)
+// answers with typed Rows, a row statement (projection lists, ORDER BY
+// ... LIMIT, two-table equi-joins) with the ordered tuples in
+// Columns/Data, and any other SQL is a bare filter answered as a match
+// count. Every kind is logged into the drift window.
 //
 // /relayout with an empty body forces the cycle (the operator asked for
 // it); pass {"force": false} for a gated check identical to a monitor
@@ -219,98 +186,27 @@ func Handler(s *Server) http.Handler {
 		// ring); "trace": true only controls inline return. The parse span
 		// joins the same trace so histogram sums reconcile with it.
 		tr := obs.NewTrace(r.Header.Get(obs.TraceHeader))
-		if IsSelect(req.SQL) {
-			psp := tr.Start("parse")
-			aq, err := s.ParseSelectSQL(req.SQL)
-			if err != nil {
-				// Not a parsable aggregation statement — try the row grammar
-				// (projections, ORDER BY/LIMIT, joins) next.
-				stmt, rerr := s.ParseRowSelectSQL(req.SQL)
-				if rerr == nil {
-					psp.End()
-					serveRowStmt(w, s, stmt, tr, req.Trace)
-					return
-				}
-				// Legacy clients send "SELECT x FROM t WHERE <filter>" or
-				// "SELECT * FROM ..." expecting the filter path (Parse skips
-				// everything up to WHERE) — keep honoring that shape. A
-				// select list that contains a function call expressed
-				// aggregation intent, so its parse error must surface, not
-				// be silently answered as a bare match count.
-				if LegacySelectShape(req.SQL) {
-					if q, ferr := s.ParseSQL(req.SQL); ferr == nil {
-						psp.End()
-						serveFilterQuery(w, s, q, tr, req.Trace)
-						return
-					}
-					// A parenthesis-free select list is the row shape; its
-					// parse error names the actual problem (unknown column,
-					// bad ORDER BY, ...) better than the aggregate error.
-					httpErr(w, http.StatusBadRequest, "%v", rerr)
-					return
-				}
-				httpErr(w, http.StatusBadRequest, "%v", err)
-				return
-			}
-			psp.End()
-			start := time.Now()
-			res, err := s.SelectTraced(aq, tr)
-			if err != nil {
-				httpErr(w, http.StatusInternalServerError, "%v", err)
-				return
-			}
-			resp := QueryResponse{
-				Query:         res.Query,
-				Generation:    res.Generation,
-				BlocksScanned: res.BlocksScanned,
-				BlocksTotal:   res.BlocksTotal,
-				RowsScanned:   res.RowsScanned,
-				RowsTotal:     res.RowsTotal,
-				RowsMatched:   res.RowsMatched,
-				BytesRead:     res.BytesRead,
-				SkipRate:      res.SkipRate(),
-				SimTimeNS:     int64(res.SimTime),
-				WallTimeNS:    int64(time.Since(start)),
-				Rows:          make([]QueryRow, len(res.Rows)),
-			}
-			schema := s.Schema()
-			for _, g := range res.GroupBy {
-				resp.GroupBy = append(resp.GroupBy, schema.Cols[g].Name)
-			}
-			hasDict := false
-			for _, g := range res.GroupBy {
-				if len(schema.Cols[g].Dict) > 0 {
-					hasDict = true
-				}
-			}
-			for i, row := range res.Rows {
-				qr := QueryRow{Key: row.Key, Aggs: row.Vals}
-				if hasDict {
-					for ki, k := range row.Key {
-						dict := schema.Cols[res.GroupBy[ki]].Dict
-						if k >= 0 && k < int64(len(dict)) {
-							qr.KeyStrings = append(qr.KeyStrings, dict[k])
-						} else {
-							qr.KeyStrings = append(qr.KeyStrings, "")
-						}
-					}
-				}
-				resp.Rows[i] = qr
-			}
-			if req.Trace {
-				resp.Trace = tr.Snapshot()
-			}
-			writeJSON(w, resp)
-			return
-		}
 		psp := tr.Start("parse")
-		q, err := s.ParseSQL(req.SQL)
+		stmt, err := s.ParseStatement(req.SQL)
 		if err != nil {
 			httpErr(w, http.StatusBadRequest, "%v", err)
 			return
 		}
 		psp.End()
-		serveFilterQuery(w, s, q, tr, req.Trace)
+		start := time.Now()
+		res, err := s.Execute(stmt, tr)
+		if err != nil {
+			// A failure after a successful parse is an execution/storage
+			// fault on our side, not the client's.
+			httpErr(w, http.StatusInternalServerError, "%v", err)
+			return
+		}
+		resp := Render(s.Schema(), stmt, res)
+		resp.WallTimeNS = int64(time.Since(start))
+		if req.Trace {
+			resp.Trace = tr.Snapshot()
+		}
+		writeJSON(w, resp)
 	})
 	mux.HandleFunc("/ingest", func(w http.ResponseWriter, r *http.Request) {
 		if r.Method != http.MethodPost {
@@ -403,97 +299,106 @@ func Handler(s *Server) http.Handler {
 	return mux
 }
 
-// serveFilterQuery executes a parsed filter query and writes its scan
-// stats. A failure after a successful parse is an execution/storage
-// fault on our side, not the client's — it maps to 500.
-func serveFilterQuery(w http.ResponseWriter, s *Server, q expr.Query, tr *obs.Trace, wantTrace bool) {
-	start := time.Now()
-	res, err := s.QueryTraced(q, tr)
-	if err != nil {
-		httpErr(w, http.StatusInternalServerError, "%v", err)
-		return
-	}
+// Render builds the /query reply of one answered statement: the scan
+// stats block every kind shares, then the kind's payload with its
+// dictionary spellings — group keys of an aggregation, output columns
+// (alias-qualified for joins, so `SELECT c.x, s.x FROM c JOIN s ...`
+// stays unambiguous) and tuples of a row statement. A standalone server
+// renders what it executed and a front door what it gathered, so both
+// spell an answer identically. WallTimeNS and Trace are the caller's.
+func Render(schema *table.Schema, stmt expr.Statement, res Result) QueryResponse {
+	h := res.Header()
 	resp := QueryResponse{
-		Query:         res.Query,
+		Query:         h.Query,
 		Generation:    res.Generation,
-		BlocksScanned: res.BlocksScanned,
-		BlocksTotal:   res.BlocksTotal,
-		RowsScanned:   res.RowsScanned,
-		RowsTotal:     res.RowsTotal,
-		RowsMatched:   res.RowsMatched,
-		BytesRead:     res.BytesRead,
-		SkipRate:      res.SkipRate(),
-		SimTimeNS:     int64(res.SimTime),
-		WallTimeNS:    int64(time.Since(start)),
+		BlocksScanned: h.BlocksScanned,
+		BlocksTotal:   h.BlocksTotal,
+		RowsScanned:   h.RowsScanned,
+		RowsTotal:     h.RowsTotal,
+		RowsMatched:   h.RowsMatched,
+		BytesRead:     h.BytesRead,
+		SkipRate:      h.SkipRate(),
+		SimTimeNS:     int64(h.SimTime),
 	}
-	if wantTrace {
-		resp.Trace = tr.Snapshot()
+	// dicts returns each column's dictionary, or nil when none has one;
+	// spell renders one tuple through them ("" for a column without a
+	// dictionary or a value outside it).
+	dicts := func(cols []int) [][]string {
+		var out [][]string
+		for i, c := range cols {
+			if d := schema.Cols[c].Dict; len(d) > 0 {
+				if out == nil {
+					out = make([][]string, len(cols))
+				}
+				out[i] = d
+			}
+		}
+		return out
 	}
-	writeJSON(w, resp)
+	spell := func(dicts [][]string, vals []int64) []string {
+		out := make([]string, len(vals))
+		for i, v := range vals {
+			if d := dicts[i]; v >= 0 && v < int64(len(d)) {
+				out[i] = d[v]
+			}
+		}
+		return out
+	}
+	switch {
+	case res.Agg != nil:
+		for _, g := range res.Agg.GroupBy {
+			resp.GroupBy = append(resp.GroupBy, schema.Cols[g].Name)
+		}
+		ds := dicts(res.Agg.GroupBy)
+		resp.Rows = make([]QueryRow, len(res.Agg.Rows))
+		for i, row := range res.Agg.Rows {
+			resp.Rows[i] = QueryRow{Key: row.Key, Aggs: row.Vals}
+			if ds != nil {
+				resp.Rows[i].KeyStrings = spell(ds, row.Key)
+			}
+		}
+	case res.Rows != nil:
+		resp.Data = res.Rows.Rows
+		resp.Join = res.Rows.Join
+		cols := make([]int, len(res.Rows.Cols))
+		for i, cr := range res.Rows.Cols {
+			cols[i] = cr.Col
+			name := schema.Cols[cr.Col].Name
+			if jq := stmt.Join; jq != nil {
+				alias := jq.LeftTable
+				if cr.Side == 1 {
+					alias = jq.RightTable
+				}
+				name = alias + "." + name
+			}
+			resp.Columns = append(resp.Columns, name)
+		}
+		if ds := dicts(cols); ds != nil {
+			resp.DataStrings = make([][]string, len(res.Rows.Rows))
+			for i, row := range res.Rows.Rows {
+				resp.DataStrings[i] = spell(ds, row)
+			}
+		}
+	}
+	return resp
 }
 
-// serveRowStmt executes a parsed row-returning statement and writes the
-// ordered tuples beside the scan stats. Column names are alias-qualified
-// for joins so `SELECT c.x, s.x FROM c JOIN s ...` stays unambiguous.
-func serveRowStmt(w http.ResponseWriter, s *Server, stmt expr.RowStmt, tr *obs.Trace, wantTrace bool) {
-	start := time.Now()
-	res, err := s.SelectRowsTraced(stmt, tr)
-	if err != nil {
-		httpErr(w, http.StatusInternalServerError, "%v", err)
-		return
+// Header reads a reply's stats block back into the executor's shape —
+// what a front door merges when the reply came from a shard.
+func (r QueryResponse) Header() exec.Header {
+	return exec.Header{
+		Query: r.Query,
+		ScanStats: exec.ScanStats{
+			BlocksScanned: r.BlocksScanned,
+			RowsScanned:   r.RowsScanned,
+			RowsMatched:   r.RowsMatched,
+			BytesRead:     r.BytesRead,
+		},
+		BlocksTotal: r.BlocksTotal,
+		RowsTotal:   r.RowsTotal,
+		SimTime:     time.Duration(r.SimTimeNS),
+		WallTime:    time.Duration(r.WallTimeNS),
 	}
-	resp := QueryResponse{
-		Query:         res.Query,
-		Generation:    res.Generation,
-		BlocksScanned: res.BlocksScanned,
-		BlocksTotal:   res.BlocksTotal,
-		RowsScanned:   res.RowsScanned,
-		RowsTotal:     res.RowsTotal,
-		RowsMatched:   res.RowsMatched,
-		BytesRead:     res.BytesRead,
-		SkipRate:      res.SkipRate(),
-		SimTimeNS:     int64(res.SimTime),
-		WallTimeNS:    int64(time.Since(start)),
-		Data:          res.Rows,
-		Join:          res.Join,
-	}
-	schema := s.Schema()
-	names := make([]string, len(res.Cols))
-	dicts := make([][]string, len(res.Cols))
-	hasDict := false
-	for i, cr := range res.Cols {
-		col := schema.Cols[cr.Col]
-		if jq := stmt.Join; jq != nil {
-			alias := jq.LeftTable
-			if cr.Side == 1 {
-				alias = jq.RightTable
-			}
-			names[i] = alias + "." + col.Name
-		} else {
-			names[i] = col.Name
-		}
-		dicts[i] = col.Dict
-		if len(col.Dict) > 0 {
-			hasDict = true
-		}
-	}
-	resp.Columns = names
-	if hasDict {
-		resp.DataStrings = make([][]string, len(res.Rows))
-		for ri, row := range res.Rows {
-			out := make([]string, len(row))
-			for j, v := range row {
-				if d := dicts[j]; v >= 0 && v < int64(len(d)) {
-					out[j] = d[v]
-				}
-			}
-			resp.DataStrings[ri] = out
-		}
-	}
-	if wantTrace {
-		resp.Trace = tr.Snapshot()
-	}
-	writeJSON(w, resp)
 }
 
 func writeJSON(w http.ResponseWriter, v any) {

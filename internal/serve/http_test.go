@@ -7,6 +7,7 @@ import (
 	"net/http/httptest"
 	"testing"
 
+	"repro/internal/expr"
 	"repro/internal/table"
 )
 
@@ -75,7 +76,7 @@ func TestHTTPStatsAndRelayout(t *testing.T) {
 	s, ts := newHTTPFixture(t)
 	// Log drifted traffic, then force a cycle over HTTP.
 	for _, q := range workloadB() {
-		if _, err := s.Query(q); err != nil {
+		if _, err := s.Execute(expr.Statement{Filter: q}, nil); err != nil {
 			t.Fatal(err)
 		}
 	}

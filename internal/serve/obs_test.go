@@ -12,6 +12,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/expr"
 	"repro/internal/obs"
 )
 
@@ -125,7 +126,7 @@ func TestMetricsGolden(t *testing.T) {
 	}
 	defer s.Close()
 
-	if _, err := s.Query(bandQuery("g", 100, 150)); err != nil {
+	if _, err := s.Execute(expr.Statement{Filter: bandQuery("g", 100, 150)}, nil); err != nil {
 		t.Fatal(err)
 	}
 	// The same row statement twice: a plan-cache miss then a hit, and a
@@ -272,7 +273,7 @@ func TestStageHistogramsReconcile(t *testing.T) {
 	wantN := map[string]uint64{}
 	for i := 0; i < 3; i++ {
 		tr := obs.NewTrace("")
-		if _, err := s.QueryTraced(bandQuery("r", 100, 150), tr); err != nil {
+		if _, err := s.Execute(expr.Statement{Filter: bandQuery("r", 100, 150)}, tr); err != nil {
 			t.Fatal(err)
 		}
 		for _, sd := range tr.SpanDurations() {
@@ -310,7 +311,7 @@ func TestSlowQueryAccounting(t *testing.T) {
 	defer s.Close()
 
 	for i := 0; i < 2; i++ {
-		if _, err := s.Query(bandQuery("s", 0, 100)); err != nil {
+		if _, err := s.Execute(expr.Statement{Filter: bandQuery("s", 0, 100)}, nil); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -338,7 +339,7 @@ func TestSlowQueryAccounting(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer s2.Close()
-	if _, err := s2.Query(bandQuery("s", 0, 100)); err != nil {
+	if _, err := s2.Execute(expr.Statement{Filter: bandQuery("s", 0, 100)}, nil); err != nil {
 		t.Fatal(err)
 	}
 	if st2 := s2.Stats(); st2.SlowQueries != 0 || st2.SlowThresholdMS != 0 {
@@ -389,7 +390,7 @@ func TestObsConcurrentStress(t *testing.T) {
 			case <-stop:
 				return
 			default:
-				if _, err := s.Query(workloadB()[i%4]); err != nil {
+				if _, err := s.Execute(expr.Statement{Filter: workloadB()[i%4]}, nil); err != nil {
 					t.Error(err)
 					return
 				}

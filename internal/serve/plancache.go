@@ -47,10 +47,6 @@ func (c *planCache) get(sql string) (expr.RowStmt, bool) {
 	return stmt, ok
 }
 
-// hit / miss record the outcome of one logical lookup.
-func (c *planCache) hit()  { c.hits.Add(1) }
-func (c *planCache) miss() { c.misses.Add(1) }
-
 // intern stores stmt under its canonical rendering and aliases the raw
 // spelling to it. If another spelling already interned the same
 // canonical statement, that cached copy wins and intern reports true —

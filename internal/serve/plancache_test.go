@@ -19,11 +19,11 @@ func TestPlanCacheCanonicalKey(t *testing.T) {
 
 	a := "SELECT x FROM t WHERE x >= 100 AND x < 110 ORDER BY x DESC LIMIT 5"
 	b := "select   x from t where x>=100 and x<110 order by x desc limit 5"
-	sa, err := s.ParseRowSelectSQL(a)
+	sa, err := s.ParseStatement(a)
 	if err != nil {
 		t.Fatal(err)
 	}
-	sb, err := s.ParseRowSelectSQL(b)
+	sb, err := s.ParseStatement(b)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -37,7 +37,7 @@ func TestPlanCacheCanonicalKey(t *testing.T) {
 
 	// The raw spellings are aliased, so repeating either is a map hit.
 	for _, sql := range []string{a, b, a} {
-		if _, err := s.ParseRowSelectSQL(sql); err != nil {
+		if _, err := s.ParseStatement(sql); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -48,7 +48,7 @@ func TestPlanCacheCanonicalKey(t *testing.T) {
 	// Distinct statements still miss independently and stay bounded.
 	for i := 0; i < planCacheCapacity+16; i++ {
 		sql := fmt.Sprintf("SELECT x FROM t WHERE x < %d LIMIT 1", i+1)
-		if _, err := s.ParseRowSelectSQL(sql); err != nil {
+		if _, err := s.ParseStatement(sql); err != nil {
 			t.Fatal(err)
 		}
 	}

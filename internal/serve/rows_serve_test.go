@@ -85,10 +85,10 @@ func TestServerSelectRows(t *testing.T) {
 	}
 
 	// Out-of-range advanced cuts are rejected before execution.
-	if _, err := s.SelectRows(expr.RowStmt{Row: &expr.RowQuery{
+	if _, err := s.Execute(expr.Statement{Row: &expr.RowQuery{
 		Cols:   []int{0},
 		Filter: expr.Query{Root: expr.NewAdv(7)},
-	}}); err == nil {
+	}}, nil); err == nil {
 		t.Error("out-of-range advanced cut must be rejected")
 	}
 }

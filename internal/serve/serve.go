@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"path/filepath"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -378,28 +379,50 @@ func (s *Server) Generation() int {
 	return s.gen.id
 }
 
-// QueryResult is one served query's scan stats plus the generation that
-// actually served it — which may already be retired by the time the
-// caller reads the result.
-type QueryResult struct {
-	exec.Result
+// Result is one executed statement: the generation that actually served
+// it — which may already be retired by the time the caller reads the
+// result — and the result of its kind; exactly one is set.
+type Result struct {
 	Generation int
+	Filter     *exec.Result           // bare filters
+	Agg        *exec.AggResult        // aggregation statements
+	AggPartial *exec.AggPartialResult // aggregation statements run with Partial
+	Rows       *exec.RowsResult       // row and join statements
 }
 
-// Query executes one query against the live generation and records it in
-// the workload log. Safe for concurrent use, including across generation
-// swaps: a query runs entirely on the generation it acquired.
-func (s *Server) Query(q expr.Query) (QueryResult, error) {
-	return s.QueryTraced(q, nil)
+// Header returns the part of the result every kind shares: what ran,
+// what the scan touched, and the universe it is measured against.
+func (r Result) Header() *exec.Header {
+	switch {
+	case r.Agg != nil:
+		return &r.Agg.Header
+	case r.AggPartial != nil:
+		return &r.AggPartial.Header
+	case r.Rows != nil:
+		return &r.Rows.Header
+	}
+	return &r.Filter.Header
 }
 
-// QueryTraced is Query recording stage spans into tr (nil starts a
-// fresh internal trace — every query is traced so the metrics, the
-// trace ring, and inline "trace": true responses all agree).
-func (s *Server) QueryTraced(q expr.Query, tr *obs.Trace) (QueryResult, error) {
-	for _, a := range q.AdvRefs() {
-		if a >= len(s.cfg.ACs) {
-			return QueryResult{}, fmt.Errorf("serve: query references advanced cut %d but the server holds %d", a, len(s.cfg.ACs))
+// Execute runs one statement of any kind against the live generation,
+// merging uncompacted delta rows, and records its filter and scan cost
+// in the workload log — so aggregate, row and join traffic drives drift
+// detection and background re-layouts exactly like plain filter queries.
+// Each side of a join is logged separately: join traffic pulls re-layouts
+// toward both build and probe filters, not a blended average. Safe for
+// concurrent use, including across generation swaps: a statement runs
+// entirely on the generation it acquired.
+//
+// Stage spans are recorded into tr; nil starts a fresh internal trace —
+// every statement is traced so the metrics, the trace ring, and inline
+// "trace": true responses all agree.
+func (s *Server) Execute(stmt expr.Statement, tr *obs.Trace) (Result, error) {
+	filters := stmt.Filters()
+	for _, f := range filters {
+		for _, a := range f.AdvRefs() {
+			if a >= len(s.cfg.ACs) {
+				return Result{}, fmt.Errorf("serve: query references advanced cut %d but the server holds %d", a, len(s.cfg.ACs))
+			}
 		}
 	}
 	if tr == nil {
@@ -410,28 +433,156 @@ func (s *Server) QueryTraced(q expr.Query, tr *obs.Trace) (QueryResult, error) {
 	s.mu.RLock()
 	if s.closed {
 		s.mu.RUnlock()
-		return QueryResult{}, ErrClosed
+		return Result{}, ErrClosed
 	}
 	g := s.gen
-	res, err := exec.RunDelta(g.store, g.layout, q, s.cfg.ACs, s.cfg.Profile, s.cfg.Mode, opt, s.deltaView())
+	res := Result{Generation: g.id}
+	acs, prof, mode, dv := s.cfg.ACs, s.cfg.Profile, s.cfg.Mode, s.deltaView()
+	var err error
+	switch stmt.Kind() {
+	case expr.StmtFilter:
+		var r exec.Result
+		r, err = exec.RunDelta(g.store, g.layout, stmt.Filter, acs, prof, mode, opt, dv)
+		res.Filter = &r
+	case expr.StmtAgg:
+		res.AggPartial, err = exec.RunAggPartialDelta(g.store, g.layout, *stmt.Agg, acs, prof, mode, opt, dv)
+		if err == nil && !stmt.Partial {
+			res.Agg, res.AggPartial = res.AggPartial.Finalize(stmt.Agg.Aggs), nil
+		}
+	case expr.StmtRows:
+		res.Rows, err = exec.RunRowsDelta(g.store, g.layout, *stmt.Row, acs, prof, mode, opt, dv)
+	case expr.StmtJoin:
+		res.Rows, err = exec.RunJoinDelta(g.store, g.layout, *stmt.Join, acs, prof, mode, opt, dv)
+	}
 	s.mu.RUnlock()
-	s.observeQuery(tr, "filter", res.ScanStats, err)
+	var h exec.Header
+	if err == nil {
+		h = *res.Header()
+	}
+	s.observeQuery(tr, stmt.Type(), h.ScanStats, err)
 	if err != nil {
-		return QueryResult{Result: res, Generation: g.id}, err
+		return Result{}, err
 	}
 	s.queries.Add(1)
-	s.log.Record(Entry{
-		Name:       q.Name,
-		Query:      q,
-		Generation: g.id,
-		Blocks:     res.BlocksScanned,
-		Rows:       res.RowsScanned,
-		Matched:    res.RowsMatched,
-		Bytes:      res.BytesRead,
-		SkipRate:   res.SkipRate(),
-		SimTime:    res.SimTime,
-	})
-	return QueryResult{Result: res, Generation: g.id}, nil
+	name := stmt.Name()
+	if name == "" {
+		name = stmt.StringWith(s.Schema().Names(), acs)
+	}
+	// One drift-log entry per scan, so the replanner sees the filter that
+	// actually pruned it.
+	h.Query = name
+	scans := []exec.Header{h}
+	if j := res.Rows; stmt.Join != nil {
+		s.metrics.joinBuildRows.Add(uint64(j.Join.RowsBuild))
+		s.metrics.joinProbeRows.Add(uint64(j.Join.RowsProbe))
+		// Per-side scan stats are exact; each side is measured against its
+		// own copy of the universe and the shared sim time is split evenly.
+		scans = []exec.Header{
+			{Query: name + "#left", ScanStats: *j.Left, RowsTotal: j.RowsTotal / 2, SimTime: j.SimTime / 2},
+			{Query: name + "#right", ScanStats: *j.Right, RowsTotal: j.RowsTotal / 2, SimTime: j.SimTime / 2},
+		}
+	}
+	for i, q := range filters {
+		h = scans[i]
+		s.log.Record(Entry{
+			Name:       h.Query,
+			Query:      q,
+			Generation: g.id,
+			Blocks:     h.BlocksScanned,
+			Rows:       h.RowsScanned,
+			Matched:    h.RowsMatched,
+			Bytes:      h.BytesRead,
+			SkipRate:   h.SkipRate(),
+			SimTime:    h.SimTime,
+		})
+	}
+	return res, nil
+}
+
+// ParseStatement parses one SQL statement of any kind against the served
+// schema without executing it. Errors here are client faults (malformed
+// SQL, unknown columns, unsupported advanced cuts) — the HTTP layer maps
+// them to 400 while execution errors map to 500. Statements that
+// introduce advanced cuts absent from the server's table are rejected:
+// the live layout has no skipping metadata for them. An unnamed statement
+// is named after its SQL text.
+//
+// Successful parses of row statements are memoized in the plan cache. The
+// lookup is by raw SQL text, but entries are keyed on the statement's
+// canonical rendering with the raw spelling aliased to it — so a
+// repeated dashboard statement costs one map lookup, and whitespace or
+// case variants of the same statement resolve to one shared plan (a
+// hit) instead of each burning a cache slot. Rejected statements are
+// never cached.
+func (s *Server) ParseStatement(sql string) (expr.Statement, error) {
+	if rs, ok := s.plans.get(sql); ok {
+		s.planLookup("hit")
+		return expr.Statement{Row: rs.Row, Join: rs.Join}, nil
+	}
+	schema := s.Schema()
+	p := sqlparse.NewParser(schema)
+	p.ACs = append([]expr.AdvCut(nil), s.cfg.ACs...)
+	stmt, err := p.ParseStatement(sql)
+	if err == nil && len(p.ACs) > len(s.cfg.ACs) {
+		err = fmt.Errorf("serve: query %q introduces an advanced cut the server was not configured with", sql)
+	}
+	if err != nil {
+		return expr.Statement{}, err
+	}
+	if stmt.Name() == "" {
+		stmt.SetName(sql)
+	}
+	if stmt.Row != nil || stmt.Join != nil {
+		canon := stmt.StringWith(schema.Names(), s.cfg.ACs)
+		rs, aliased := s.plans.intern(sql, canon, expr.RowStmt{Row: stmt.Row, Join: stmt.Join})
+		stmt.Row, stmt.Join = rs.Row, rs.Join
+		if aliased {
+			s.planLookup("hit")
+		} else {
+			s.planLookup("miss")
+		}
+	}
+	return stmt, nil
+}
+
+// planLookup counts one row-statement plan-cache lookup by outcome.
+func (s *Server) planLookup(outcome string) {
+	if outcome == "hit" {
+		s.plans.hits.Add(1)
+	} else {
+		s.plans.misses.Add(1)
+	}
+	s.metrics.planCache.With(outcome).Inc()
+}
+
+// executeSQL parses one statement, checks it is of a kind the caller can
+// return, and executes it.
+func (s *Server) executeSQL(sql string, kinds ...expr.StmtKind) (Result, error) {
+	stmt, err := s.ParseStatement(sql)
+	if err != nil {
+		return Result{}, err
+	}
+	if !slices.Contains(kinds, stmt.Kind()) {
+		return Result{}, fmt.Errorf("serve: %q is a %s statement, which this method cannot return", sql, stmt.Type())
+	}
+	return s.Execute(stmt, nil)
+}
+
+// QueryResult is one served filter query: its scan stats plus the
+// generation that served it.
+type QueryResult struct {
+	exec.Result
+	Generation int
+}
+
+// QuerySQL parses and executes one bare filter (or a legacy
+// "SELECT * FROM t WHERE <filter>"), answered as a match count.
+func (s *Server) QuerySQL(sql string) (QueryResult, error) {
+	res, err := s.executeSQL(sql, expr.StmtFilter)
+	if err != nil {
+		return QueryResult{}, err
+	}
+	return QueryResult{Result: *res.Filter, Generation: res.Generation}, nil
 }
 
 // SelectResult is one served aggregation: typed result rows plus scan
@@ -441,90 +592,10 @@ type SelectResult struct {
 	Generation int
 }
 
-// Select executes one aggregation statement against the live generation
-// and records its filter and scan cost in the workload log — aggregate
-// traffic therefore drives drift detection and background re-layouts
-// exactly like plain filter queries. Safe for concurrent use across
-// generation swaps.
-func (s *Server) Select(aq expr.AggQuery) (SelectResult, error) {
-	return s.SelectTraced(aq, nil)
-}
-
-// SelectTraced is Select recording stage spans into tr (nil starts a
-// fresh internal trace).
-func (s *Server) SelectTraced(aq expr.AggQuery, tr *obs.Trace) (SelectResult, error) {
-	for _, a := range aq.Filter.AdvRefs() {
-		if a >= len(s.cfg.ACs) {
-			return SelectResult{}, fmt.Errorf("serve: query references advanced cut %d but the server holds %d", a, len(s.cfg.ACs))
-		}
-	}
-	if tr == nil {
-		tr = obs.NewTrace("")
-	}
-	opt := s.cfg.ExecOptions
-	opt.Trace = tr
-	s.mu.RLock()
-	if s.closed {
-		s.mu.RUnlock()
-		return SelectResult{}, ErrClosed
-	}
-	g := s.gen
-	res, err := exec.RunAggDelta(g.store, g.layout, aq, s.cfg.ACs, s.cfg.Profile, s.cfg.Mode, opt, s.deltaView())
-	s.mu.RUnlock()
-	var st exec.ScanStats
-	if res != nil {
-		st = res.ScanStats
-	}
-	s.observeQuery(tr, "select", st, err)
-	if err != nil {
-		return SelectResult{}, err
-	}
-	s.queries.Add(1)
-	name := aq.Name
-	if name == "" {
-		name = aq.StringWith(s.Schema().Names(), s.cfg.ACs)
-	}
-	s.log.Record(Entry{
-		Name:       name,
-		Query:      aq.Filter,
-		Generation: g.id,
-		Blocks:     res.BlocksScanned,
-		Rows:       res.RowsScanned,
-		Matched:    res.RowsMatched,
-		Bytes:      res.BytesRead,
-		SkipRate:   res.SkipRate(),
-		SimTime:    res.SimTime,
-	})
-	return SelectResult{AggResult: res, Generation: g.id}, nil
-}
-
-// SelectSQL parses one aggregation statement against the served schema
-// and executes it.
+// SelectSQL parses and executes one aggregation statement.
 func (s *Server) SelectSQL(sql string) (SelectResult, error) {
-	aq, err := s.ParseSelectSQL(sql)
-	if err != nil {
-		return SelectResult{}, err
-	}
-	return s.Select(aq)
-}
-
-// ParseSelectSQL parses one aggregation statement without executing it.
-// Like ParseSQL, statements that introduce advanced cuts the server was
-// not configured with are rejected.
-func (s *Server) ParseSelectSQL(sql string) (expr.AggQuery, error) {
-	p := sqlparse.NewParser(s.Schema())
-	p.ACs = append([]expr.AdvCut(nil), s.cfg.ACs...)
-	aq, err := p.ParseSelect(sql)
-	if err != nil {
-		return expr.AggQuery{}, err
-	}
-	if len(p.ACs) > len(s.cfg.ACs) {
-		return expr.AggQuery{}, fmt.Errorf("serve: query %q introduces an advanced cut the server was not configured with", sql)
-	}
-	if aq.Name == "" {
-		aq.Name = sql
-	}
-	return aq, nil
+	res, err := s.executeSQL(sql, expr.StmtAgg)
+	return SelectResult{AggResult: res.Agg, Generation: res.Generation}, err
 }
 
 // SelectRowsResult is one served row-returning statement: ordered output
@@ -535,201 +606,12 @@ type SelectRowsResult struct {
 	Generation int
 }
 
-// SelectRows executes one row-returning statement (single-table
-// projection with optional ORDER BY/LIMIT, or a two-table equi-join)
-// against the live generation, merging uncompacted delta rows exactly
-// like the filter and aggregate paths. Each side of a join is logged
-// into the drift window separately — join traffic therefore pulls
-// re-layouts toward both build and probe filters, not a blended average.
-func (s *Server) SelectRows(stmt expr.RowStmt) (SelectRowsResult, error) {
-	return s.SelectRowsTraced(stmt, nil)
-}
-
-// SelectRowsTraced is SelectRows recording stage spans into tr (nil
-// starts a fresh internal trace).
-func (s *Server) SelectRowsTraced(stmt expr.RowStmt, tr *obs.Trace) (SelectRowsResult, error) {
-	var refs []int
-	typ := "rows"
-	switch {
-	case stmt.Join != nil:
-		typ = "join"
-		refs = append(stmt.Join.LeftFilter.AdvRefs(), stmt.Join.RightFilter.AdvRefs()...)
-	case stmt.Row != nil:
-		refs = stmt.Row.Filter.AdvRefs()
-	default:
-		return SelectRowsResult{}, fmt.Errorf("serve: empty row statement")
-	}
-	for _, a := range refs {
-		if a >= len(s.cfg.ACs) {
-			return SelectRowsResult{}, fmt.Errorf("serve: query references advanced cut %d but the server holds %d", a, len(s.cfg.ACs))
-		}
-	}
-	if tr == nil {
-		tr = obs.NewTrace("")
-	}
-	opt := s.cfg.ExecOptions
-	opt.Trace = tr
-	s.mu.RLock()
-	if s.closed {
-		s.mu.RUnlock()
-		return SelectRowsResult{}, ErrClosed
-	}
-	g := s.gen
-	var res *exec.RowsResult
-	var err error
-	if stmt.Join != nil {
-		res, err = exec.RunJoinDelta(g.store, g.layout, *stmt.Join, s.cfg.ACs, s.cfg.Profile, s.cfg.Mode, opt, s.deltaView())
-	} else {
-		res, err = exec.RunRowsDelta(g.store, g.layout, *stmt.Row, s.cfg.ACs, s.cfg.Profile, s.cfg.Mode, opt, s.deltaView())
-	}
-	s.mu.RUnlock()
-	var st exec.ScanStats
-	if res != nil {
-		st = res.ScanStats
-	}
-	s.observeQuery(tr, typ, st, err)
-	if err != nil {
-		return SelectRowsResult{}, err
-	}
-	s.queries.Add(1)
-	name := stmt.Name()
-	if name == "" {
-		name = stmt.StringWith(s.Schema().Names(), s.cfg.ACs)
-	}
-	if jq := stmt.Join; jq != nil {
-		s.metrics.joinBuildRows.Add(uint64(res.Join.RowsBuild))
-		s.metrics.joinProbeRows.Add(uint64(res.Join.RowsProbe))
-		// One drift-log entry per side, so the replanner sees the filter
-		// that actually pruned each scan. The shared sim time is split
-		// evenly; per-side scan stats are exact.
-		sides := []struct {
-			tag string
-			q   expr.Query
-			st  *exec.ScanStats
-		}{
-			{"#left", jq.LeftFilter, res.Left},
-			{"#right", jq.RightFilter, res.Right},
-		}
-		for _, side := range sides {
-			half := res.RowsTotal / 2
-			skip := 1.0
-			if half > 0 {
-				skip = 1 - float64(side.st.RowsScanned)/float64(half)
-			}
-			s.log.Record(Entry{
-				Name:       name + side.tag,
-				Query:      side.q,
-				Generation: g.id,
-				Blocks:     side.st.BlocksScanned,
-				Rows:       side.st.RowsScanned,
-				Matched:    side.st.RowsMatched,
-				Bytes:      side.st.BytesRead,
-				SkipRate:   skip,
-				SimTime:    res.SimTime / 2,
-			})
-		}
-	} else {
-		s.log.Record(Entry{
-			Name:       name,
-			Query:      stmt.Row.Filter,
-			Generation: g.id,
-			Blocks:     res.BlocksScanned,
-			Rows:       res.RowsScanned,
-			Matched:    res.RowsMatched,
-			Bytes:      res.BytesRead,
-			SkipRate:   res.SkipRate(),
-			SimTime:    res.SimTime,
-		})
-	}
-	return SelectRowsResult{RowsResult: res, Generation: g.id}, nil
-}
-
-// SelectRowsSQL parses one row-returning statement against the served
-// schema (through the plan cache) and executes it.
+// SelectRowsSQL parses (through the plan cache) and executes one
+// row-returning statement: a single-table projection with optional ORDER
+// BY/LIMIT, or a two-table equi-join.
 func (s *Server) SelectRowsSQL(sql string) (SelectRowsResult, error) {
-	stmt, err := s.ParseRowSelectSQL(sql)
-	if err != nil {
-		return SelectRowsResult{}, err
-	}
-	return s.SelectRows(stmt)
-}
-
-// ParseRowSelectSQL parses one row-returning statement without
-// executing it, memoizing successful parses in the plan cache. The
-// lookup is by raw SQL text, but entries are keyed on the statement's
-// canonical rendering with the raw spelling aliased to it — so a
-// repeated dashboard statement costs one map lookup, and whitespace or
-// case variants of the same statement resolve to one shared plan (a
-// hit) instead of each burning a cache slot. Statements that introduce
-// advanced cuts the server was not configured with are rejected (and
-// never cached).
-func (s *Server) ParseRowSelectSQL(sql string) (expr.RowStmt, error) {
-	if stmt, ok := s.plans.get(sql); ok {
-		s.plans.hit()
-		s.metrics.planCache.With("hit").Inc()
-		return stmt, nil
-	}
-	p := sqlparse.NewParser(s.Schema())
-	p.ACs = append([]expr.AdvCut(nil), s.cfg.ACs...)
-	stmt, err := p.ParseRowSelect(sql)
-	if err != nil {
-		s.plans.miss()
-		s.metrics.planCache.With("miss").Inc()
-		return expr.RowStmt{}, err
-	}
-	if len(p.ACs) > len(s.cfg.ACs) {
-		s.plans.miss()
-		s.metrics.planCache.With("miss").Inc()
-		return expr.RowStmt{}, fmt.Errorf("serve: query %q introduces an advanced cut the server was not configured with", sql)
-	}
-	if stmt.Row != nil && stmt.Row.Name == "" {
-		stmt.Row.Name = sql
-	}
-	if stmt.Join != nil && stmt.Join.Name == "" {
-		stmt.Join.Name = sql
-	}
-	canon := stmt.StringWith(s.Schema().Names(), s.cfg.ACs)
-	cached, aliased := s.plans.intern(sql, canon, stmt)
-	if aliased {
-		s.plans.hit()
-		s.metrics.planCache.With("hit").Inc()
-	} else {
-		s.plans.miss()
-		s.metrics.planCache.With("miss").Inc()
-	}
-	return cached, nil
-}
-
-// QuerySQL parses one SQL WHERE clause (or full SELECT) against the served
-// schema and executes it. Queries that introduce advanced cuts absent from
-// the server's table are rejected — the live layout has no skipping
-// metadata for them.
-func (s *Server) QuerySQL(sql string) (QueryResult, error) {
-	q, err := s.ParseSQL(sql)
-	if err != nil {
-		return QueryResult{}, err
-	}
-	return s.Query(q)
-}
-
-// ParseSQL parses one SQL WHERE clause against the served schema without
-// executing it. Errors here are client faults (malformed SQL, unknown
-// columns, unsupported advanced cuts) — the HTTP layer maps them to 400
-// while execution errors map to 500.
-func (s *Server) ParseSQL(sql string) (expr.Query, error) {
-	p := sqlparse.NewParser(s.Schema())
-	p.ACs = append([]expr.AdvCut(nil), s.cfg.ACs...)
-	q, err := p.Parse(sql)
-	if err != nil {
-		return expr.Query{}, err
-	}
-	if len(p.ACs) > len(s.cfg.ACs) {
-		return expr.Query{}, fmt.Errorf("serve: query %q introduces an advanced cut the server was not configured with", sql)
-	}
-	if q.Name == "" {
-		q.Name = sql
-	}
-	return q, nil
+	res, err := s.executeSQL(sql, expr.StmtRows, expr.StmtJoin)
+	return SelectRowsResult{RowsResult: res.Rows, Generation: res.Generation}, err
 }
 
 // Relayout runs one drift-check cycle synchronously. With force=false it

@@ -116,15 +116,15 @@ func TestServeAndLogStats(t *testing.T) {
 
 	want := cost.PerQueryMatches(tbl, workloadA(), nil)
 	for i, q := range workloadA() {
-		res, err := s.Query(q)
+		res, err := s.Execute(expr.Statement{Filter: q}, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if res.RowsMatched != want[i] {
-			t.Fatalf("query %s matched %d, want %d", q.Name, res.RowsMatched, want[i])
+		if res.Filter.RowsMatched != want[i] {
+			t.Fatalf("query %s matched %d, want %d", q.Name, res.Filter.RowsMatched, want[i])
 		}
-		if res.SkipRate() <= 0 {
-			t.Errorf("query %s skip rate %.2f; layout planned for this workload must skip", q.Name, res.SkipRate())
+		if res.Filter.SkipRate() <= 0 {
+			t.Errorf("query %s skip rate %.2f; layout planned for this workload must skip", q.Name, res.Filter.SkipRate())
 		}
 	}
 	st := s.Stats()
@@ -171,7 +171,7 @@ func TestQueryRejectsUnknownAdvRef(t *testing.T) {
 	}
 	defer s.Close()
 	q := expr.Query{Name: "adv", Root: expr.NewAdv(0)}
-	if _, err := s.Query(q); err == nil {
+	if _, err := s.Execute(expr.Statement{Filter: q}, nil); err == nil {
 		t.Fatal("advanced ref beyond the server's AC table must error")
 	}
 }
@@ -190,7 +190,7 @@ func TestDriftTriggersRelayout(t *testing.T) {
 	defer s.Close()
 
 	for _, q := range workloadB() {
-		if _, err := s.Query(q); err != nil {
+		if _, err := s.Execute(expr.Statement{Filter: q}, nil); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -223,12 +223,12 @@ func TestDriftTriggersRelayout(t *testing.T) {
 	// Queries keep answering correctly and now skip far more.
 	want := cost.PerQueryMatches(tbl, workloadB(), nil)
 	for i, q := range workloadB() {
-		res, err := s.Query(q)
+		res, err := s.Execute(expr.Statement{Filter: q}, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if res.RowsMatched != want[i] {
-			t.Fatalf("post-swap query %s matched %d, want %d", q.Name, res.RowsMatched, want[i])
+		if res.Filter.RowsMatched != want[i] {
+			t.Fatalf("post-swap query %s matched %d, want %d", q.Name, res.Filter.RowsMatched, want[i])
 		}
 	}
 	after := s.log.MeanSkipRate(4)
@@ -253,7 +253,7 @@ func TestRelayoutGates(t *testing.T) {
 	}
 
 	// Below MinWindow: the monitor path holds off.
-	if _, err := s.Query(workloadA()[0]); err != nil {
+	if _, err := s.Execute(expr.Statement{Filter: workloadA()[0]}, nil); err != nil {
 		t.Fatal(err)
 	}
 	rep, err = s.Relayout(false)
@@ -263,7 +263,7 @@ func TestRelayoutGates(t *testing.T) {
 
 	// Same workload the layout was planned for: improvement ~0, no swap.
 	for _, q := range workloadA() {
-		if _, err := s.Query(q); err != nil {
+		if _, err := s.Execute(expr.Statement{Filter: q}, nil); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -328,7 +328,7 @@ func TestZeroImprovementDoesNotSwapAtAnyThreshold(t *testing.T) {
 	defer s.Close()
 	for r := 0; r < 2; r++ {
 		for _, q := range workloadA() {
-			if _, err := s.Query(q); err != nil {
+			if _, err := s.Execute(expr.Statement{Filter: q}, nil); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -359,7 +359,7 @@ func TestStatsClearsStaleError(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer s.Close()
-	if _, err := s.Query(workloadA()[0]); err != nil {
+	if _, err := s.Execute(expr.Statement{Filter: workloadA()[0]}, nil); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := s.Relayout(true); err == nil {
@@ -394,7 +394,7 @@ func TestBackgroundMonitorSwapsOnDrift(t *testing.T) {
 			t.Fatalf("monitor never swapped; stats = %+v", s.Stats())
 		}
 		for _, q := range workloadB() {
-			if _, err := s.Query(q); err != nil {
+			if _, err := s.Execute(expr.Statement{Filter: q}, nil); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -413,7 +413,7 @@ func TestReopenAfterSwap(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, q := range workloadB() {
-		if _, err := s.Query(q); err != nil {
+		if _, err := s.Execute(expr.Statement{Filter: q}, nil); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -426,7 +426,7 @@ func TestReopenAfterSwap(t *testing.T) {
 	if err := s.Close(); err != nil {
 		t.Fatal("Close must be idempotent:", err)
 	}
-	if _, err := s.Query(workloadA()[0]); err == nil {
+	if _, err := s.Execute(expr.Statement{Filter: workloadA()[0]}, nil); err == nil {
 		t.Fatal("query after Close must error")
 	}
 
@@ -439,9 +439,9 @@ func TestReopenAfterSwap(t *testing.T) {
 		t.Fatalf("reopened gen=%d rows=%d", s2.Generation(), s2.Rows())
 	}
 	want := cost.PerQueryMatches(tbl, workloadB(), nil)
-	res, err := s2.Query(workloadB()[0])
-	if err != nil || res.RowsMatched != want[0] {
-		t.Fatalf("reopened query: matched=%d want=%d err=%v", res.RowsMatched, want[0], err)
+	res, err := s2.Execute(expr.Statement{Filter: workloadB()[0]}, nil)
+	if err != nil || res.Filter.RowsMatched != want[0] {
+		t.Fatalf("reopened query: matched=%d want=%d err=%v", res.Filter.RowsMatched, want[0], err)
 	}
 }
 
@@ -479,14 +479,14 @@ func TestConcurrentQuerySwapRace(t *testing.T) {
 			<-start
 			for i := 0; i < queriesPerReader; i++ {
 				qi := (g + i) % len(queries)
-				res, err := s.Query(queries[qi])
+				res, err := s.Execute(expr.Statement{Filter: queries[qi]}, nil)
 				if err != nil {
 					errs <- fmt.Errorf("reader %d query %d: %w", g, i, err)
 					return
 				}
-				if res.RowsMatched != want[qi] {
+				if res.Filter.RowsMatched != want[qi] {
 					errs <- fmt.Errorf("reader %d: query %s matched %d, want %d (gen %d)",
-						g, queries[qi].Name, res.RowsMatched, want[qi], s.Generation())
+						g, queries[qi].Name, res.Filter.RowsMatched, want[qi], s.Generation())
 					return
 				}
 			}
@@ -591,14 +591,14 @@ func TestSummaryEnvelopeAndPartials(t *testing.T) {
 		Aggs:   []expr.Agg{{Func: expr.AggCountStar}},
 		Filter: bandQuery("band", 0, 200),
 	}
-	pr, err := s.SelectPartial(aq)
+	pr, err := s.Execute(expr.Statement{Agg: &aq, Partial: true}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if pr.AggPartialResult == nil || pr.Generation != sum.Generation {
+	if pr.AggPartial == nil || pr.Generation != sum.Generation {
 		t.Fatalf("partial = %+v", pr)
 	}
-	if pr.Grouped {
+	if pr.AggPartial.Grouped {
 		t.Error("global aggregate must not be grouped")
 	}
 

@@ -1,19 +1,16 @@
 package serve
 
 // Shard-role surface of a Server: when a Server runs as one store node of
-// a cluster (internal/cluster), the front door needs two things beyond
-// the standalone API — a shard-level pruning summary (so selective
-// queries skip whole shards before any block-level pruning happens) and
-// partial aggregation (so AVG/MIN/MAX gather bit-identically across
-// shards; see exec/merge.go).
+// a cluster (internal/cluster), the front door needs one thing beyond
+// the standalone API — a shard-level pruning summary, so selective
+// queries skip whole shards before any block-level pruning happens.
+// (Partial aggregation, so AVG/MIN/MAX gather bit-identically across
+// shards, is the Partial flag of an aggregate statement; see
+// exec/merge.go.)
 
 import (
-	"fmt"
-
 	"repro/internal/cost"
-	"repro/internal/exec"
 	"repro/internal/expr"
-	"repro/internal/obs"
 	"repro/internal/table"
 )
 
@@ -89,68 +86,4 @@ func (s *Server) Summary() Summary {
 		sum.Rows += m.Rows
 	}
 	return sum
-}
-
-// PartialResult is one served partial aggregation: mergeable per-group
-// accumulator state plus the generation that served it.
-type PartialResult struct {
-	*exec.AggPartialResult
-	Generation int
-}
-
-// SelectPartial executes one aggregation statement against the live
-// generation but returns the unfinalized partial state — the shard-side
-// half of distributed scatter/gather. Like Select, the execution lands in
-// the workload log, so scattered aggregate traffic drives each shard's
-// own drift detection and re-layouts.
-func (s *Server) SelectPartial(aq expr.AggQuery) (PartialResult, error) {
-	return s.SelectPartialTraced(aq, nil)
-}
-
-// SelectPartialTraced is SelectPartial recording stage spans into tr
-// (nil starts a fresh internal trace).
-func (s *Server) SelectPartialTraced(aq expr.AggQuery, tr *obs.Trace) (PartialResult, error) {
-	for _, a := range aq.Filter.AdvRefs() {
-		if a >= len(s.cfg.ACs) {
-			return PartialResult{}, fmt.Errorf("serve: query references advanced cut %d but the server holds %d", a, len(s.cfg.ACs))
-		}
-	}
-	if tr == nil {
-		tr = obs.NewTrace("")
-	}
-	opt := s.cfg.ExecOptions
-	opt.Trace = tr
-	s.mu.RLock()
-	if s.closed {
-		s.mu.RUnlock()
-		return PartialResult{}, ErrClosed
-	}
-	g := s.gen
-	res, err := exec.RunAggPartialDelta(g.store, g.layout, aq, s.cfg.ACs, s.cfg.Profile, s.cfg.Mode, opt, s.deltaView())
-	s.mu.RUnlock()
-	var st exec.ScanStats
-	if res != nil {
-		st = res.ScanStats
-	}
-	s.observeQuery(tr, "select_partial", st, err)
-	if err != nil {
-		return PartialResult{}, err
-	}
-	s.queries.Add(1)
-	name := aq.Name
-	if name == "" {
-		name = aq.StringWith(s.Schema().Names(), s.cfg.ACs)
-	}
-	s.log.Record(Entry{
-		Name:       name,
-		Query:      aq.Filter,
-		Generation: g.id,
-		Blocks:     res.BlocksScanned,
-		Rows:       res.RowsScanned,
-		Matched:    res.RowsMatched,
-		Bytes:      res.BytesRead,
-		SkipRate:   res.SkipRate(),
-		SimTime:    res.SimTime,
-	})
-	return PartialResult{AggPartialResult: res, Generation: g.id}, nil
 }

@@ -16,8 +16,7 @@ import (
 // Engine binds everything query execution needs — a materialized block
 // store, a plan's layout and advanced cuts, an engine profile, and
 // execution options — at construction, so serving a query takes exactly
-// one argument. It replaces the 7-argument Execute/ExecuteWorkload free
-// functions.
+// one argument.
 //
 // The engine is also a Writer: Insert lands rows in an LSM-style delta
 // (an in-memory memtable sealed into delta_*.qdb segments beside the
@@ -251,7 +250,7 @@ func (e *Engine) Workload(w []Query) (*WorkloadResult, error) {
 // [WHERE ...] [GROUP BY ...]) and returns typed result rows sorted by
 // group key, over base ∪ delta. The filter prunes blocks exactly like
 // Query; aggregates evaluate over encoded columns with zone-map and RLE
-// pushdown (see exec.RunAggOpts).
+// pushdown (see exec.RunAggDelta).
 func (e *Engine) Aggregate(aq AggQuery) (*AggResult, error) {
 	e.mu.RLock()
 	defer e.mu.RUnlock()
@@ -265,7 +264,7 @@ func (e *Engine) Aggregate(aq AggQuery) (*AggResult, error) {
 // or two-table equi-join) over base ∪ delta, returning the ordered
 // output tuples. The deterministic comparator (ORDER BY keys, then the
 // full tuple) makes the emitted rows bit-identical across execution
-// options; see exec.RunRowsOpts and exec.RunJoinOpts.
+// options; see exec.RunRowsDelta and exec.RunJoinDelta.
 func (e *Engine) Select(stmt RowStmt) (*RowsResult, error) {
 	e.mu.RLock()
 	defer e.mu.RUnlock()

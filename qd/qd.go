@@ -36,9 +36,9 @@
 //	defer eng.Close()
 //	res, _ := eng.Query(ds.Queries[0])
 //
-// The BuildGreedy / BuildWoodblock / Execute / ExecuteWorkload free
-// functions of earlier revisions remain as thin deprecated wrappers over
-// these handles and will be removed in a future release.
+// The BuildGreedy / BuildWoodblock / ... free functions of earlier
+// revisions remain as thin deprecated wrappers over the planner handles
+// and will be removed in a future release.
 package qd
 
 import (
@@ -437,7 +437,7 @@ type (
 	AggVal = exec.AggVal
 	// ExecOptions tune physical execution: Parallelism is the scan worker
 	// pool size (0 or negative selects GOMAXPROCS, 1 is sequential) and
-	// ShareReads makes ExecuteWorkload read each block once for all
+	// ShareReads makes Engine.Workload read each block once for all
 	// queries that scan it. Options change scheduling only — ScanStats
 	// are identical for every value.
 	ExecOptions = exec.Options
@@ -581,27 +581,3 @@ func WriteStore(dir string, tbl *Table, l *Layout, opts ...StoreOptions) (*Block
 
 // OpenStore reopens a block directory from its catalog.
 func OpenStore(dir string) (*BlockStore, error) { return blockstore.Open(dir) }
-
-// Execute runs one query over a materialized store.
-//
-// Deprecated: construct an Engine with NewEngine and call Query; the
-// engine binds the store, layout, cuts, profile, and options once.
-func Execute(store *BlockStore, l *Layout, q Query, acs []AdvCut, prof EngineProfile, mode ExecMode, opt ExecOptions) (ExecResult, error) {
-	eng, err := NewEngine(store, &Plan{Layout: l, ACs: acs}, prof, opt)
-	if err != nil {
-		return ExecResult{}, err
-	}
-	return eng.WithMode(mode).Query(q)
-}
-
-// ExecuteWorkload runs a whole workload as one batch.
-//
-// Deprecated: construct an Engine with NewEngine and call Workload; the
-// engine binds the store, layout, cuts, profile, and options once.
-func ExecuteWorkload(store *BlockStore, l *Layout, w []Query, acs []AdvCut, prof EngineProfile, mode ExecMode, opt ExecOptions) (*WorkloadResult, error) {
-	eng, err := NewEngine(store, &Plan{Layout: l, ACs: acs}, prof, opt)
-	if err != nil {
-		return nil, err
-	}
-	return eng.WithMode(mode).Workload(w)
-}

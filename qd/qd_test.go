@@ -165,37 +165,4 @@ func TestDeprecatedWrappersDelegate(t *testing.T) {
 	if _, err := qd.BuildTwoTree(tbl, queries, acs, qd.BuildOptions{MinBlockSize: 200, SampleRate: 0.5}); err == nil {
 		t.Error("two-tree with sampling must error, not silently drop the sample")
 	}
-
-	// Execution wrappers against the Engine.
-	store, err := qd.WriteStore(t.TempDir(), tbl, plan.Layout)
-	if err != nil {
-		t.Fatal(err)
-	}
-	eng, err := qd.NewEngine(store, plan, qd.EngineDBMS, qd.ExecOptions{Parallelism: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer eng.Close()
-	wrapRes, err := qd.Execute(store, plan.Layout, queries[0], acs, qd.EngineDBMS, qd.RouteQdTree, qd.ExecOptions{Parallelism: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	engRes, err := eng.Query(queries[0])
-	if err != nil {
-		t.Fatal(err)
-	}
-	if wrapRes.ScanStats != engRes.ScanStats {
-		t.Errorf("Execute wrapper stats %+v, engine %+v", wrapRes.ScanStats, engRes.ScanStats)
-	}
-	wrapWL, err := qd.ExecuteWorkload(store, plan.Layout, queries, acs, qd.EngineDBMS, qd.RouteQdTree, qd.ExecOptions{Parallelism: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	engWL, err := eng.Workload(queries)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if wrapWL.TotalSimTime != engWL.TotalSimTime {
-		t.Errorf("ExecuteWorkload TotalSimTime %v, engine %v", wrapWL.TotalSimTime, engWL.TotalSimTime)
-	}
 }

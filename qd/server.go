@@ -5,6 +5,7 @@ import (
 	"net/http"
 	"time"
 
+	"repro/internal/expr"
 	"repro/internal/serve"
 )
 
@@ -21,6 +22,10 @@ type (
 	ServerStats = serve.Stats
 	// DriftReport is the outcome of one drift-check cycle.
 	DriftReport = serve.Report
+	// Statement is one parsed SQL statement of any kind — what
+	// Server.ParseStatement returns and Server.Execute runs; set exactly
+	// one of Filter, Agg, Row or Join to build one by hand.
+	Statement = expr.Statement
 	// ServerResult is one served query's scan stats plus the generation
 	// that served it.
 	ServerResult = serve.QueryResult
