@@ -2,8 +2,6 @@ package main
 
 import (
 	"fmt"
-	"math"
-	"runtime"
 	"time"
 
 	"repro/internal/router"
@@ -483,159 +481,6 @@ func expBuildTime(cfg config) error {
 	return nil
 }
 
-// expParScan measures the parallel block-scan engine: the same multi-query
-// workload executed sequentially and with a worker pool, both as wall
-// clock (measured) and under the deterministic critical-path time model.
-// Counts must be bit-identical at every parallelism level.
-func expParScan(cfg config) error {
-	spec := workload.TPCH(workload.TPCHConfig{Rows: cfg.rows, Seed: cfg.seed})
-	b := cfg.rows / 770
-	if b < 16 {
-		b = 16
-	}
-	plan, err := planWith("greedy", dataset(spec), qd.PlanOptions{MinBlockSize: b, Cuts: toCuts(spec.Cuts)})
-	if err != nil {
-		return err
-	}
-	dir, cleanup, err := tempDir(cfg, "parscan")
-	if err != nil {
-		return err
-	}
-	defer cleanup()
-	store, err := qd.WriteStore(dir, spec.Table, plan.Layout)
-	if err != nil {
-		return err
-	}
-
-	maxP := cfg.parallel
-	if maxP <= 0 {
-		maxP = runtime.GOMAXPROCS(0)
-	}
-	var levels []int
-	for p := 1; p <= maxP; p *= 2 {
-		levels = append(levels, p)
-	}
-	if levels[len(levels)-1] != maxP {
-		levels = append(levels, maxP)
-	}
-
-	baseEng, err := qd.NewEngine(store, plan, qd.EngineSpark, qd.ExecOptions{Parallelism: 1})
-	if err != nil {
-		return err
-	}
-	defer baseEng.Close()
-	base, err := baseEng.Workload(spec.Queries)
-	if err != nil {
-		return err
-	}
-	fmt.Printf("Parallel scan engine: %d queries, %d blocks, read-once/filter-many\n",
-		len(spec.Queries), plan.Layout.NumBlocks())
-	fmt.Printf("%-8s %12s %12s %10s %12s %10s %8s\n",
-		"workers", "wall", "wall-speedup", "sim", "sim-speedup", "physreads", "counts")
-	var scanned, totalRows, bytesRead int64
-	for _, r := range base.Results {
-		scanned += r.RowsScanned
-		totalRows = r.RowsTotal
-		bytesRead += r.BytesRead
-	}
-	skipRate := 1.0
-	if totalRows > 0 {
-		skipRate = 1 - float64(scanned)/float64(totalRows*int64(len(base.Results)))
-	}
-	type parscanLevel struct {
-		Workers       int     `json:"workers"`
-		WallNS        int64   `json:"wall_ns"`
-		SimNS         int64   `json:"sim_ns"`
-		WallSpeedup   float64 `json:"wall_speedup"`
-		SimSpeedup    float64 `json:"sim_speedup"`
-		PhysicalReads int     `json:"physical_reads"`
-		PhysicalBytes int64   `json:"physical_bytes"`
-		Identical     bool    `json:"counts_identical"`
-	}
-	bench := struct {
-		Experiment string         `json:"experiment"`
-		Rows       int            `json:"rows"`
-		Queries    int            `json:"queries"`
-		Blocks     int            `json:"blocks"`
-		BytesRead  int64          `json:"bytes_read"`
-		SkipRate   float64        `json:"skip_rate"`
-		Levels     []parscanLevel `json:"levels"`
-	}{
-		Experiment: "parscan",
-		Rows:       spec.Table.N,
-		Queries:    len(spec.Queries),
-		Blocks:     plan.Layout.NumBlocks(),
-		BytesRead:  bytesRead,
-		SkipRate:   skipRate,
-	}
-	for _, p := range levels {
-		eng, err := qd.NewEngine(store, plan, qd.EngineSpark, qd.ExecOptions{Parallelism: p, ShareReads: true})
-		if err != nil {
-			return err
-		}
-		wr, err := eng.Workload(spec.Queries)
-		if err != nil {
-			return err
-		}
-		identical := true
-		for i := range wr.Results {
-			if wr.Results[i].ScanStats != base.Results[i].ScanStats {
-				identical = false
-				break
-			}
-		}
-		status := "same"
-		if !identical {
-			status = "DIFFER"
-		}
-		fmt.Printf("%-8d %12s %11.2fx %10s %11.2fx %10d %8s\n",
-			p, wr.WallTime.Round(time.Microsecond),
-			float64(base.WallTime)/float64(wr.WallTime+1),
-			wr.SimTime.Round(time.Microsecond),
-			float64(base.SimTime)/float64(wr.SimTime+1),
-			wr.PhysicalReads, status)
-		bench.Levels = append(bench.Levels, parscanLevel{
-			Workers:       p,
-			WallNS:        int64(wr.WallTime),
-			SimNS:         int64(wr.SimTime),
-			WallSpeedup:   float64(base.WallTime) / float64(wr.WallTime+1),
-			SimSpeedup:    float64(base.SimTime) / float64(wr.SimTime+1),
-			PhysicalReads: wr.PhysicalReads,
-			PhysicalBytes: wr.PhysicalBytes,
-			Identical:     identical,
-		})
-	}
-
-	// Envelope headline: the widest level, plus a steady-state allocs/op
-	// sample from one extra workload pass.
-	allocEng, err := qd.NewEngine(store, plan, qd.EngineSpark, qd.ExecOptions{Parallelism: maxP, ShareReads: true})
-	if err != nil {
-		return err
-	}
-	defer allocEng.Close()
-	if _, err := allocEng.Workload(spec.Queries); err != nil { // warm pools
-		return err
-	}
-	allocsPerOp, err := measureAllocs(len(spec.Queries), func() error {
-		_, err := allocEng.Workload(spec.Queries)
-		return err
-	})
-	if err != nil {
-		return err
-	}
-	last := bench.Levels[len(bench.Levels)-1]
-	return writeBenchJSON(cfg, benchEnvelope{
-		Experiment:  "parscan",
-		Rows:        spec.Table.N,
-		Queries:     len(spec.Queries),
-		WallNS:      last.WallNS,
-		SimNS:       last.SimNS,
-		BytesRead:   bench.BytesRead,
-		SkipRate:    bench.SkipRate,
-		AllocsPerOp: allocsPerOp,
-	}, bench)
-}
-
 // expLayout plans the TPC-H micro workload with the strategy named by
 // -strategy, resolved through the planner registry — the generic
 // single-strategy entry point.
@@ -659,181 +504,6 @@ func expLayout(cfg config) error {
 		pct(plan.AccessedFraction(nil)), pct(ds.Selectivity()))
 	fmt.Printf("  planned in:        %s\n", plan.Elapsed.Round(time.Millisecond))
 	return nil
-}
-
-// expAgg measures the vectorized aggregation layer on the ErrorLog-Int
-// demo: a SELECT/GROUP BY workload executed through the pushdown engine
-// (encoded-column kernels, zone-map shortcuts) and through a naive
-// decode-then-aggregate baseline, verified row-for-row against the
-// reference evaluator.
-func expAgg(cfg config) error {
-	spec := workload.ErrorLogInt(workload.ErrorLogConfig{Rows: cfg.rows, NumQueries: cfg.queries, Seed: cfg.seed})
-	b := cfg.rows / 2000
-	if b < 16 {
-		b = 16
-	}
-	plan, err := planWith("greedy", dataset(spec), qd.PlanOptions{MinBlockSize: b, Cuts: toCuts(spec.Cuts)})
-	if err != nil {
-		return err
-	}
-	dir, cleanup, err := tempDir(cfg, "agg")
-	if err != nil {
-		return err
-	}
-	defer cleanup()
-	store, err := qd.WriteStore(dir, spec.Table, plan.Layout)
-	if err != nil {
-		return err
-	}
-	eng, err := qd.NewEngine(store, plan, qd.EngineSpark, qd.ExecOptions{Parallelism: cfg.parallel})
-	if err != nil {
-		return err
-	}
-	defer eng.Close()
-
-	sqls := []string{
-		"SELECT COUNT(*) FROM logs",
-		"SELECT MIN(ingest_date), MAX(ingest_date) FROM logs",
-		"SELECT SUM(x_num06), COUNT(*) FROM logs WHERE ingest_date >= 48 AND validity = 'VALID'",
-		"SELECT event_type, COUNT(*), AVG(x_num06) FROM logs WHERE validity = 'VALID' GROUP BY event_type",
-		"SELECT validity, event_type, COUNT(*), SUM(x_num09) FROM logs WHERE ingest_date < 120 GROUP BY validity, event_type",
-	}
-	aqs, _, err := qd.ParseAggWorkload(spec.Table.Schema, sqls)
-	if err != nil {
-		return err
-	}
-
-	fmt.Printf("Vectorized aggregation: ErrorLog-Int, %d rows, %d blocks, v2 store\n",
-		spec.Table.N, plan.Layout.NumBlocks())
-	fmt.Printf("%-4s %-7s %12s %12s %8s %10s %8s %s\n",
-		"q", "rows", "push-sim", "naive-sim", "speedup", "bytes-read", "result", "statement")
-	type aggRecord struct {
-		SQL        string  `json:"sql"`
-		ResultRows int     `json:"result_rows"`
-		WallNS     int64   `json:"wall_ns"`
-		PushSimNS  int64   `json:"push_sim_ns"`
-		NaiveSimNS int64   `json:"naive_sim_ns"`
-		Speedup    float64 `json:"speedup"`
-		BytesRead  int64   `json:"bytes_read"`
-		SkipRate   float64 `json:"skip_rate"`
-		Identical  bool    `json:"identical"`
-	}
-	bench := struct {
-		Experiment         string      `json:"experiment"`
-		Rows               int         `json:"rows"`
-		Blocks             int         `json:"blocks"`
-		Queries            []aggRecord `json:"queries"`
-		FilteredSumSpeedup float64     `json:"filtered_sum_speedup"`
-	}{Experiment: "agg", Rows: spec.Table.N, Blocks: plan.Layout.NumBlocks()}
-	var filteredSumSpeedup float64
-	for i, aq := range aqs {
-		push, err := eng.Aggregate(aq)
-		if err != nil {
-			return err
-		}
-		naive, err := qd.AggregateNaive(store, plan, aq, qd.EngineSpark, qd.RouteQdTree)
-		if err != nil {
-			return err
-		}
-		truth := qd.ReferenceAggregate(spec.Table, aq, plan.ACs)
-		status := "same"
-		if !sameRows(push.Rows, truth) || !sameRows(naive.Rows, truth) {
-			status = "DIFFER"
-		}
-		speedup := float64(naive.SimTime) / float64(push.SimTime+1)
-		if i == 2 {
-			filteredSumSpeedup = speedup
-		}
-		spStr := fmt.Sprintf("%7.1fx", speedup)
-		if push.SimTime == 0 {
-			spStr = "   meta" // answered from catalog metadata: no physical work
-		}
-		fmt.Printf("%-4d %-7d %12s %12s %8s %9dK %8s %s\n",
-			i, len(push.Rows), push.SimTime.Round(time.Microsecond), naive.SimTime.Round(time.Microsecond),
-			spStr, push.BytesRead/1000, status, sqls[i])
-		bench.Queries = append(bench.Queries, aggRecord{
-			SQL:        sqls[i],
-			ResultRows: len(push.Rows),
-			WallNS:     int64(push.WallTime),
-			PushSimNS:  int64(push.SimTime),
-			NaiveSimNS: int64(naive.SimTime),
-			Speedup:    speedup,
-			BytesRead:  push.BytesRead,
-			SkipRate:   push.SkipRate(),
-			Identical:  status == "same",
-		})
-	}
-
-	// Show one grouped result with dictionary keys (the event_type cut).
-	res, err := eng.Aggregate(aqs[3])
-	if err != nil {
-		return err
-	}
-	fmt.Println("\ngrouped result (q3):")
-	dict := spec.Table.Schema.Cols[res.GroupBy[0]].Dict
-	for _, row := range res.Rows {
-		name := fmt.Sprintf("%d", row.Key[0])
-		if row.Key[0] >= 0 && row.Key[0] < int64(len(dict)) {
-			name = dict[row.Key[0]]
-		}
-		fmt.Printf("  %-18s count %8d  avg %12.2f\n", name, row.Vals[0].Int, row.Vals[1].Float)
-	}
-	fmt.Printf("\nacceptance: filtered-SUM pushdown speedup %.2fx (target >= 1.5x)\n", filteredSumSpeedup)
-	bench.FilteredSumSpeedup = filteredSumSpeedup
-
-	env := benchEnvelope{Experiment: "agg", Rows: spec.Table.N, Queries: len(bench.Queries)}
-	for _, r := range bench.Queries {
-		env.WallNS += r.WallNS
-		env.SimNS += r.PushSimNS
-		env.BytesRead += r.BytesRead
-		env.SkipRate += r.SkipRate / float64(len(bench.Queries))
-	}
-	if _, err := eng.Aggregate(aqs[2]); err != nil { // warm pools
-		return err
-	}
-	env.AllocsPerOp, err = measureAllocs(len(aqs), func() error {
-		for _, aq := range aqs {
-			if _, err := eng.Aggregate(aq); err != nil {
-				return err
-			}
-		}
-		return nil
-	})
-	if err != nil {
-		return err
-	}
-	return writeBenchJSON(cfg, env, bench)
-}
-
-// sameRows compares aggregate result sets exactly (AVG within 1e-9).
-func sameRows(a, b qd.Rows) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if len(a[i].Key) != len(b[i].Key) || len(a[i].Vals) != len(b[i].Vals) {
-			return false
-		}
-		for k := range a[i].Key {
-			if a[i].Key[k] != b[i].Key[k] {
-				return false
-			}
-		}
-		for v := range a[i].Vals {
-			x, y := a[i].Vals[v], b[i].Vals[v]
-			if x.Valid != y.Valid || x.Int != y.Int {
-				return false
-			}
-			rel := math.Abs(x.Float - y.Float)
-			if y.Float != 0 {
-				rel /= math.Abs(y.Float)
-			}
-			if rel > 1e-9 {
-				return false
-			}
-		}
-	}
-	return true
 }
 
 // expTwoTree regenerates the Sec. 6.3 two-tree replication experiment.
@@ -879,366 +549,4 @@ func expTwoTree(cfg config) error {
 		pct(tt.AccessedFraction(spec.Queries)), worstMean(tt.AccessedTuples))
 	fmt.Printf("dispatch: %d queries -> T1, %d queries -> T2\n", served[1], served[2])
 	return nil
-}
-
-// expCompress measures block format v2 on the categorical-heavy
-// ErrorLog-Int workload: the same greedy layout materialized as a v1
-// (plain fixed-width) and a v2 (encoded) store, compared on on-disk
-// footprint, per-column encoding choices, and scan cost under both engine
-// profiles — with a bit-identical match-count check between the formats.
-func expCompress(cfg config) error {
-	spec := workload.ErrorLogInt(workload.ErrorLogConfig{Rows: cfg.rows, NumQueries: cfg.queries, Seed: cfg.seed})
-	b := cfg.rows / 2000
-	if b < 16 {
-		b = 16
-	}
-	plan, err := planWith("greedy", dataset(spec), qd.PlanOptions{MinBlockSize: b, Cuts: toCuts(spec.Cuts)})
-	if err != nil {
-		return err
-	}
-	dir, cleanup, err := tempDir(cfg, "compress")
-	if err != nil {
-		return err
-	}
-	defer cleanup()
-	v1, err := qd.WriteStore(dir+"/v1", spec.Table, plan.Layout, qd.StoreOptions{FormatVersion: qd.StoreFormatV1})
-	if err != nil {
-		return err
-	}
-	v2, err := qd.WriteStore(dir+"/v2", spec.Table, plan.Layout)
-	if err != nil {
-		return err
-	}
-
-	s1, s2 := v1.Sizes(), v2.Sizes()
-	fmt.Printf("Block format v2 compression: ErrorLog-Int, %d rows, %d cols, %d blocks\n",
-		spec.Table.N, spec.Table.Schema.NumCols(), plan.Layout.NumBlocks())
-	fmt.Printf("on-disk payload: v1 %.2f MB (plain)  v2 %.2f MB (encoded)  ratio %.2fx\n",
-		float64(s1.EncodedBytes)/1e6, float64(s2.EncodedBytes)/1e6, s2.Ratio())
-
-	type compressColumn struct {
-		Name         string  `json:"name"`
-		Kind         string  `json:"kind"`
-		Encodings    string  `json:"encodings"`
-		LogicalBytes int64   `json:"logical_bytes"`
-		EncodedBytes int64   `json:"encoded_bytes"`
-		Ratio        float64 `json:"ratio"`
-	}
-	type compressProfile struct {
-		Profile   string  `json:"profile"`
-		Format    string  `json:"format"`
-		SimNS     int64   `json:"sim_ns"`
-		WallNS    int64   `json:"wall_ns"`
-		BytesRead int64   `json:"bytes_read"`
-		Speedup   float64 `json:"speedup"`
-		Identical bool    `json:"identical"`
-	}
-	bench := struct {
-		Experiment string            `json:"experiment"`
-		Rows       int               `json:"rows"`
-		Cols       int               `json:"cols"`
-		Blocks     int               `json:"blocks"`
-		V1Bytes    int64             `json:"v1_bytes"`
-		V2Bytes    int64             `json:"v2_bytes"`
-		Ratio      float64           `json:"ratio"`
-		Columns    []compressColumn  `json:"columns"`
-		Profiles   []compressProfile `json:"profiles"`
-	}{
-		Experiment: "compress",
-		Rows:       spec.Table.N,
-		Cols:       spec.Table.Schema.NumCols(),
-		Blocks:     plan.Layout.NumBlocks(),
-		V1Bytes:    s1.EncodedBytes,
-		V2Bytes:    s2.EncodedBytes,
-		Ratio:      s2.Ratio(),
-	}
-
-	fmt.Printf("\nper-column encodings (first 12 of %d columns):\n", spec.Table.Schema.NumCols())
-	fmt.Printf("%-14s %-12s %-26s %10s %10s %7s\n", "column", "kind", "encodings(blocks)", "logical", "encoded", "ratio")
-	for i, cs := range v2.ColumnStats() {
-		encs := ""
-		for _, e := range []qd.ColumnEncoding{qd.EncPlain, qd.EncFOR, qd.EncDict, qd.EncRLE} {
-			if n := cs.Encs[e]; n > 0 {
-				if encs != "" {
-					encs += " "
-				}
-				encs += fmt.Sprintf("%s:%d", e, n)
-			}
-		}
-		bench.Columns = append(bench.Columns, compressColumn{
-			Name: cs.Name, Kind: fmt.Sprintf("%v", cs.Kind), Encodings: encs,
-			LogicalBytes: cs.Sizes.LogicalBytes, EncodedBytes: cs.Sizes.EncodedBytes,
-			Ratio: cs.Sizes.Ratio(),
-		})
-		if i >= 12 {
-			continue
-		}
-		fmt.Printf("%-14s %-12s %-26s %9dK %9dK %6.1fx\n",
-			cs.Name, cs.Kind, encs, cs.Sizes.LogicalBytes/1000, cs.Sizes.EncodedBytes/1000, cs.Sizes.Ratio())
-	}
-
-	fmt.Printf("\nworkload scan comparison (%d queries, qd-tree routing):\n", len(spec.Queries))
-	fmt.Printf("%-8s %-4s %12s %12s %12s %12s %9s %8s\n",
-		"profile", "fmt", "sim-time", "bytes-read", "sim-MB/s", "wall", "speedup", "counts")
-	for _, prof := range []qd.EngineProfile{qd.EngineSpark, qd.EngineDBMS} {
-		var baseSim time.Duration
-		var baseCounts []int64
-		for fi, store := range []*qd.BlockStore{v1, v2} {
-			eng, err := qd.NewEngine(store, plan, prof, qd.ExecOptions{Parallelism: 1, ShareReads: true})
-			if err != nil {
-				return err
-			}
-			wr, err := eng.Workload(spec.Queries)
-			if err != nil {
-				eng.Close()
-				return err
-			}
-			var bytes, logical int64
-			counts := make([]int64, len(wr.Results))
-			for i, r := range wr.Results {
-				bytes += r.BytesRead
-				logical += r.BytesLogical
-				counts[i] = r.RowsMatched
-			}
-			status := "base"
-			speedup := 1.0
-			if fi == 0 {
-				baseSim = wr.TotalSimTime
-				baseCounts = counts
-			} else {
-				speedup = float64(baseSim) / float64(wr.TotalSimTime+1)
-				status = "same"
-				for i := range counts {
-					if counts[i] != baseCounts[i] {
-						status = "DIFFER"
-						break
-					}
-				}
-			}
-			name := "v1"
-			if fi == 1 {
-				name = "v2"
-			}
-			fmt.Printf("%-8s %-4s %12s %11dK %12.0f %12s %8.2fx %8s\n",
-				prof.Name, name, wr.TotalSimTime.Round(time.Microsecond), bytes/1000,
-				float64(logical)/float64(wr.TotalSimTime+1)*1e3,
-				wr.WallTime.Round(time.Microsecond), speedup, status)
-			bench.Profiles = append(bench.Profiles, compressProfile{
-				Profile: prof.Name, Format: name,
-				SimNS: int64(wr.TotalSimTime), WallNS: int64(wr.WallTime),
-				BytesRead: bytes, Speedup: speedup, Identical: status != "DIFFER",
-			})
-			eng.Close()
-		}
-	}
-	fmt.Printf("\nacceptance: on-disk reduction %.2fx (target >= 2x); scan SimTime charges encoded bytes\n", s2.Ratio())
-
-	// Envelope headline: the Spark-profile v2 scan (profiles[1] — the
-	// encoded format the store actually serves).
-	env := benchEnvelope{Experiment: "compress", Rows: spec.Table.N, Queries: len(spec.Queries)}
-	if len(bench.Profiles) > 1 {
-		env.WallNS = bench.Profiles[1].WallNS
-		env.SimNS = bench.Profiles[1].SimNS
-		env.BytesRead = bench.Profiles[1].BytesRead
-	}
-	return writeBenchJSON(cfg, env, bench)
-}
-
-// expIngest measures the streaming-ingest lifecycle: rows inserted into
-// the LSM delta are visible immediately but scanned unpruned, so the
-// workload's skip rate degrades as the delta fills; one compaction routes
-// them through the live qd-tree into a fresh generation and restores the
-// skip rate to what a cold bulk load of the same rows achieves.
-func expIngest(cfg config) error {
-	spec := workload.ErrorLogInt(workload.ErrorLogConfig{Rows: cfg.rows, NumQueries: cfg.queries, Seed: cfg.seed})
-	b := cfg.rows / 2000
-	if b < 16 {
-		b = 16
-	}
-	popt := qd.PlanOptions{MinBlockSize: b, Cuts: toCuts(spec.Cuts)}
-
-	// 80% of the table bulk-loads as the base; 20% arrives as the stream.
-	nbase := spec.Table.N * 4 / 5
-	base := qd.NewTable(spec.Table.Schema, nbase)
-	stream := make([][]int64, 0, spec.Table.N-nbase)
-	row := make([]int64, spec.Table.Schema.NumCols())
-	for r := 0; r < spec.Table.N; r++ {
-		row = spec.Table.Row(r, row)
-		if r < nbase {
-			base.AppendRow(row)
-		} else {
-			stream = append(stream, append([]int64(nil), row...))
-		}
-	}
-
-	plan, err := planWith("greedy", qd.NewDataset(nil, base).WithQueries(spec.Queries, spec.ACs), popt)
-	if err != nil {
-		return err
-	}
-	root, cleanup, err := tempDir(cfg, "ingest")
-	if err != nil {
-		return err
-	}
-	defer cleanup()
-	if err := qd.InitServing(root, base, plan); err != nil {
-		return err
-	}
-	srv, err := qd.NewServer(root, qd.ServeOptions{
-		Strategy: "greedy",
-		Plan:     popt,
-		Profile:  qd.EngineSpark,
-		Exec:     qd.ExecOptions{Parallelism: cfg.parallel, ShareReads: true},
-	})
-	if err != nil {
-		return err
-	}
-	defer srv.Close()
-
-	eval := func() (skip float64, sim time.Duration, err error) {
-		var scanned, total int64
-		for _, q := range spec.Queries {
-			res, err := srv.Execute(qd.Statement{Filter: q}, nil)
-			if err != nil {
-				return 0, 0, err
-			}
-			scanned += res.Filter.RowsScanned
-			total += res.Filter.RowsTotal
-			sim += res.Filter.SimTime
-		}
-		if total > 0 {
-			skip = 1 - float64(scanned)/float64(total)
-		}
-		return skip, sim / time.Duration(len(spec.Queries)), nil
-	}
-
-	fmt.Printf("Streaming ingest: ErrorLog-Int, %d base rows (%d blocks) + %d streamed rows, %d queries\n",
-		base.N, plan.Layout.NumBlocks(), len(stream), len(spec.Queries))
-	fmt.Printf("%-12s %10s %7s %9s %12s\n", "phase", "delta-rows", "fill%", "skip", "mean-sim")
-
-	type ingestPhase struct {
-		Phase     string  `json:"phase"`
-		DeltaRows int     `json:"delta_rows"`
-		FillPct   float64 `json:"fill_pct"`
-		SkipRate  float64 `json:"skip_rate"`
-		MeanSimNS int64   `json:"mean_sim_ns"`
-	}
-	bench := struct {
-		Experiment         string        `json:"experiment"`
-		BaseRows           int           `json:"base_rows"`
-		StreamRows         int           `json:"stream_rows"`
-		Blocks             int           `json:"blocks"`
-		Queries            int           `json:"queries"`
-		Phases             []ingestPhase `json:"phases"`
-		Compactions        int64         `json:"compactions"`
-		CompactedRows      int64         `json:"compacted_rows"`
-		WriteAmplification float64       `json:"write_amplification"`
-		PostSkipRate       float64       `json:"post_skip_rate"`
-		ColdSkipRate       float64       `json:"cold_skip_rate"`
-		SkipDiffPts        float64       `json:"skip_diff_pts"`
-	}{
-		Experiment: "ingest",
-		BaseRows:   base.N,
-		StreamRows: len(stream),
-		Blocks:     plan.Layout.NumBlocks(),
-		Queries:    len(spec.Queries),
-	}
-
-	report := func(phase string) error {
-		skip, sim, err := eval()
-		if err != nil {
-			return err
-		}
-		st := srv.Stats()
-		fill := 100 * float64(st.DeltaRows) / float64(base.N+len(stream))
-		fmt.Printf("%-12s %10d %6.1f%% %8.1f%% %12s\n",
-			phase, st.DeltaRows, fill, 100*skip, sim.Round(time.Microsecond))
-		bench.Phases = append(bench.Phases, ingestPhase{
-			Phase: phase, DeltaRows: st.DeltaRows, FillPct: fill,
-			SkipRate: skip, MeanSimNS: int64(sim),
-		})
-		return nil
-	}
-	if err := report("base"); err != nil {
-		return err
-	}
-	steps := 4
-	for s := 0; s < steps; s++ {
-		lo, hi := s*len(stream)/steps, (s+1)*len(stream)/steps
-		if err := srv.Insert(stream[lo:hi]); err != nil {
-			return err
-		}
-		if err := report(fmt.Sprintf("ingest %d/%d", s+1, steps)); err != nil {
-			return err
-		}
-	}
-
-	if err := srv.Compact(); err != nil {
-		return err
-	}
-	postSkip, postSim, err := eval()
-	if err != nil {
-		return err
-	}
-	st := srv.Stats()
-	if rep := st.LastCompact; rep != nil {
-		fmt.Printf("\ncompaction: %d rows folded via %q into generation %d, %dK written, freshness erased %.2fs\n",
-			rep.Rows, rep.Routed, rep.Generation, rep.BytesWritten/1000, rep.FreshnessSeconds)
-	}
-	fmt.Printf("write amplification %.1fx over %d compacted rows (%d compactions)\n",
-		st.WriteAmplification, st.CompactedRows, st.Compactions)
-	fmt.Printf("%-12s %10d %6.1f%% %8.1f%% %12s\n", "compacted", st.DeltaRows, 0.0, 100*postSkip, postSim.Round(time.Microsecond))
-	bench.Phases = append(bench.Phases, ingestPhase{
-		Phase: "compacted", DeltaRows: st.DeltaRows,
-		SkipRate: postSkip, MeanSimNS: int64(postSim),
-	})
-	bench.Compactions = int64(st.Compactions)
-	bench.CompactedRows = int64(st.CompactedRows)
-	bench.WriteAmplification = st.WriteAmplification
-
-	// Cold baseline: bulk-load base+stream in one shot and replan.
-	coldPlan, err := planWith("greedy", dataset(spec), popt)
-	if err != nil {
-		return err
-	}
-	coldDir, coldCleanup, err := tempDir(cfg, "ingest-cold")
-	if err != nil {
-		return err
-	}
-	defer coldCleanup()
-	coldStore, err := qd.WriteStore(coldDir, spec.Table, coldPlan.Layout)
-	if err != nil {
-		return err
-	}
-	coldEng, err := qd.NewEngine(coldStore, coldPlan, qd.EngineSpark, qd.ExecOptions{Parallelism: cfg.parallel})
-	if err != nil {
-		return err
-	}
-	defer coldEng.Close()
-	var coldScanned, coldTotal int64
-	for _, q := range spec.Queries {
-		res, err := coldEng.Query(q)
-		if err != nil {
-			return err
-		}
-		coldScanned += res.RowsScanned
-		coldTotal += res.RowsTotal
-	}
-	coldSkip := 1 - float64(coldScanned)/float64(coldTotal)
-
-	diff := 100 * math.Abs(postSkip-coldSkip)
-	fmt.Printf("\nacceptance: post-compaction skip %.1f%% vs cold bulk-load %.1f%% (|diff| %.1f pts, target <= 5)\n",
-		100*postSkip, 100*coldSkip, diff)
-	bench.PostSkipRate = postSkip
-	bench.ColdSkipRate = coldSkip
-	bench.SkipDiffPts = diff
-
-	// Envelope headline: post-compaction steady state (mean sim over the
-	// workload; the ingest experiment tracks no byte counters).
-	return writeBenchJSON(cfg, benchEnvelope{
-		Experiment: "ingest",
-		Rows:       base.N + len(stream),
-		Queries:    len(spec.Queries),
-		SimNS:      int64(postSim),
-		SkipRate:   postSkip,
-	}, bench)
 }

@@ -1,12 +1,8 @@
 package main
 
 import (
-	"encoding/json"
 	"fmt"
 	"os"
-	osexec "os/exec"
-	"path/filepath"
-	"runtime"
 	"sort"
 	"strings"
 	"time"
@@ -167,122 +163,6 @@ func sortedTemplates(m map[string][]time.Duration) []string {
 		return a < b
 	})
 	return keys
-}
-
-// benchSchemaVersion versions the envelope layout below; bump it when a
-// field changes meaning so trajectory tooling can tell eras apart.
-const benchSchemaVersion = 1
-
-// benchHistoryCap bounds the trajectory kept inside each BENCH file.
-const benchHistoryCap = 24
-
-// benchEnvelope is the common machine-readable header every
-// BENCH_<exp>.json shares — the fields the CI regression gate and
-// trajectory tooling read without knowing experiment specifics. SimNS
-// and BytesRead are deterministic (cost model + pruning), so the gate
-// compares those; WallNS and AllocsPerOp are informational (hardware-
-// and GC-dependent).
-type benchEnvelope struct {
-	Experiment    string  `json:"experiment"`
-	SchemaVersion int     `json:"schema_version"`
-	Commit        string  `json:"commit"`
-	Label         string  `json:"label,omitempty"`
-	Rows          int     `json:"rows"`
-	Queries       int     `json:"queries"`
-	WallNS        int64   `json:"wall_ns"`
-	SimNS         int64   `json:"sim_ns"`
-	BytesRead     int64   `json:"bytes_read"`
-	SkipRate      float64 `json:"skip_rate"`
-	AllocsPerOp   float64 `json:"allocs_per_op"`
-}
-
-// benchFile is the on-disk shape: the current envelope, the
-// experiment-specific details, and the envelopes of previous runs
-// (newest first) — the before/after trajectory.
-type benchFile struct {
-	benchEnvelope
-	Details any             `json:"details"`
-	History []benchEnvelope `json:"history,omitempty"`
-}
-
-// writeBenchJSON persists an experiment's machine-readable results as
-// BENCH_<name>.json in -bench-dir (falling back to -out, then the
-// working directory). If the destination already holds a previous run,
-// its envelope is prepended to the history so successive UPDATE_BENCH
-// runs accrete a before/after trajectory.
-func writeBenchJSON(cfg config, env benchEnvelope, payload any) error {
-	dir := cfg.benchDir
-	if dir == "" {
-		dir = cfg.outDir
-	}
-	if dir == "" {
-		dir = "."
-	} else if err := os.MkdirAll(dir, 0o755); err != nil {
-		return err
-	}
-	env.SchemaVersion = benchSchemaVersion
-	env.Commit = benchCommit()
-	env.Label = os.Getenv("BENCH_LABEL")
-	path := filepath.Join(dir, "BENCH_"+env.Experiment+".json")
-	out := benchFile{benchEnvelope: env, Details: payload, History: benchHistory(path)}
-	data, err := json.MarshalIndent(out, "", "  ")
-	if err != nil {
-		return err
-	}
-	if err := os.WriteFile(path, append(data, '\n'), 0o644); err != nil {
-		return err
-	}
-	fmt.Printf("\nwrote %s\n", path)
-	return nil
-}
-
-// benchHistory folds the envelope already at path (plus its own
-// history) into the next file's history, newest first.
-func benchHistory(path string) []benchEnvelope {
-	data, err := os.ReadFile(path)
-	if err != nil {
-		return nil
-	}
-	var prev benchFile
-	if err := json.Unmarshal(data, &prev); err != nil || prev.Experiment == "" {
-		return nil
-	}
-	hist := append([]benchEnvelope{prev.benchEnvelope}, prev.History...)
-	if len(hist) > benchHistoryCap {
-		hist = hist[:benchHistoryCap]
-	}
-	return hist
-}
-
-// benchCommit resolves the commit an envelope was generated at: CI's
-// GITHUB_SHA, else the local git HEAD, else "unknown".
-func benchCommit() string {
-	if sha := os.Getenv("GITHUB_SHA"); sha != "" {
-		if len(sha) > 12 {
-			sha = sha[:12]
-		}
-		return sha
-	}
-	if out, err := osexec.Command("git", "rev-parse", "--short=12", "HEAD").Output(); err == nil {
-		if sha := strings.TrimSpace(string(out)); sha != "" {
-			return sha
-		}
-	}
-	return "unknown"
-}
-
-// measureAllocs runs fn once and reports heap mallocs per op — an
-// informational envelope field (GC timing makes it unfit for gating).
-func measureAllocs(ops int, fn func() error) (float64, error) {
-	if ops <= 0 {
-		return 0, fn()
-	}
-	runtime.GC()
-	var m0, m1 runtime.MemStats
-	runtime.ReadMemStats(&m0)
-	err := fn()
-	runtime.ReadMemStats(&m1)
-	return float64(m1.Mallocs-m0.Mallocs) / float64(ops), err
 }
 
 // tempDir resolves the block-store directory.

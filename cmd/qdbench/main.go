@@ -15,12 +15,6 @@
 //	qdbench -exp robust     Sec. 7.4.1 train/test robustness
 //	qdbench -exp buildtime  Sec. 7.6 layout construction time
 //	qdbench -exp twotree    Sec. 6.3 two-tree replication benefit
-//	qdbench -exp parscan    parallel scan engine: wall-clock speedup sweep
-//	qdbench -exp compress   block format v2: encodings, size, scan speedup
-//	qdbench -exp agg        vectorized aggregation: pushdown vs decode-then-aggregate
-//	qdbench -exp ingest     streaming ingest: delta fill vs skip rate, compaction recovery
-//	qdbench -exp scatter    distributed serving: scatter/gather front door over 1/2/4 shards
-//	qdbench -exp rows       row executor: TopK vs full sort, code-space join, plan cache
 //	qdbench -exp layout     plan one strategy (-strategy) via the registry
 //	qdbench -exp all        everything above (except layout)
 //
@@ -44,71 +38,65 @@ type config struct {
 	seed     int64
 	hidden   int
 	outDir   string
-	benchDir string
-	parallel int
 	strategy string
+}
+
+// experiment is one entry of the run table; inAll marks the ones
+// -exp all runs, in table order.
+type experiment struct {
+	name  string
+	run   func(config) error
+	inAll bool
+}
+
+var experiments = []experiment{
+	{"table2", expTable2, true},
+	{"fig3", expFig3, true},
+	{"fig4", expFig4, true},
+	{"fig5a", func(c config) error { return expFig5(c, "spark") }, true},
+	{"fig5b", func(c config) error { return expFig5(c, "dbms") }, true},
+	{"fig6a", expFig6a, true},
+	{"fig6b", expFig6b, true},
+	{"fig7", expFig7, true},
+	{"fig7c", expFig7c, true},
+	{"fig8", expFig8, true},
+	{"fig9", expFig9, true},
+	{"robust", expRobust, true},
+	{"buildtime", expBuildTime, true},
+	{"twotree", expTwoTree, true},
+	{"layout", expLayout, false},
 }
 
 func main() {
 	var (
-		exp      = flag.String("exp", "all", "experiment id (table2, fig3..fig9, robust, buildtime, twotree, all)")
+		exp      = flag.String("exp", "all", "experiment id (table2, fig3..fig9, robust, buildtime, twotree, layout, all)")
 		rows     = flag.Int("rows", 100_000, "dataset rows (paper: 77M-100M)")
 		queries  = flag.Int("queries", 300, "ErrorLog workload size (paper: 1000)")
 		episodes = flag.Int("episodes", 48, "Woodblock episodes per run")
 		hidden   = flag.Int("hidden", 64, "Woodblock hidden width (paper: 512)")
 		seed     = flag.Int64("seed", 42, "master seed")
 		outDir   = flag.String("out", "", "optional directory for block stores (default: temp)")
-		benchDir = flag.String("bench-dir", "", "directory for BENCH_<exp>.json emissions (default: -out, else cwd)")
-		parallel = flag.Int("parallelism", 0, "max scan workers for parscan (0 = GOMAXPROCS)")
 		strategy = flag.String("strategy", "greedy",
 			fmt.Sprintf("layout strategy for -exp layout (%s)", strings.Join(qd.PlannerNames(), " | ")))
 	)
 	flag.Parse()
-	cfg := config{rows: *rows, queries: *queries, episodes: *episodes, seed: *seed, hidden: *hidden, outDir: *outDir, benchDir: *benchDir, parallel: *parallel, strategy: *strategy}
+	cfg := config{rows: *rows, queries: *queries, episodes: *episodes, seed: *seed, hidden: *hidden, outDir: *outDir, strategy: *strategy}
 
-	runs := map[string]func(config) error{
-		"table2":    expTable2,
-		"fig3":      expFig3,
-		"fig4":      expFig4,
-		"fig5a":     func(c config) error { return expFig5(c, "spark") },
-		"fig5b":     func(c config) error { return expFig5(c, "dbms") },
-		"fig6a":     expFig6a,
-		"fig6b":     expFig6b,
-		"fig7":      expFig7,
-		"fig7c":     expFig7c,
-		"fig8":      expFig8,
-		"fig9":      expFig9,
-		"robust":    expRobust,
-		"buildtime": expBuildTime,
-		"twotree":   expTwoTree,
-		"parscan":   expParScan,
-		"compress":  expCompress,
-		"agg":       expAgg,
-		"ingest":    expIngest,
-		"scatter":   expScatter,
-		"rows":      expRows,
-		"layout":    expLayout,
-	}
-	order := []string{"table2", "fig3", "fig4", "fig5a", "fig5b", "fig6a", "fig6b",
-		"fig7", "fig7c", "fig8", "fig9", "robust", "buildtime", "twotree", "parscan", "compress", "agg", "ingest", "scatter", "rows"}
-
-	if *exp == "all" {
-		for _, name := range order {
-			fmt.Printf("\n======== %s ========\n", name)
-			if err := runs[name](cfg); err != nil {
-				fmt.Fprintf(os.Stderr, "qdbench %s: %v\n", name, err)
+	ran := false
+	for _, e := range experiments {
+		if *exp == e.name || (*exp == "all" && e.inAll) {
+			if *exp == "all" {
+				fmt.Printf("\n======== %s ========\n", e.name)
+			}
+			if err := e.run(cfg); err != nil {
+				fmt.Fprintf(os.Stderr, "qdbench %s: %v\n", e.name, err)
 				os.Exit(1)
 			}
+			ran = true
 		}
-		return
 	}
-	fn, ok := runs[*exp]
-	if !ok {
+	if !ran {
 		fmt.Fprintf(os.Stderr, "qdbench: unknown experiment %q\n", *exp)
 		os.Exit(2)
-	}
-	if err := fn(cfg); err != nil {
-		fmt.Fprintf(os.Stderr, "qdbench %s: %v\n", *exp, err)
-		os.Exit(1)
 	}
 }

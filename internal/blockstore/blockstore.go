@@ -743,8 +743,8 @@ func (s *Store) ColBytes(b int, cols []int) int64 {
 }
 
 // Sizes returns the store's total encoded (on-disk payload) and logical
-// (decoded, 8 bytes per value) footprint — the compression headline of
-// qdbench -exp compress.
+// (decoded, 8 bytes per value) footprint — the compression headline
+// TestCompressedFormatAcceptance holds to its 2x bar.
 func (s *Store) Sizes() cost.SizeStats {
 	var st cost.SizeStats
 	ncols := s.Schema.NumCols()

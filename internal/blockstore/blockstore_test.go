@@ -353,7 +353,7 @@ func TestV1V2IdenticalContents(t *testing.T) {
 }
 
 // TestColumnStats checks the per-column encoding summary a v2 store
-// reports for qdbench -exp compress.
+// reports.
 func TestColumnStats(t *testing.T) {
 	spec := workload.Fig3(500, 13)
 	st, err := Write(t.TempDir(), spec.Table, make([]int, spec.Table.N), 1)

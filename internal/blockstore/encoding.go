@@ -42,7 +42,7 @@ const (
 	EncRLE   Encoding = 3
 )
 
-// String returns the encoding name as reported by qdbench -exp compress.
+// String returns the encoding name.
 func (e Encoding) String() string {
 	switch e {
 	case EncPlain:

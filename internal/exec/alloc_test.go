@@ -61,7 +61,7 @@ func measureAllocs(t *testing.T, fn func()) float64 {
 var matchAll = expr.Query{Name: "all", Root: expr.NewPred(expr.Pred{Col: 0, Op: expr.Ge, Literal: math.MinInt64})}
 
 // TestScanAllocsDoNotScaleWithBlocks pins the count-scan path (the
-// parscan experiment's engine) for both profiles: 56 extra blocks may
+// filter-count engine) for both profiles: 56 extra blocks may
 // not cost more than a handful of extra allocations.
 func TestScanAllocsDoNotScaleWithBlocks(t *testing.T) {
 	smallSt, smallLay := allocFixture(t, 4000) // 8 blocks

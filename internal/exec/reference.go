@@ -181,8 +181,8 @@ func ReferenceAggregate(tbl *table.Table, aq expr.AggQuery, acs []expr.AdvCut) [
 // aggregated row at a time from the materialized rows. BytesRead charges
 // the decoded logical footprint — the I/O a decode-then-aggregate engine
 // pays before its aggregator sees a row. It is the cost baseline
-// BenchmarkAggregatePushdown and qdbench -exp agg compare against, and a
-// second differential witness for correctness tests.
+// BenchmarkAggregatePushdown and TestAggregatePushdownAcceptance compare
+// against, and a second differential witness for correctness tests.
 func RunAggNaive(store *blockstore.Store, layout *cost.Layout, aq expr.AggQuery, acs []expr.AdvCut, prof Profile, mode Mode) (*AggResult, error) {
 	res := &AggResult{Header: Header{Query: aq.Name}, GroupBy: append([]int(nil), aq.GroupBy...)}
 	res.BlocksTotal, res.RowsTotal = storeTotals(store)
@@ -316,8 +316,8 @@ func ReferenceJoin(tbl *table.Table, jq expr.JoinQuery, acs []expr.AdvCut) [][]i
 // RunRowsNaive executes a row query over a store with no TopK and no
 // late materialization: every candidate block is fully decoded, every
 // matching row fully materialized, the whole result sorted, and only
-// then cut to the LIMIT — the full-sort-then-limit baseline
-// qdbench -exp rows holds the bounded-heap path against. BytesRead
+// then cut to the LIMIT — the full-sort-then-limit baseline the
+// bounded-heap path is tested against. BytesRead
 // charges the decoded logical footprint, as in RunAggNaive.
 func RunRowsNaive(store *blockstore.Store, layout *cost.Layout, rq expr.RowQuery, acs []expr.AdvCut, prof Profile, mode Mode) (*RowsResult, error) {
 	res := &RowsResult{Header: Header{Query: rq.Name}}

@@ -2,6 +2,7 @@ package qd
 
 import (
 	"fmt"
+	"math/rand"
 	"sort"
 	"sync"
 	"time"
@@ -67,16 +68,31 @@ type PlanOptions struct {
 	RangeColumn int
 }
 
-// buildOptions projects the shared core onto the legacy BuildOptions,
-// whose prepare method still implements sampling and cut extraction.
-func (o PlanOptions) buildOptions() BuildOptions {
-	return BuildOptions{
-		MinBlockSize: o.MinBlockSize,
-		SampleRate:   o.SampleRate,
-		Cuts:         o.Cuts,
-		MaxLeaves:    o.MaxLeaves,
-		Seed:         o.Seed,
+// prepare resolves the sampling and cut extraction shared by the
+// planners: the table to build on, b scaled to it, and the candidate cuts.
+func (o PlanOptions) prepare(tbl *Table, queries []Query) (*Table, int, []Cut, error) {
+	if o.MinBlockSize < 1 {
+		return nil, 0, nil, fmt.Errorf("qd: MinBlockSize must be >= 1")
 	}
+	cuts := o.Cuts
+	if cuts == nil {
+		cuts = ExtractCuts(queries)
+	}
+	if len(cuts) == 0 {
+		return nil, 0, nil, fmt.Errorf("qd: no candidate cuts (empty workload?)")
+	}
+	build := tbl
+	b := o.MinBlockSize
+	if o.SampleRate > 0 && o.SampleRate < 1 {
+		rng := rand.New(rand.NewSource(o.Seed))
+		build = tbl.Sample(o.SampleRate, 1000, rng)
+		scaled := int(float64(o.MinBlockSize) * float64(build.N) / float64(tbl.N))
+		if scaled < 1 {
+			scaled = 1
+		}
+		b = scaled
+	}
+	return build, b, cuts, nil
 }
 
 // rejectSample errors when a sample rate is set for a planner that would
@@ -231,29 +247,22 @@ func newPlan(strategy string, ds *Dataset, layout *Layout, start time.Time) *Pla
 // GreedyPlanner constructs a qd-tree with Algorithm 1 (Sec. 4).
 type GreedyPlanner struct{}
 
-// greedyTree is the construction core shared by the planner and the
-// deprecated BuildGreedy wrapper. The returned tree is not yet deployed
-// (not routed or frozen); Plan materializes the layout on top.
-func greedyTree(ds *Dataset, opt PlanOptions) (*Tree, error) {
+func (GreedyPlanner) Plan(ds *Dataset, opt PlanOptions) (*Plan, error) {
+	start := time.Now()
 	if err := ds.check(); err != nil {
 		return nil, err
 	}
-	build, b, cuts, err := opt.buildOptions().prepare(ds.Table, ds.Queries)
+	build, b, cuts, err := opt.prepare(ds.Table, ds.Queries)
 	if err != nil {
 		return nil, err
 	}
-	return greedy.Build(build, ds.ACs, greedy.Options{
+	tree, err := greedy.Build(build, ds.ACs, greedy.Options{
 		MinSize:   b,
 		Cuts:      cuts,
 		Queries:   ds.Queries,
 		MaxLeaves: opt.MaxLeaves,
 		Criterion: opt.Criterion,
 	})
-}
-
-func (GreedyPlanner) Plan(ds *Dataset, opt PlanOptions) (*Plan, error) {
-	start := time.Now()
-	tree, err := greedyTree(ds, opt)
 	if err != nil {
 		return nil, err
 	}
@@ -266,17 +275,16 @@ func (GreedyPlanner) Plan(ds *Dataset, opt PlanOptions) (*Plan, error) {
 // best tree found.
 type WoodblockPlanner struct{}
 
-// woodblockResult is the training core shared by the planner and the
-// deprecated BuildWoodblock wrapper; the best tree is not yet deployed.
-func woodblockResult(ds *Dataset, opt PlanOptions) (*RLResult, error) {
+func (WoodblockPlanner) Plan(ds *Dataset, opt PlanOptions) (*Plan, error) {
+	start := time.Now()
 	if err := ds.check(); err != nil {
 		return nil, err
 	}
-	build, b, cuts, err := opt.buildOptions().prepare(ds.Table, ds.Queries)
+	build, b, cuts, err := opt.prepare(ds.Table, ds.Queries)
 	if err != nil {
 		return nil, err
 	}
-	return rl.Build(build, ds.ACs, rl.Options{
+	res, err := rl.Build(build, ds.ACs, rl.Options{
 		MinSize:     b,
 		Cuts:        cuts,
 		Queries:     ds.Queries,
@@ -287,11 +295,6 @@ func woodblockResult(ds *Dataset, opt PlanOptions) (*RLResult, error) {
 		Seed:        opt.Seed,
 		OnEpisode:   opt.OnEpisode,
 	})
-}
-
-func (WoodblockPlanner) Plan(ds *Dataset, opt PlanOptions) (*Plan, error) {
-	start := time.Now()
-	res, err := woodblockResult(ds, opt)
 	if err != nil {
 		return nil, err
 	}
@@ -312,7 +315,7 @@ func (BottomUpPlanner) Plan(ds *Dataset, opt PlanOptions) (*Plan, error) {
 	if err := opt.rejectSample("bottomup"); err != nil {
 		return nil, err
 	}
-	_, _, cuts, err := opt.buildOptions().prepare(ds.Table, ds.Queries)
+	_, _, cuts, err := opt.prepare(ds.Table, ds.Queries)
 	if err != nil {
 		return nil, err
 	}
@@ -383,26 +386,20 @@ func (RangePlanner) Plan(ds *Dataset, opt PlanOptions) (*Plan, error) {
 // routing of the same relaxed tree.
 type OverlapPlanner struct{}
 
-// overlapLayout is the construction core shared by the planner and the
-// deprecated BuildOverlap wrapper.
-func overlapLayout(ds *Dataset, opt PlanOptions) (*OverlapLayout, error) {
+func (OverlapPlanner) Plan(ds *Dataset, opt PlanOptions) (*Plan, error) {
+	start := time.Now()
 	if err := ds.check(); err != nil {
 		return nil, err
 	}
 	if err := opt.rejectSample("overlap"); err != nil {
 		return nil, err
 	}
-	_, b, cuts, err := opt.buildOptions().prepare(ds.Table, ds.Queries)
+	_, b, cuts, err := opt.prepare(ds.Table, ds.Queries)
 	if err != nil {
 		return nil, err
 	}
-	return overlap.Build(ds.Table, ds.ACs, overlap.Options{
+	lay, err := overlap.Build(ds.Table, ds.ACs, overlap.Options{
 		MinSize: b, Cuts: cuts, Queries: ds.Queries, MaxLeaves: opt.MaxLeaves})
-}
-
-func (OverlapPlanner) Plan(ds *Dataset, opt PlanOptions) (*Plan, error) {
-	start := time.Now()
-	lay, err := overlapLayout(ds, opt)
 	if err != nil {
 		return nil, err
 	}
@@ -423,7 +420,7 @@ func (TwoTreePlanner) Plan(ds *Dataset, opt PlanOptions) (*Plan, error) {
 	if err := opt.rejectSample("twotree"); err != nil {
 		return nil, err
 	}
-	_, _, cuts, err := opt.buildOptions().prepare(ds.Table, ds.Queries)
+	_, _, cuts, err := opt.prepare(ds.Table, ds.Queries)
 	if err != nil {
 		return nil, err
 	}

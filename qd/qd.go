@@ -35,18 +35,9 @@
 //	eng, _ := qd.NewEngine(store, plan, qd.EngineSpark, qd.ExecOptions{Parallelism: 8})
 //	defer eng.Close()
 //	res, _ := eng.Query(ds.Queries[0])
-//
-// The BuildGreedy / BuildWoodblock / ... free functions of earlier
-// revisions remain as thin deprecated wrappers over the planner handles
-// and will be removed in a future release.
 package qd
 
 import (
-	"fmt"
-	"math/rand"
-	"time"
-
-	"repro/internal/adapt"
 	"repro/internal/blockstore"
 	"repro/internal/core"
 	"repro/internal/cost"
@@ -55,7 +46,6 @@ import (
 	"repro/internal/overlap"
 	"repro/internal/replicate"
 	"repro/internal/rl"
-	"repro/internal/router"
 	"repro/internal/sqlparse"
 	"repro/internal/table"
 )
@@ -187,163 +177,10 @@ func ParseAggWorkload(s *Schema, sqls []string) ([]AggQuery, []AdvCut, error) {
 	return aqs, p.ACs, nil
 }
 
-// BuildOptions configure tree construction.
-type BuildOptions struct {
-	// MinBlockSize is b: the minimum rows per block, in full-table rows
-	// (paper: 100K for TPC-H, 50K for ErrorLog).
-	MinBlockSize int
-	// SampleRate < 1 builds on a uniform sample (Sec. 5.2.1 recommends
-	// 0.1%–1%); b is scaled accordingly. 0 or >= 1 uses the full table.
-	SampleRate float64
-	// Cuts overrides the candidate cut set; nil extracts from Queries.
-	Cuts []Cut
-	// MaxLeaves caps the leaf count (0 = unlimited).
-	MaxLeaves int
-	Seed      int64
-}
-
-// prepare resolves sampling and cut extraction shared by constructors.
-func (o BuildOptions) prepare(tbl *Table, queries []Query) (*Table, int, []Cut, error) {
-	if o.MinBlockSize < 1 {
-		return nil, 0, nil, fmt.Errorf("qd: MinBlockSize must be >= 1")
-	}
-	cuts := o.Cuts
-	if cuts == nil {
-		cuts = ExtractCuts(queries)
-	}
-	if len(cuts) == 0 {
-		return nil, 0, nil, fmt.Errorf("qd: no candidate cuts (empty workload?)")
-	}
-	build := tbl
-	b := o.MinBlockSize
-	if o.SampleRate > 0 && o.SampleRate < 1 {
-		rng := rand.New(rand.NewSource(o.Seed))
-		build = tbl.Sample(o.SampleRate, 1000, rng)
-		scaled := int(float64(o.MinBlockSize) * float64(build.N) / float64(tbl.N))
-		if scaled < 1 {
-			scaled = 1
-		}
-		b = scaled
-	}
-	return build, b, cuts, nil
-}
-
-// planOptions lifts legacy BuildOptions into PlanOptions for the
-// deprecated wrappers.
-func (o BuildOptions) planOptions() PlanOptions {
-	return PlanOptions{
-		MinBlockSize: o.MinBlockSize,
-		SampleRate:   o.SampleRate,
-		Cuts:         o.Cuts,
-		MaxLeaves:    o.MaxLeaves,
-		Seed:         o.Seed,
-	}
-}
-
-// BuildGreedy constructs a qd-tree with Algorithm 1 (Sec. 4).
-//
-// Deprecated: use GreedyPlanner with a Dataset; the returned Plan carries
-// both the tree and its deployed layout.
-//
-// Unlike GreedyPlanner.Plan, the returned tree is not yet deployed (the
-// table is not routed and leaf descriptions are not frozen) — deployment
-// happens in LayoutFromTree, preserving this function's original
-// contract.
-func BuildGreedy(tbl *Table, queries []Query, acs []AdvCut, opt BuildOptions) (*Tree, error) {
-	return greedyTree(NewDataset(nil, tbl).WithQueries(queries, acs), opt.planOptions())
-}
-
-// WoodblockOptions configure the deep-RL constructor (Sec. 5).
-type WoodblockOptions struct {
-	BuildOptions
-	Hidden      int           // network width (paper: 512; default 128)
-	MaxEpisodes int           // trees to attempt (default 64)
-	TimeBudget  time.Duration // optional wall-clock budget
-	// OnEpisode observes the learning curve (Fig. 8).
-	OnEpisode func(episode int, elapsed time.Duration, ratio, best float64)
-}
-
-// BuildWoodblock trains the Woodblock agent and returns the best tree
-// found plus the learning curve.
-//
-// Deprecated: use WoodblockPlanner with a Dataset; the returned Plan's RL
-// field carries the learning curve.
-func BuildWoodblock(tbl *Table, queries []Query, acs []AdvCut, opt WoodblockOptions) (*RLResult, error) {
-	popt := opt.BuildOptions.planOptions()
-	popt.Hidden = opt.Hidden
-	popt.MaxEpisodes = opt.MaxEpisodes
-	popt.TimeBudget = opt.TimeBudget
-	popt.OnEpisode = opt.OnEpisode
-	return woodblockResult(NewDataset(nil, tbl).WithQueries(queries, acs), popt)
-}
-
-// BuildBottomUp runs the Sun et al. baseline (Sec. 2.2.2). selectivityCap
-// of ~0.10 gives the paper's tuned BU+; 0 disables the tuning. A sample
-// rate is rejected — the baseline cannot build on a sample.
-//
-// Deprecated: use BottomUpPlanner with a Dataset and
-// PlanOptions.SelectivityCap.
-func BuildBottomUp(tbl *Table, queries []Query, acs []AdvCut, opt BuildOptions, selectivityCap float64) (*Layout, []Cut, error) {
-	popt := opt.planOptions()
-	popt.SelectivityCap = selectivityCap
-	plan, err := BottomUpPlanner{}.Plan(NewDataset(nil, tbl).WithQueries(queries, acs), popt)
-	if err != nil {
-		return nil, nil, err
-	}
-	return plan.Layout, plan.Features, nil
-}
-
-// RandomLayout shuffles rows into fixed-size blocks (the TPC-H baseline).
-//
-// Deprecated: use RandomPlanner with a Dataset and PlanOptions.NumBlocks.
-func RandomLayout(tbl *Table, numBlocks int, acs []AdvCut, seed int64) (*Layout, error) {
-	plan, err := RandomPlanner{}.Plan(NewDataset(nil, tbl).WithQueries(nil, acs),
-		PlanOptions{NumBlocks: numBlocks, Seed: seed})
-	if err != nil {
-		return nil, err
-	}
-	return plan.Layout, nil
-}
-
-// RangeLayout range-partitions on a column (the ErrorLog baseline).
-//
-// Deprecated: use RangePlanner with a Dataset, PlanOptions.RangeColumn,
-// and PlanOptions.NumBlocks.
-func RangeLayout(tbl *Table, col, numBlocks int, acs []AdvCut) (*Layout, error) {
-	plan, err := RangePlanner{}.Plan(NewDataset(nil, tbl).WithQueries(nil, acs),
-		PlanOptions{NumBlocks: numBlocks, RangeColumn: col})
-	if err != nil {
-		return nil, err
-	}
-	return plan.Layout, nil
-}
-
 // LayoutFromTree routes the full table through the tree, freezes leaf
 // descriptions (Sec. 3.2), and returns the deployable layout.
 func LayoutFromTree(name string, t *Tree, tbl *Table) *Layout {
 	return cost.FromTree(name, t, tbl)
-}
-
-// BuildOverlap constructs a data-overlap layout (Sec. 6.2): relaxed cuts
-// plus small-leaf replication.
-//
-// Deprecated: use OverlapPlanner with a Dataset; the returned Plan's
-// Overlap field carries the multi-assignment layout.
-func BuildOverlap(tbl *Table, queries []Query, acs []AdvCut, opt BuildOptions) (*OverlapLayout, error) {
-	return overlapLayout(NewDataset(nil, tbl).WithQueries(queries, acs), opt.planOptions())
-}
-
-// BuildTwoTree constructs the two-tree replication deployment (Sec. 6.3).
-// A sample rate is rejected — both trees are built on the full table.
-//
-// Deprecated: use TwoTreePlanner with a Dataset; the returned Plan's
-// TwoTree field carries the deployment.
-func BuildTwoTree(tbl *Table, queries []Query, acs []AdvCut, opt BuildOptions) (*TwoTree, error) {
-	plan, err := TwoTreePlanner{}.Plan(NewDataset(nil, tbl).WithQueries(queries, acs), opt.planOptions())
-	if err != nil {
-		return nil, err
-	}
-	return plan.TwoTree, nil
 }
 
 // Selectivity returns the workload's exact match fraction — the lower
@@ -366,42 +203,6 @@ func NewLayout(name string, tbl *Table, bids []int, numBlocks int, acs []AdvCut)
 
 // LoadTree deserializes a tree written with Tree.Save / Tree.Marshal.
 func LoadTree(data []byte) (*Tree, error) { return core.Unmarshal(data) }
-
-// Adaptive is the incremental-refinement wrapper (Problem 2 / Sec. 8):
-// route new data through a deployed tree and split overflowing leaves in
-// place using the greedy criterion.
-type Adaptive = adapt.Adaptive
-
-// Ingester streams records through a tree into per-leaf segment files
-// (the Fig. 1 online path).
-//
-// Deprecated: use the Writer API instead — Engine.Insert (or
-// Server.Insert) lands rows in an LSM-style delta that queries merge with
-// the base blocks, and Compact folds them into the layout. Ingester's
-// per-leaf segments are invisible to the execution engine.
-type Ingester = router.Ingester
-
-// NewAdaptive wraps an existing tree and its routed table for continuous
-// ingestion with local refinement. splitFactor*b is the overflow
-// threshold (0 selects the default of 4).
-func NewAdaptive(t *Tree, tbl *Table, acs []AdvCut, queries []Query, minBlockSize, splitFactor int) (*Adaptive, error) {
-	return adapt.New(t, tbl, acs, adapt.Options{
-		MinSize:     minBlockSize,
-		SplitFactor: splitFactor,
-		Cuts:        ExtractCuts(queries),
-		Queries:     queries,
-	})
-}
-
-// NewIngester prepares a streaming ingester writing columnar segments
-// under dir, flushing each leaf buffer at segmentRows.
-//
-// Deprecated: use the Writer API instead (Engine.Insert / Server.Insert
-// + Compact); see Writer. NewIngester remains a thin wrapper over
-// router.NewIngester for callers that manage segment files themselves.
-func NewIngester(t *Tree, dir string, segmentRows int) (*Ingester, error) {
-	return router.NewIngester(t, dir, segmentRows)
-}
 
 // --- physical execution ---
 
@@ -494,14 +295,6 @@ func ReferenceJoin(tbl *Table, jq JoinQuery, acs []AdvCut) [][]int64 {
 	return exec.ReferenceJoin(tbl, jq, acs)
 }
 
-// SelectNaive executes a row query over a store with no TopK pruning
-// and no late materialization: decode everything, sort everything,
-// then cut to the LIMIT — the full-sort-then-limit baseline qdbench
-// -exp rows compares the bounded-heap path against.
-func SelectNaive(store *BlockStore, plan *Plan, rq RowQuery, prof EngineProfile, mode ExecMode) (*RowsResult, error) {
-	return exec.RunRowsNaive(store, plan.Layout, rq, plan.ACs, prof, mode)
-}
-
 // Aggregate functions for building AggQuery values programmatically.
 const (
 	AggCountStar = expr.AggCountStar
@@ -523,8 +316,8 @@ func ReferenceAggregate(tbl *Table, aq AggQuery, acs []AdvCut) Rows {
 // AggregateNaive executes an aggregate query over a store with no
 // pushdown: every candidate block is fully decoded and aggregated row at
 // a time, charging the decoded logical bytes — the decode-then-aggregate
-// cost baseline qdbench -exp agg and BenchmarkAggregatePushdown compare
-// the vectorized engine against.
+// cost baseline TestAggregatePushdownAcceptance and
+// BenchmarkAggregatePushdown compare the vectorized engine against.
 func AggregateNaive(store *BlockStore, plan *Plan, aq AggQuery, prof EngineProfile, mode ExecMode) (*AggResult, error) {
 	return exec.RunAggNaive(store, plan.Layout, aq, plan.ACs, prof, mode)
 }
@@ -555,17 +348,6 @@ const (
 // SizeStats pairs a store's logical (decoded) and encoded (on-disk)
 // footprints; see BlockStore.Sizes.
 type SizeStats = cost.SizeStats
-
-// ColumnEncoding identifies one block-format-v2 column encoding.
-type ColumnEncoding = blockstore.Encoding
-
-// Column encodings a v2 store may choose per column per block.
-const (
-	EncPlain = blockstore.EncPlain
-	EncFOR   = blockstore.EncFOR
-	EncDict  = blockstore.EncDict
-	EncRLE   = blockstore.EncRLE
-)
 
 // WriteStore materializes a layout's row→block partitioning as a block
 // directory usable by the execution engine. With no options it writes

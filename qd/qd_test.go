@@ -129,40 +129,3 @@ func TestExplicitQueryConstruction(t *testing.T) {
 		t.Error("query must intersect at least one block")
 	}
 }
-
-// TestDeprecatedWrappersDelegate keeps the one-release compatibility
-// surface honest: the legacy free functions must produce the same layouts
-// and results as the handles they now wrap.
-func TestDeprecatedWrappersDelegate(t *testing.T) {
-	ds := microDataset(t)
-	tbl, queries, acs := ds.Table, ds.Queries, ds.ACs
-
-	tree, err := qd.BuildGreedy(tbl, queries, acs, qd.BuildOptions{MinBlockSize: 200})
-	if err != nil {
-		t.Fatal(err)
-	}
-	layout := qd.LayoutFromTree("greedy", tree, tbl)
-	plan, err := qd.GreedyPlanner{}.Plan(ds, qd.PlanOptions{MinBlockSize: 200})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got, want := layout.AccessedFraction(queries), plan.AccessedFraction(nil); got != want {
-		t.Errorf("wrapper layout fraction %f, planner %f", got, want)
-	}
-
-	if _, err := qd.BuildGreedy(tbl, queries, acs, qd.BuildOptions{}); err == nil {
-		t.Error("zero MinBlockSize must error")
-	}
-	if _, err := qd.BuildGreedy(tbl, nil, acs, qd.BuildOptions{MinBlockSize: 10}); err == nil {
-		t.Error("empty workload must error")
-	}
-	if _, err := qd.BuildOverlap(tbl, queries, acs, qd.BuildOptions{MinBlockSize: 10, SampleRate: 0.5}); err == nil {
-		t.Error("overlap with sampling must error")
-	}
-	if _, _, err := qd.BuildBottomUp(tbl, queries, acs, qd.BuildOptions{MinBlockSize: 200, SampleRate: 0.5}, 0.1); err == nil {
-		t.Error("bottom-up with sampling must error, not silently drop the sample")
-	}
-	if _, err := qd.BuildTwoTree(tbl, queries, acs, qd.BuildOptions{MinBlockSize: 200, SampleRate: 0.5}); err == nil {
-		t.Error("two-tree with sampling must error, not silently drop the sample")
-	}
-}

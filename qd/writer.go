@@ -12,9 +12,6 @@ package qd
 //   - Server: the serving path — same delta semantics, but compaction
 //     materializes a fresh generation and atomically flips CURRENT, so
 //     concurrent queries never block (see internal/serve).
-//
-// Writer replaces the router.Ingester free-standing segment spiller as the
-// recommended ingest API; see the migration table in the README.
 
 import (
 	"errors"

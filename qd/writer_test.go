@@ -166,29 +166,33 @@ func TestEngineDeltaSurvivesReopen(t *testing.T) {
 
 // TestCompactionRestoresSkipRate is the acceptance gate: after folding a
 // 20% insert stream through the plan's qd-tree, the workload's skip rate
-// must come within 5 points of a cold bulk load of the same rows.
+// must come within 5 points of a cold bulk load of the same rows — for
+// both live writers, the Engine compacting in place and the Server
+// compacting into a fresh generation.
 func TestCompactionRestoresSkipRate(t *testing.T) {
 	tbl, queries, acs := randomSpec(7)
 	base, stream := splitSpec(tbl, 0.8)
-	plan, err := qd.GreedyPlanner{}.Plan(
-		qd.NewDataset(tbl.Schema, base).WithQueries(queries, acs), qd.PlanOptions{MinBlockSize: 300})
+	popt := qd.PlanOptions{MinBlockSize: 300}
+	plan, err := qd.GreedyPlanner{}.Plan(qd.NewDataset(tbl.Schema, base).WithQueries(queries, acs), popt)
 	if err != nil {
 		t.Fatal(err)
 	}
-	store, err := qd.WriteStore(t.TempDir(), base, plan.Layout)
-	if err != nil {
-		t.Fatal(err)
+	newEngine := func(tbl *qd.Table, plan *qd.Plan) *qd.Engine {
+		store, err := qd.WriteStore(t.TempDir(), tbl, plan.Layout)
+		if err != nil {
+			t.Fatal(err)
+		}
+		eng, err := qd.NewEngine(store, plan, qd.EngineSpark, qd.ExecOptions{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { eng.Close() })
+		return eng
 	}
-	eng, err := qd.NewEngine(store, plan, qd.EngineSpark, qd.ExecOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer eng.Close()
-
-	skipRate := func(e *qd.Engine) float64 {
+	skipRate := func(run func(qd.Query) (qd.ExecResult, error)) float64 {
 		var scanned, total int64
 		for _, q := range queries {
-			res, err := e.Query(q)
+			res, err := run(q)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -198,38 +202,51 @@ func TestCompactionRestoresSkipRate(t *testing.T) {
 		return 1 - float64(scanned)/float64(total)
 	}
 
-	before := skipRate(eng)
-	if err := eng.Insert(stream); err != nil {
-		t.Fatal(err)
-	}
-	during := skipRate(eng)
-	if during >= before {
-		t.Fatalf("skip rate %.3f with a full delta, %.3f without — unpruned delta rows must cost something", during, before)
-	}
-	if err := eng.Compact(); err != nil {
-		t.Fatal(err)
-	}
-	after := skipRate(eng)
-
 	// Cold baseline: bulk-load base+stream in one shot with the same plan
 	// options.
-	coldPlan, err := qd.GreedyPlanner{}.Plan(
-		qd.NewDataset(tbl.Schema, tbl).WithQueries(queries, acs), qd.PlanOptions{MinBlockSize: 300})
+	coldPlan, err := qd.GreedyPlanner{}.Plan(qd.NewDataset(tbl.Schema, tbl).WithQueries(queries, acs), popt)
 	if err != nil {
 		t.Fatal(err)
 	}
-	coldStore, err := qd.WriteStore(t.TempDir(), tbl, coldPlan.Layout)
-	if err != nil {
-		t.Fatal(err)
-	}
-	coldEng, err := qd.NewEngine(coldStore, coldPlan, qd.EngineSpark, qd.ExecOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer coldEng.Close()
-	cold := skipRate(coldEng)
+	cold := skipRate(newEngine(tbl, coldPlan).Query)
 
-	if diff := math.Abs(after - cold); diff > 0.05 {
-		t.Fatalf("post-compaction skip %.3f vs cold bulk-load %.3f (diff %.3f > 0.05)", after, cold, diff)
+	root := t.TempDir()
+	if err := qd.InitServing(root, base, plan); err != nil {
+		t.Fatal(err)
+	}
+	srv, err := qd.NewServer(root, qd.ServeOptions{ACs: acs, Plan: popt})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Close()
+	eng := newEngine(base, plan)
+	for _, w := range []struct {
+		name  string
+		w     qd.Writer
+		query func(qd.Query) (qd.ExecResult, error)
+	}{
+		{"engine", eng, eng.Query},
+		{"server", srv, func(q qd.Query) (qd.ExecResult, error) {
+			res, err := srv.Execute(qd.Statement{Filter: q}, nil)
+			if err != nil {
+				return qd.ExecResult{}, err
+			}
+			return *res.Filter, nil
+		}},
+	} {
+		before := skipRate(w.query)
+		if err := w.w.Insert(stream); err != nil {
+			t.Fatal(err)
+		}
+		during := skipRate(w.query)
+		if during >= before {
+			t.Fatalf("%s: skip rate %.3f with a full delta, %.3f without — unpruned delta rows must cost something", w.name, during, before)
+		}
+		if err := w.w.Compact(); err != nil {
+			t.Fatal(err)
+		}
+		if after := skipRate(w.query); math.Abs(after-cold) > 0.05 {
+			t.Fatalf("%s: post-compaction skip %.3f vs cold bulk-load %.3f (diff %.3f > 0.05)", w.name, after, cold, math.Abs(after-cold))
+		}
 	}
 }
