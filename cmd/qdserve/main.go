@@ -43,6 +43,12 @@
 // the slow-query threshold, and -pprof mounts net/http/pprof under
 // /debug/pprof/.
 //
+// A standalone or shard server prunes blocks through the layout's tree
+// and reads only the columns a statement references, through block
+// handles it opens once and keeps (up to half the process's open-file
+// limit). A /query reply carries the statement's scan counts and
+// wall_time_ns.
+//
 // A generation root is created from any planned layout with
 // qd.InitServing, a sharded cluster with qd.InitCluster (or the -demo
 // shard role, which bootstraps its own slice deterministically).
@@ -85,7 +91,6 @@ type config struct {
 	interval   time.Duration
 	keep       int
 	parallel   int
-	profile    string
 	memRows    int
 	compRows   int
 	compEvery  time.Duration
@@ -115,7 +120,6 @@ func main() {
 	flag.DurationVar(&cfg.interval, "interval", 30*time.Second, "background drift-check period (0 disables the monitor)")
 	flag.IntVar(&cfg.keep, "keep", 0, "retired generations kept on disk after a swap")
 	flag.IntVar(&cfg.parallel, "parallelism", 0, "scan worker pool size (0 = GOMAXPROCS)")
-	flag.StringVar(&cfg.profile, "profile", "spark", "engine cost profile: spark | dbms")
 	flag.IntVar(&cfg.memRows, "memtable-rows", 0, "ingest memtable rows before sealing to a delta segment (0 = default 4096)")
 	flag.IntVar(&cfg.compRows, "compact-rows", 0, "uncompacted delta rows before a background compaction (0 = default 65536)")
 	flag.DurationVar(&cfg.compEvery, "compact-interval", 10*time.Second, "background compaction check period (0 disables; POST /compact still works)")
@@ -145,14 +149,6 @@ func run(cfg config) error {
 // runServer serves one generation root — the whole table (standalone) or
 // one shard's slice (role=shard, which adds the /cluster endpoints).
 func runServer(cfg config) error {
-	prof := qd.EngineSpark
-	switch cfg.profile {
-	case "spark":
-	case "dbms":
-		prof = qd.EngineDBMS
-	default:
-		return fmt.Errorf("unknown profile %q (spark | dbms)", cfg.profile)
-	}
 	store := cfg.store
 	label := ""
 	if cfg.role == "shard" {
@@ -213,7 +209,6 @@ func runServer(cfg config) error {
 	srv, err := qd.NewServer(store, qd.ServeOptions{
 		Strategy:        cfg.strategy,
 		Plan:            qd.PlanOptions{MinBlockSize: cfg.minBlock},
-		Profile:         prof,
 		Exec:            qd.ExecOptions{Parallelism: cfg.parallel, ShareReads: true},
 		WindowSize:      cfg.window,
 		MinWindow:       cfg.minWindow,

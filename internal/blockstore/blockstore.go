@@ -88,8 +88,9 @@ type BlockMeta struct {
 
 // Store is an opened block directory. Reads are safe for concurrent use:
 // each block file is opened lazily on first access, header-validated once,
-// and the handle is cached and shared by all subsequent readers, which use
-// positioned reads (ReadAt / pread) and never seek.
+// and the handle is kept until Close and shared by all subsequent readers,
+// which use positioned reads (ReadAt / pread) and never seek. The handles
+// of every Store in the process draw on one budget (see handleBudget).
 type Store struct {
 	Dir    string
 	Schema *table.Schema
@@ -97,12 +98,6 @@ type Store struct {
 	// Format is the block format version (FormatV1 or FormatV2). The zero
 	// value reads as v1 for compatibility with directly constructed stores.
 	Format int
-
-	// MaxOpenFiles caps the cached-handle count (0 selects a default of
-	// 128). Blocks beyond the cap fall back to transient open-read-close,
-	// so scans over stores with more blocks than the process fd limit
-	// still complete.
-	MaxOpenFiles int
 
 	// Delta lists the validated streaming-ingest delta segments found
 	// beside the blocks at Open time (delta_*.qdb); their rows belong to
@@ -113,7 +108,6 @@ type Store struct {
 
 	once  sync.Once
 	files []blockHandle // lazily-opened, validated per-block handles
-	nopen atomic.Int64  // cached handles currently open
 }
 
 // blockHandle caches one block's open file. The pointer is read lock-free
@@ -124,7 +118,17 @@ type blockHandle struct {
 	f  atomic.Pointer[os.File]
 }
 
-const defaultMaxOpenFiles = 128
+// handleBudget caps the block handles all Stores of the process hold
+// open at once: half the soft RLIMIT_NOFILE, leaving the other half to
+// sockets, delta segments and everything else. Go raises the soft limit
+// to the hard one at start-up, so this is read after that. Reads of
+// blocks past the budget use a transient handle each.
+var handleBudget = fdBudget()
+
+// openHandles counts the block handles cached across all Stores; it never
+// exceeds handleBudget. Close gives a store's handles back. A Store
+// dropped without Close keeps its share until the process exits.
+var openHandles atomic.Int64
 
 type catalogJSON struct {
 	Version int         `json:"version"`
@@ -478,12 +482,12 @@ func (s *Store) openValidated(b int) (*os.File, int, int, error) {
 
 // readerAt returns a header-validated io.ReaderAt over block b's file, its
 // (ncols, nrows) shape, and a release func the caller must invoke when the
-// read is done. The reader is nil for empty blocks. Up to MaxOpenFiles
-// handles are opened once, cached, and shared by every caller — concurrent
-// scan workers included, since ReadAt issues positioned reads (pread)
-// without touching a shared file offset — replacing the previous
-// open-read-close-per-scan path. Past the cap, reads fall back to a
-// transient handle that release closes, bounding fd usage on huge stores.
+// read is done. The reader is nil for empty blocks. Each block's handle is
+// opened and validated once, then kept until Close and shared by every
+// caller — concurrent scan workers included, since ReadAt issues
+// positioned reads (pread) without touching a shared file offset. Once
+// the process-wide handleBudget is spent, reads fall back to a transient
+// handle, validated afresh, that release closes.
 func (s *Store) readerAt(b int) (io.ReaderAt, int, int, func(), error) {
 	noop := func() {}
 	if b < 0 || b >= len(s.Blocks) {
@@ -498,45 +502,40 @@ func (s *Store) readerAt(b int) (io.ReaderAt, int, int, func(), error) {
 	if f := h.f.Load(); f != nil {
 		return f, s.Schema.NumCols(), m.Rows, noop, nil
 	}
-	cap := int64(s.MaxOpenFiles)
-	if cap <= 0 {
-		cap = defaultMaxOpenFiles
-	}
-	if s.nopen.Load() >= cap {
-		// Cache full: transient open, closed by the caller's release.
+	transient := func() (io.ReaderAt, int, int, func(), error) {
 		f, ncols, nrows, err := s.openValidated(b)
 		if err != nil {
 			return nil, 0, 0, noop, err
 		}
 		return f, ncols, nrows, func() { f.Close() }, nil
+	}
+	if openHandles.Load() >= handleBudget {
+		return transient()
 	}
 	h.mu.Lock()
 	defer h.mu.Unlock()
 	if f := h.f.Load(); f != nil {
 		return f, s.Schema.NumCols(), m.Rows, noop, nil
 	}
-	// Reserve a cache slot before opening; the atomic add is the
-	// authoritative cap check, so concurrent first opens of distinct
-	// blocks can never leave more than MaxOpenFiles handles cached.
-	if s.nopen.Add(1) > cap {
-		s.nopen.Add(-1)
-		f, ncols, nrows, err := s.openValidated(b)
-		if err != nil {
-			return nil, 0, 0, noop, err
-		}
-		return f, ncols, nrows, func() { f.Close() }, nil
+	// Reserve a slot before opening; the atomic add is the authoritative
+	// budget check, so concurrent first opens across all stores can never
+	// leave more than handleBudget handles cached.
+	if openHandles.Add(1) > handleBudget {
+		openHandles.Add(-1)
+		return transient()
 	}
 	f, ncols, nrows, err := s.openValidated(b)
 	if err != nil {
-		s.nopen.Add(-1)
+		openHandles.Add(-1)
 		return nil, 0, 0, noop, err
 	}
 	h.f.Store(f)
 	return f, ncols, nrows, noop, nil
 }
 
-// Close releases every cached block handle. The store remains usable;
-// subsequent reads reopen files on demand.
+// Close releases every cached block handle and gives it back to the
+// budget. The store remains usable; subsequent reads reopen files on
+// demand.
 func (s *Store) Close() error {
 	var first error
 	for i := range s.files {
@@ -547,7 +546,7 @@ func (s *Store) Close() error {
 				first = err
 			}
 			h.f.Store(nil)
-			s.nopen.Add(-1)
+			openHandles.Add(-1)
 		}
 		h.mu.Unlock()
 	}

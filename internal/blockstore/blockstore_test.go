@@ -460,33 +460,158 @@ func TestWriteSegmentBadPath(t *testing.T) {
 	}
 }
 
+// TestHandleCacheCapFallsBackToTransientReads pins the process-wide
+// handle budget: every Store draws cached handles from it, reads past it
+// use transient handles that still validate and still return the right
+// rows, and Close gives handles back.
 func TestHandleCacheCapFallsBackToTransientReads(t *testing.T) {
-	dir := t.TempDir()
 	spec := workload.Fig3(640, 10)
 	bids := make([]int, spec.Table.N)
 	for i := range bids {
 		bids[i] = i % 64
 	}
-	st, err := Write(dir, spec.Table, bids, 64)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer st.Close()
-	st.MaxOpenFiles = 8 // far fewer cached handles than blocks
-	for b := 0; b < 64; b++ {
-		_, rows, _, err := st.ReadColumns(b, nil)
+	newStore := func(t *testing.T) *Store {
+		st, err := Write(t.TempDir(), spec.Table, bids, 64)
 		if err != nil {
-			t.Fatalf("block %d: %v", b, err)
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { st.Close() })
+		return st
+	}
+	// checkBlock reads block b and compares it with the source rows.
+	checkBlock := func(t *testing.T, st *Store, b int) error {
+		data, rows, _, err := st.ReadColumns(b, nil)
+		if err != nil {
+			return err
 		}
 		if rows != 10 {
-			t.Fatalf("block %d: rows %d", b, rows)
+			t.Fatalf("block %d: rows %d, want 10", b, rows)
 		}
+		for i := 0; i < rows; i++ {
+			for c := range data {
+				if got, want := data[c][i], spec.Table.Cols[c][b+64*i]; got != want {
+					t.Fatalf("block %d row %d col %d: %d, want %d", b, i, c, got, want)
+				}
+			}
+		}
+		return nil
 	}
-	if got := st.nopen.Load(); got > 8 {
-		t.Errorf("cached %d handles, cap 8", got)
+	cached := func(st *Store) int {
+		n := 0
+		for i := range st.files {
+			if st.files[i].f.Load() != nil {
+				n++
+			}
+		}
+		return n
 	}
-	// Re-reads past the cap still work (transient handles reopen cleanly).
-	if _, rows, _, err := st.ReadColumns(63, nil); err != nil || rows != 10 {
-		t.Fatalf("transient re-read: rows=%d err=%v", rows, err)
+	// The budget is relative to handles other tests' stores still hold.
+	setBudget := func(t *testing.T, extra int64) int64 {
+		base := openHandles.Load()
+		saved := handleBudget
+		handleBudget = base + extra
+		t.Cleanup(func() { handleBudget = saved })
+		return base
 	}
+
+	t.Run("shared", func(t *testing.T) {
+		base := setBudget(t, 40)
+		a, b := newStore(t), newStore(t)
+		for blk := 0; blk < 64; blk++ {
+			for _, st := range []*Store{a, b} {
+				if err := checkBlock(t, st, blk); err != nil {
+					t.Fatalf("block %d: %v", blk, err)
+				}
+				if got := openHandles.Load() - base; got > 40 {
+					t.Fatalf("%d handles cached, budget 40", got)
+				}
+			}
+		}
+		if na, nb := cached(a), cached(b); na+nb != 40 || na == 0 || nb == 0 {
+			t.Fatalf("stores cached %d + %d handles, want both drawing on one budget of 40", na, nb)
+		}
+		// Re-reads past the budget still return the right rows.
+		for blk := 0; blk < 64; blk++ {
+			if err := checkBlock(t, b, blk); err != nil {
+				t.Fatalf("re-read of block %d: %v", blk, err)
+			}
+		}
+	})
+
+	t.Run("corrupt after exhaustion", func(t *testing.T) {
+		setBudget(t, 0)
+		st := newStore(t)
+		if err := checkBlock(t, st, 5); err != nil {
+			t.Fatal(err)
+		}
+		if cached(st) != 0 {
+			t.Fatal("a spent budget must cache no handle")
+		}
+		path := filepath.Join(st.Dir, st.Blocks[5].File)
+		f, err := os.OpenFile(path, os.O_WRONLY, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		f.WriteAt([]byte("XXXX"), 0)
+		f.Close()
+		if _, _, _, err := st.ReadColumns(5, nil); err == nil {
+			t.Error("bad magic on the transient path must error")
+		}
+		if err := os.Truncate(filepath.Join(st.Dir, st.Blocks[6].File), 40); err != nil {
+			t.Fatal(err)
+		}
+		if _, _, _, err := st.ReadColumns(6, nil); err == nil {
+			t.Error("truncated block on the transient path must error")
+		}
+	})
+
+	t.Run("close returns handles", func(t *testing.T) {
+		base := setBudget(t, 64)
+		a := newStore(t)
+		for blk := 0; blk < 64; blk++ {
+			if err := checkBlock(t, a, blk); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if got := openHandles.Load() - base; got != 64 {
+			t.Fatalf("%d handles cached, want 64", got)
+		}
+		if err := a.Close(); err != nil {
+			t.Fatal(err)
+		}
+		if got := openHandles.Load() - base; got != 0 {
+			t.Fatalf("%d handles still counted after Close", got)
+		}
+		b := newStore(t)
+		for blk := 0; blk < 64; blk++ {
+			if err := checkBlock(t, b, blk); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if cached(b) != 64 {
+			t.Fatalf("after Close a second store cached %d handles, want 64", cached(b))
+		}
+	})
+
+	t.Run("concurrent first reads", func(t *testing.T) {
+		base := setBudget(t, 64)
+		st := newStore(t)
+		var wg sync.WaitGroup
+		start := make(chan struct{})
+		for g := 0; g < 16; g++ {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				<-start
+				if _, rows, _, err := st.ReadColumns(7, nil); err != nil || rows != 10 {
+					t.Errorf("rows=%d err=%v", rows, err)
+				}
+			}()
+		}
+		close(start)
+		wg.Wait()
+		if got := openHandles.Load() - base; got != 1 || cached(st) != 1 {
+			t.Fatalf("%d handles counted, %d cached, want exactly 1", got, cached(st))
+		}
+	})
 }

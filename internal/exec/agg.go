@@ -328,11 +328,9 @@ func planAgg(store *blockstore.Store, aq expr.AggQuery, acs []expr.AdvCut, prof 
 	return pl, nil
 }
 
-// sortedCols flattens a column set into sorted order (nil when empty).
+// sortedCols flattens a column set into sorted order. An empty set gives
+// an empty, non-nil slice: a nil read set means "all columns".
 func sortedCols(seen map[int]bool) []int {
-	if len(seen) == 0 {
-		return nil
-	}
 	out := make([]int, 0, len(seen))
 	for c := range seen {
 		out = append(out, c)

@@ -221,6 +221,25 @@ func TestAggregateMetadataShortcuts(t *testing.T) {
 	if mres.BytesRead != sumOnly {
 		t.Errorf("read %d bytes, want only the SUM column's %d (MIN served from zone maps)", mres.BytesRead, sumOnly)
 	}
+
+	// With a delta, a filterless COUNT(*) under the columnar profile scans
+	// the delta tables but copies none of their columns — the same zero
+	// bytes as the filterless filter count.
+	dst, dlayout, dv, combined, dacs := deltaFixture(t, 7)
+	countStar := expr.AggQuery{Name: "count-star", Aggs: []expr.Agg{{Func: expr.AggCountStar}}}
+	cres, err := RunAggDelta(dst, dlayout, countStar, dacs, EngineDBMS, RouteQdTree, Options{Parallelism: 1}, dv)
+	if err != nil {
+		t.Fatal(err)
+	}
+	requireSameRows(t, "count-star/delta", cres.Rows, ReferenceAggregate(combined, countStar, dacs))
+	fres, err := RunDelta(dst, dlayout, expr.Query{}, dacs, EngineDBMS, RouteQdTree, Options{Parallelism: 1}, dv)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if cres.DeltaRows != 600 || cres.BytesRead != 0 || fres.BytesRead != 0 {
+		t.Errorf("count-star over the delta: delta rows %d, bytes %d (filter count: %d bytes), want 600 rows and 0 bytes",
+			cres.DeltaRows, cres.BytesRead, fres.BytesRead)
+	}
 }
 
 // TestAggregateFilteredZoneMapShortcut pins the per-block form of the

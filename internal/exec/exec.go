@@ -154,7 +154,7 @@ type Header struct {
 	// can log per-query layout effectiveness without holding the store.
 	BlocksTotal int           `json:"blocks_total"`
 	RowsTotal   int64         `json:"rows_total"`
-	SimTime     time.Duration `json:"sim_time_ns"`  // deterministic cost-model time (see package doc)
+	SimTime     time.Duration `json:"-"`            // deterministic cost-model time (see package doc)
 	WallTime    time.Duration `json:"wall_time_ns"` // measured wall clock of the execution
 }
 

@@ -72,7 +72,6 @@ type QueryResponse struct {
 	RowsMatched   int64      `json:"rows_matched"`
 	BytesRead     int64      `json:"bytes_read"`
 	SkipRate      float64    `json:"skip_rate"`
-	SimTimeNS     int64      `json:"sim_time_ns"`
 	WallTimeNS    int64      `json:"wall_time_ns"`
 	GroupBy       []string   `json:"group_by,omitempty"`
 	Rows          []QueryRow `json:"rows,omitempty"`
@@ -318,7 +317,6 @@ func Render(schema *table.Schema, stmt expr.Statement, res Result) QueryResponse
 		RowsMatched:   h.RowsMatched,
 		BytesRead:     h.BytesRead,
 		SkipRate:      h.SkipRate(),
-		SimTimeNS:     int64(h.SimTime),
 	}
 	// dicts returns each column's dictionary, or nil when none has one;
 	// spell renders one tuple through them ("" for a column without a
@@ -396,7 +394,6 @@ func (r QueryResponse) Header() exec.Header {
 		},
 		BlocksTotal: r.BlocksTotal,
 		RowsTotal:   r.RowsTotal,
-		SimTime:     time.Duration(r.SimTimeNS),
 		WallTime:    time.Duration(r.WallTimeNS),
 	}
 }

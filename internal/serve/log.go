@@ -19,7 +19,6 @@ package serve
 import (
 	"fmt"
 	"sync"
-	"time"
 
 	"repro/internal/expr"
 )
@@ -27,16 +26,15 @@ import (
 // Entry is one logged query execution: the query itself (so the window can
 // be replanned) plus the per-query stats the executor surfaced.
 type Entry struct {
-	Seq        uint64        // monotone sequence number across the log's life
-	Name       string        // query name (or SQL text for HTTP queries)
-	Query      expr.Query    // the executed query
-	Generation int           // layout generation that served it
-	Blocks     int           // blocks scanned
-	Rows       int64         // rows scanned
-	Matched    int64         // rows matched
-	Bytes      int64         // bytes read
-	SkipRate   float64       // fraction of store rows skipped (1 = touched nothing)
-	SimTime    time.Duration // deterministic cost-model time
+	Seq        uint64     // monotone sequence number across the log's life
+	Name       string     // query name (or SQL text for HTTP queries)
+	Query      expr.Query // the executed query
+	Generation int        // layout generation that served it
+	Blocks     int        // blocks scanned
+	Rows       int64      // rows scanned
+	Matched    int64      // rows matched
+	Bytes      int64      // bytes read
+	SkipRate   float64    // fraction of store rows skipped (1 = touched nothing)
 }
 
 // Log is the sliding workload log: a fixed-capacity ring buffer of the

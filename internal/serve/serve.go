@@ -32,12 +32,12 @@ var ErrClosed = errors.New("serve: server is closed")
 type ReplanFunc func(tbl *table.Table, acs []expr.AdvCut, window []expr.Query) (*cost.Layout, error)
 
 // Config tunes a Server. The zero value of every field except Replan is
-// usable; New fills defaults.
+// usable; New fills defaults. A server always routes through the layout's
+// tree and reads only the columns a statement references (see
+// Server.Execute).
 type Config struct {
-	// Profile / Mode / ExecOptions configure physical execution, exactly as
-	// for a standalone engine.
-	Profile     exec.Profile
-	Mode        exec.Mode
+	// ExecOptions sets the scan worker pool (Parallelism); Execute sets
+	// its Trace per statement.
 	ExecOptions exec.Options
 	// ACs is the advanced-cut table queries may reference. Queries that
 	// reference cuts beyond it are rejected (the layout's descriptions
@@ -98,9 +98,6 @@ type Config struct {
 }
 
 func (c *Config) fillDefaults() {
-	if c.Profile.Name == "" {
-		c.Profile = exec.EngineSpark
-	}
 	if c.LogCapacity <= 0 {
 		c.LogCapacity = 1024
 	}
@@ -405,13 +402,18 @@ func (r Result) Header() *exec.Header {
 }
 
 // Execute runs one statement of any kind against the live generation,
-// merging uncompacted delta rows, and records its filter and scan cost
+// merging uncompacted delta rows, and records its filter and scan counts
 // in the workload log — so aggregate, row and join traffic drives drift
 // detection and background re-layouts exactly like plain filter queries.
 // Each side of a join is logged separately: join traffic pulls re-layouts
 // toward both build and probe filters, not a blended average. Safe for
 // concurrent use, including across generation swaps: a statement runs
 // entirely on the generation it acquired.
+//
+// Blocks are pruned by the layout's tree (exec.RouteQdTree) and read
+// through the store's cached handles under exec.EngineDBMS: only the
+// columns the statement references are read from blocks or copied out of
+// delta tables.
 //
 // Stage spans are recorded into tr; nil starts a fresh internal trace —
 // every statement is traced so the metrics, the trace ring, and inline
@@ -437,7 +439,7 @@ func (s *Server) Execute(stmt expr.Statement, tr *obs.Trace) (Result, error) {
 	}
 	g := s.gen
 	res := Result{Generation: g.id}
-	acs, prof, mode, dv := s.cfg.ACs, s.cfg.Profile, s.cfg.Mode, s.deltaView()
+	acs, prof, mode, dv := s.cfg.ACs, exec.EngineDBMS, exec.RouteQdTree, s.deltaView()
 	var err error
 	switch stmt.Kind() {
 	case expr.StmtFilter:
@@ -476,10 +478,10 @@ func (s *Server) Execute(stmt expr.Statement, tr *obs.Trace) (Result, error) {
 		s.metrics.joinBuildRows.Add(uint64(j.Join.RowsBuild))
 		s.metrics.joinProbeRows.Add(uint64(j.Join.RowsProbe))
 		// Per-side scan stats are exact; each side is measured against its
-		// own copy of the universe and the shared sim time is split evenly.
+		// own copy of the universe.
 		scans = []exec.Header{
-			{Query: name + "#left", ScanStats: *j.Left, RowsTotal: j.RowsTotal / 2, SimTime: j.SimTime / 2},
-			{Query: name + "#right", ScanStats: *j.Right, RowsTotal: j.RowsTotal / 2, SimTime: j.SimTime / 2},
+			{Query: name + "#left", ScanStats: *j.Left, RowsTotal: j.RowsTotal / 2},
+			{Query: name + "#right", ScanStats: *j.Right, RowsTotal: j.RowsTotal / 2},
 		}
 	}
 	for i, q := range filters {
@@ -493,7 +495,6 @@ func (s *Server) Execute(stmt expr.Statement, tr *obs.Trace) (Result, error) {
 			Matched:    h.RowsMatched,
 			Bytes:      h.BytesRead,
 			SkipRate:   h.SkipRate(),
-			SimTime:    h.SimTime,
 		})
 	}
 	return res, nil

@@ -40,8 +40,10 @@ type (
 )
 
 // ServeOptions configure NewServer. The zero value serves with the greedy
-// replanner, Spark profile, and drift gates of 16 logged queries / 10%
-// improvement; only Strategy-specific planning knobs usually need setting.
+// replanner and drift gates of 16 logged queries / 10% improvement; only
+// Strategy-specific planning knobs usually need setting. A server routes
+// every statement through the layout's tree and reads only the columns
+// it references, through block handles it keeps open (see serve.Config).
 type ServeOptions struct {
 	// Strategy names the registry planner used for background replans
 	// (default "greedy"). Tree-producing strategies are recommended — the
@@ -52,11 +54,8 @@ type ServeOptions struct {
 	Plan PlanOptions
 	// ACs is the advanced-cut table served queries may reference.
 	ACs []AdvCut
-	// Profile / Mode / Exec configure physical execution (default
-	// EngineSpark, RouteQdTree).
-	Profile EngineProfile
-	Mode    ExecMode
-	Exec    ExecOptions
+	// Exec sets the scan worker pool (Parallelism).
+	Exec ExecOptions
 	// LogCapacity / WindowSize / MinWindow / MinImprovement /
 	// CheckInterval / KeepGenerations tune the workload log and drift
 	// monitor; see serve.Config for semantics and defaults.
@@ -125,8 +124,6 @@ func NewServer(root string, opt ServeOptions) (*Server, error) {
 		return plan.Layout, nil
 	}
 	return serve.New(root, serve.Config{
-		Profile:         opt.Profile,
-		Mode:            opt.Mode,
 		ExecOptions:     opt.Exec,
 		ACs:             opt.ACs,
 		LogCapacity:     opt.LogCapacity,
