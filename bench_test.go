@@ -463,18 +463,18 @@ func parallelFixture(b *testing.B) (*qd.Plan, *qd.BlockStore, *workload.Spec) {
 }
 
 // BenchmarkParallelScanSpeedup measures the same multi-query workload at
-// Parallelism=1 vs Parallelism=4 (both batched, shared reads) and reports
-// the wall-clock speedup. On a single-core host the measured ratio
-// degenerates to ~1x while the deterministic model still reports the
-// 4x capacity; both are printed so the speedup is measured, not asserted.
+// Parallelism=1 vs Parallelism=4 and reports the wall-clock speedup. On a
+// single-core host the measured ratio degenerates to ~1x while the
+// deterministic model still reports the pool's capacity; both are
+// printed so the speedup is measured, not asserted.
 func BenchmarkParallelScanSpeedup(b *testing.B) {
 	plan, store, spec := parallelFixture(b)
-	eng1, err := qd.NewEngine(store, plan, qd.EngineSpark, qd.ExecOptions{Parallelism: 1, ShareReads: true})
+	eng1, err := qd.NewEngine(store, plan, qd.EngineSpark, qd.ExecOptions{Parallelism: 1})
 	if err != nil {
 		b.Fatal(err)
 	}
 	defer eng1.Close()
-	eng4, err := qd.NewEngine(store, plan, qd.EngineSpark, qd.ExecOptions{Parallelism: 4, ShareReads: true})
+	eng4, err := qd.NewEngine(store, plan, qd.EngineSpark, qd.ExecOptions{Parallelism: 4})
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -483,69 +483,34 @@ func BenchmarkParallelScanSpeedup(b *testing.B) {
 	var wall1, wall4, sim1, sim4 time.Duration
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
+		start := time.Now()
 		r1, err := eng1.Workload(spec.Queries)
 		if err != nil {
 			b.Fatal(err)
 		}
+		wall1 += time.Since(start)
+		start = time.Now()
 		r4, err := eng4.Workload(spec.Queries)
 		if err != nil {
 			b.Fatal(err)
 		}
+		wall4 += time.Since(start)
 		for qi := range r1.Results {
 			if r1.Results[qi].ScanStats != r4.Results[qi].ScanStats {
 				b.Fatalf("parallel counts diverged for %s", r1.Results[qi].Query)
 			}
 		}
-		wall1 += r1.WallTime
-		wall4 += r4.WallTime
-		sim1, sim4 = r1.SimTime, r4.SimTime
+		sim1, sim4 = r1.TotalSimTime, r4.TotalSimTime
 	}
 	b.ReportMetric(wall1.Seconds()/float64(b.N), "p1_wall_s")
 	b.ReportMetric(wall4.Seconds()/float64(b.N), "p4_wall_s")
 	b.ReportMetric(float64(wall1)/float64(wall4+1), "wall_speedup_x")
-	b.ReportMetric(float64(sim1)/float64(sim4+1), "model_speedup_x") // 4.0 by construction
-}
-
-// BenchmarkSharedReadSpeedup measures the batched read-once/filter-many
-// engine against per-query sequential execution on the same workload —
-// the multi-user scan-sharing win, independent of core count.
-func BenchmarkSharedReadSpeedup(b *testing.B) {
-	plan, store, spec := parallelFixture(b)
-	seqEng, err := qd.NewEngine(store, plan, qd.EngineSpark, qd.ExecOptions{Parallelism: 1})
-	if err != nil {
-		b.Fatal(err)
-	}
-	defer seqEng.Close()
-	batchEng, err := qd.NewEngine(store, plan, qd.EngineSpark, qd.ExecOptions{Parallelism: -1, ShareReads: true})
-	if err != nil {
-		b.Fatal(err)
-	}
-	seqEng.WithMode(qd.NoRoute)
-	batchEng.WithMode(qd.NoRoute)
-	var seqWall, batchWall time.Duration
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		start := time.Now()
-		for _, q := range spec.Queries {
-			if _, err := seqEng.Query(q); err != nil {
-				b.Fatal(err)
-			}
-		}
-		seqWall += time.Since(start)
-		wr, err := batchEng.Workload(spec.Queries)
-		if err != nil {
-			b.Fatal(err)
-		}
-		batchWall += wr.WallTime
-	}
-	b.ReportMetric(seqWall.Seconds()/float64(b.N), "per_query_wall_s")
-	b.ReportMetric(batchWall.Seconds()/float64(b.N), "batched_wall_s")
-	b.ReportMetric(float64(seqWall)/float64(batchWall+1), "speedup_x")
+	b.ReportMetric(float64(sim1)/float64(sim4+1), "model_speedup_x")
 }
 
 // BenchmarkCompressedScanSpeedup compares block format v1 (plain) against
 // v2 (encoded) on the categorical-heavy ErrorLog-Int workload: wall clock
-// of a full batched scan of each store, plus the on-disk compression ratio
+// of a full workload scan of each store, plus the on-disk compression ratio
 // and modeled (SimTime, encoded-byte-charged) speedup as metrics.
 func BenchmarkCompressedScanSpeedup(b *testing.B) {
 	spec := getELInt()
@@ -558,12 +523,12 @@ func BenchmarkCompressedScanSpeedup(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	v1Eng, err := qd.NewEngine(v1Store, plan, qd.EngineSpark, qd.ExecOptions{Parallelism: 1, ShareReads: true})
+	v1Eng, err := qd.NewEngine(v1Store, plan, qd.EngineSpark, qd.ExecOptions{Parallelism: 1})
 	if err != nil {
 		b.Fatal(err)
 	}
 	defer v1Eng.Close()
-	v2Eng, err := qd.NewEngine(v2Store, plan, qd.EngineSpark, qd.ExecOptions{Parallelism: 1, ShareReads: true})
+	v2Eng, err := qd.NewEngine(v2Store, plan, qd.EngineSpark, qd.ExecOptions{Parallelism: 1})
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -572,21 +537,23 @@ func BenchmarkCompressedScanSpeedup(b *testing.B) {
 	var v1Sim, v2Sim time.Duration
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
+		start := time.Now()
 		w1, err := v1Eng.Workload(spec.Queries)
 		if err != nil {
 			b.Fatal(err)
 		}
+		v1Wall += time.Since(start)
+		start = time.Now()
 		w2, err := v2Eng.Workload(spec.Queries)
 		if err != nil {
 			b.Fatal(err)
 		}
+		v2Wall += time.Since(start)
 		for qi := range w1.Results {
 			if w1.Results[qi].RowsMatched != w2.Results[qi].RowsMatched {
 				b.Fatalf("query %d: counts differ between formats", qi)
 			}
 		}
-		v1Wall += w1.WallTime
-		v2Wall += w2.WallTime
 		v1Sim += w1.TotalSimTime
 		v2Sim += w2.TotalSimTime
 	}

@@ -18,8 +18,11 @@ func TestExperimentSmoke(t *testing.T) {
 		{"table2", expTable2},
 		{"fig3", expFig3},
 		{"fig4", expFig4},
+		{"fig5a", func(c config) error { return expFig5(c, "spark") }},
+		{"fig5b", func(c config) error { return expFig5(c, "dbms") }},
 		{"fig6a", expFig6a},
 		{"fig6b", expFig6b},
+		{"fig7", expFig7},
 		{"fig9", expFig9},
 		{"layout", expLayout},
 	} {

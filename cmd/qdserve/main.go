@@ -209,7 +209,7 @@ func runServer(cfg config) error {
 	srv, err := qd.NewServer(store, qd.ServeOptions{
 		Strategy:        cfg.strategy,
 		Plan:            qd.PlanOptions{MinBlockSize: cfg.minBlock},
-		Exec:            qd.ExecOptions{Parallelism: cfg.parallel, ShareReads: true},
+		Exec:            qd.ExecOptions{Parallelism: cfg.parallel},
 		WindowSize:      cfg.window,
 		MinWindow:       cfg.minWindow,
 		MinImprovement:  cfg.threshold,

@@ -85,7 +85,7 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	eng, err := qd.NewEngine(store, plan, qd.EngineSpark, qd.ExecOptions{Parallelism: 4, ShareReads: true})
+	eng, err := qd.NewEngine(store, plan, qd.EngineSpark, qd.ExecOptions{Parallelism: 4})
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -94,6 +94,6 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	fmt.Printf("\nengine ran %d queries: %d physical block reads, simulated %v\n",
-		len(wr.Results), wr.PhysicalReads, wr.TotalSimTime.Round(time.Millisecond))
+	fmt.Printf("\nengine ran %d queries, simulated %v\n",
+		len(wr.Results), wr.TotalSimTime.Round(time.Millisecond))
 }

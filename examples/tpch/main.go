@@ -12,6 +12,7 @@ import (
 	"fmt"
 	"log"
 	"os"
+	"sort"
 	"time"
 
 	"repro/internal/workload"
@@ -96,16 +97,31 @@ func main() {
 	fmt.Printf("  with qd-tree routing: %v\n", routed.TotalSimTime.Round(time.Millisecond))
 	fmt.Printf("  no route (SMA only):  %v\n", nrRes.TotalSimTime.Round(time.Millisecond))
 
-	// Interpret the tree (Fig. 9 style).
+	// Interpret the tree (Fig. 9 style): most cuts first, ties by name,
+	// so the listing is the same on every run.
 	fmt.Println("\nTop cut columns of the deployed tree:")
+	type colCuts struct {
+		col   string
+		total int
+	}
+	var top []colCuts
 	for col, perDepth := range best.Tree.CutCounts() {
 		total := 0
 		for _, n := range perDepth {
 			total += n
 		}
 		if total >= 2 {
-			fmt.Printf("  %-16s %d cuts\n", col, total)
+			top = append(top, colCuts{col, total})
 		}
+	}
+	sort.Slice(top, func(i, j int) bool {
+		if top[i].total != top[j].total {
+			return top[i].total > top[j].total
+		}
+		return top[i].col < top[j].col
+	})
+	for _, c := range top {
+		fmt.Printf("  %-16s %d cuts\n", c.col, c.total)
 	}
 
 	// TPC-H Q1 and Q6: full aggregation statements pushed into the same

@@ -93,7 +93,8 @@ func (a *Arena) buffer(n int64) []byte {
 	return a.payload[:need]
 }
 
-// wantCols is wantCols backed by arena storage.
+// wantCols expands a column selection (nil = all) into a per-column flag
+// slice backed by arena storage, validating indices.
 func (a *Arena) wantCols(cols []int, ncols int) ([]bool, error) {
 	a.grow(ncols)
 	want := a.want[:ncols]
@@ -144,8 +145,9 @@ func (a *Arena) ResetPlain() {
 }
 
 // Plain converts vals into a PLAIN column vector backed by arena
-// scratch — the allocation-free counterpart of PlainColVec for delta
-// tables, valid until ResetPlain.
+// scratch, so the vectorized filter and aggregate kernels scan delta
+// rows that were never encoded to disk through the same code path as
+// base blocks. The vector is valid until ResetPlain.
 func (a *Arena) Plain(vals []int64) *ColVec {
 	need := 8 * len(vals)
 	if a.plainOff+need > len(a.plainBuf) {

@@ -558,25 +558,6 @@ func errColRange(c int) error {
 	return fmt.Errorf("blockstore: column %d out of range", c)
 }
 
-// wantCols expands a column selection (nil = all) into a per-column flag
-// slice, validating indices.
-func wantCols(cols []int, ncols int) ([]bool, error) {
-	want := make([]bool, ncols)
-	if cols == nil {
-		for i := range want {
-			want[i] = true
-		}
-		return want, nil
-	}
-	for _, c := range cols {
-		if c < 0 || c >= ncols {
-			return nil, errColRange(c)
-		}
-		want[c] = true
-	}
-	return want, nil
-}
-
 // ReadColVecs reads the given columns of block b (all when cols is nil) in
 // their on-disk encoding, ready for the vectorized filter kernels.
 // Unrequested columns are nil entries. bytesRead is the encoded I/O volume
@@ -593,9 +574,8 @@ func (s *Store) ReadColVecs(b int, cols []int) (vecs []*ColVec, rows int, bytesR
 // ReadColVecsArena is ReadColVecs backed by caller-owned arena scratch:
 // payload bytes, ColVec headers, and RLE run slices all come from ar, so
 // a steady-state scan reads blocks without allocating. Runs of adjacent
-// wanted columns are coalesced into one positioned read each — under
-// ShareReads a full-width scan costs one pread per block instead of one
-// per column. bytesRead still charges only wanted columns (gaps between
+// wanted columns are coalesced into one positioned read each — a
+// full-width scan costs one pread per block instead of one per column. bytesRead still charges only wanted columns (gaps between
 // wanted runs are neither read nor charged, identical to the per-column
 // path). The returned vectors and everything they reference are valid
 // only until the next ReadColVecsArena call on the same arena.

@@ -143,15 +143,3 @@ func NextDeltaSegID(dir string) (int, error) {
 	}
 	return next, nil
 }
-
-// PlainColVec wraps an in-memory int64 column as a PLAIN-encoded column
-// vector, so the vectorized filter and aggregate kernels can scan delta
-// rows that have never been encoded to disk through the exact code path
-// used for base blocks.
-func PlainColVec(vals []int64) *ColVec {
-	raw := make([]byte, 8*len(vals))
-	for i, v := range vals {
-		binary.LittleEndian.PutUint64(raw[8*i:], uint64(v))
-	}
-	return &ColVec{Enc: EncPlain, N: len(vals), raw: raw}
-}

@@ -31,7 +31,7 @@ package exec
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 	"time"
 
 	"repro/internal/blockstore"
@@ -263,13 +263,13 @@ type aggPlan struct {
 	// per-block min/max; SUM/AVG always need the column data.
 	metaAggs []int // aggregate indices servable from metadata when fully selected
 	dataAggs []int // aggregate indices that always read column data
-	readCols []int // read set for partially-selected blocks (nil = all columns)
-	dataCols []int // read set for fully-selected blocks (nil = all columns)
+	readCols []int // read set for partially-selected blocks
+	dataCols []int // read set for fully-selected blocks
 }
 
 // planAgg validates the query and decides metadata shortcuts and read
 // sets.
-func planAgg(store *blockstore.Store, aq expr.AggQuery, acs []expr.AdvCut, prof Profile) (*aggPlan, error) {
+func planAgg(store *blockstore.Store, aq expr.AggQuery, acs []expr.AdvCut) (*aggPlan, error) {
 	ncols := store.Schema.NumCols()
 	for _, a := range aq.Aggs {
 		if a.Func != expr.AggCountStar && (a.Col < 0 || a.Col >= ncols) {
@@ -281,62 +281,33 @@ func planAgg(store *blockstore.Store, aq expr.AggQuery, acs []expr.AdvCut, prof 
 			return nil, fmt.Errorf("exec: GROUP BY column %d outside %d-column schema", g, ncols)
 		}
 	}
-	for _, a := range aq.Filter.AdvRefs() {
-		if a < 0 || a >= len(acs) {
-			return nil, fmt.Errorf("exec: filter references advanced cut %d but the cut table holds %d", a, len(acs))
-		}
-	}
 	pl := &aggPlan{aq: aq, acs: acs, grouped: len(aq.GroupBy) > 0}
+	read := slices.Clone(aq.GroupBy)
+	var data []int
 	for i, a := range aq.Aggs {
+		if a.NeedsColumn() {
+			read = append(read, a.Col)
+		}
 		switch a.Func {
 		case expr.AggCountStar, expr.AggCount, expr.AggMin, expr.AggMax:
 			pl.metaAggs = append(pl.metaAggs, i)
 		default:
 			pl.dataAggs = append(pl.dataAggs, i)
+			data = append(data, a.Col)
 		}
 	}
+	var err error
+	if pl.readCols, err = readSet(aq.Filter, acs, ncols, read...); err != nil {
+		return nil, err
+	}
+	pl.dataCols, _ = readSet(expr.Query{}, acs, ncols, data...) // no filter, no error
 	if pl.grouped && len(aq.GroupBy) == 1 {
 		col := store.Schema.Cols[aq.GroupBy[0]]
 		if col.Kind == table.Categorical && col.Dom > 0 && col.Dom <= 65536 {
 			pl.denseDom = int(col.Dom)
 		}
 	}
-	if prof.Columnar {
-		seen := make(map[int]bool)
-		for _, p := range aq.Filter.Preds() {
-			seen[p.Col] = true
-		}
-		for _, a := range aq.Filter.AdvRefs() {
-			seen[acs[a].Left] = true
-			seen[acs[a].Right] = true
-		}
-		for _, g := range aq.GroupBy {
-			seen[g] = true
-		}
-		for _, a := range aq.Aggs {
-			if a.NeedsColumn() {
-				seen[a.Col] = true
-			}
-		}
-		pl.readCols = sortedCols(seen)
-		dataSeen := make(map[int]bool)
-		for _, ai := range pl.dataAggs {
-			dataSeen[aq.Aggs[ai].Col] = true
-		}
-		pl.dataCols = sortedCols(dataSeen)
-	}
 	return pl, nil
-}
-
-// sortedCols flattens a column set into sorted order. An empty set gives
-// an empty, non-nil slice: a nil read set means "all columns".
-func sortedCols(seen map[int]bool) []int {
-	out := make([]int, 0, len(seen))
-	for c := range seen {
-		out = append(out, c)
-	}
-	sort.Ints(out)
-	return out
 }
 
 // RunAggDelta executes one aggregate query over the merged view `delta ∪
@@ -361,7 +332,7 @@ func RunAggDelta(store *blockstore.Store, layout *cost.Layout, aq expr.AggQuery,
 // entry point of distributed scatter/gather (see merge.go).
 func RunAggPartialDelta(store *blockstore.Store, layout *cost.Layout, aq expr.AggQuery, acs []expr.AdvCut, prof Profile, mode Mode, opt Options, dv *DeltaView) (*AggPartialResult, error) {
 	start := time.Now()
-	pl, err := planAgg(store, aq, acs, prof)
+	pl, err := planAgg(store, aq, acs)
 	if err != nil {
 		return nil, err
 	}

@@ -57,17 +57,13 @@ func (d *DeltaView) tables() []*table.Table {
 // (cols nil = all) as PLAIN column vectors, mirroring the shape
 // blockstore.ReadColVecs returns for a block, and reports the plain
 // byte volume converted — what the cost model charges for the scan.
-// With an arena, conversion buffers come from its Plain space (valid
-// until the arena's next ResetPlain) instead of fresh allocations.
+// Conversion buffers come from the arena's Plain space, valid until its
+// next ResetPlain.
 func deltaColVecs(t *table.Table, cols []int, ar *blockstore.Arena) ([]*blockstore.ColVec, int64) {
 	vecs := make([]*blockstore.ColVec, len(t.Cols))
 	var nbytes int64
 	add := func(c int) {
-		if ar != nil {
-			vecs[c] = ar.Plain(t.Cols[c][:t.N])
-		} else {
-			vecs[c] = blockstore.PlainColVec(t.Cols[c][:t.N])
-		}
+		vecs[c] = ar.Plain(t.Cols[c][:t.N])
 		nbytes += int64(8 * t.N)
 	}
 	if cols == nil {

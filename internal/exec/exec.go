@@ -40,7 +40,7 @@
 // A parallel scan must report the same SimTime on every run, independent of
 // actual goroutine scheduling. Instead of timing workers, the engine keeps
 // two order-independent reductions over the deterministic per-block cost
-// c(b) = SeekCost + bytes(b)·ByteCost + rows(b)·filters(b)·RowCost:
+// c(b) = SeekCost + bytes(b)·ByteCost + rows(b)·RowCost:
 //
 //	total = Σ c(b)   — the single-stream work
 //	crit  = max c(b) — the critical path (one block is scanned by
@@ -60,7 +60,6 @@ package exec
 import (
 	"fmt"
 	"runtime"
-	"sort"
 	"sync"
 	"time"
 
@@ -219,12 +218,6 @@ type Options struct {
 	// Parallelism is the scan worker pool size. 1 scans on the calling
 	// goroutine; 0 or negative selects GOMAXPROCS.
 	Parallelism int
-	// ShareReads lets RunWorkloadDelta read each block once for all queries
-	// that scan it (read-once, filter-many) instead of once per query.
-	// Per-query accounting is unchanged — each query is still charged
-	// exactly the bytes it alone would have read — but the workload-level
-	// physical counters and SimTime reflect the shared reads.
-	ShareReads bool
 	// Trace, when non-nil, receives per-stage spans (block_prune, scan,
 	// delta_scan, merge) with pruning-cause attributes for this
 	// execution. Tracing never changes ScanStats; a nil Trace costs
@@ -240,11 +233,11 @@ func (o Options) workers() int {
 }
 
 // blockCost is the deterministic cost of scanning one block: one seek, the
-// bytes read, and nfilters filter passes over its rows.
-func blockCost(prof Profile, nbytes int64, nrows, nfilters int) time.Duration {
+// bytes read, and one filter pass over its rows.
+func blockCost(prof Profile, nbytes int64, nrows int) time.Duration {
 	return prof.SeekCost +
 		time.Duration(nbytes)*prof.ByteCost +
-		time.Duration(nrows)*time.Duration(nfilters)*prof.RowCost
+		time.Duration(nrows)*prof.RowCost
 }
 
 // parallelSimTime reduces total work and critical-path cost to the modeled
@@ -262,8 +255,8 @@ func parallelSimTime(total, crit time.Duration, workers int) time.Duration {
 
 // candidateBlocks selects the blocks query q must scan under mode, then
 // drops any candidate the blockstore catalog's SMA (min/max) metadata
-// proves non-matching. The sequential and parallel paths share this
-// dispatch-time pruning, so both scan the exact same block set.
+// proves non-matching. Every worker count scans the exact same block
+// set.
 func candidateBlocks(store *blockstore.Store, layout *cost.Layout, q expr.Query, mode Mode, rec *pruneRecorder) ([]int, error) {
 	var candidates []int
 	switch mode {
@@ -380,9 +373,9 @@ func runPool(n, workers int, fn func(worker, task int) error) error {
 // model of the package doc. A nil view means no delta.
 func RunDelta(store *blockstore.Store, layout *cost.Layout, q expr.Query, acs []expr.AdvCut, prof Profile, mode Mode, opt Options, dv *DeltaView) (Result, error) {
 	start := time.Now()
-	var cols []int
-	if prof.Columnar {
-		cols = queryColumns(q, acs)
+	cols, err := readSet(q, acs, store.Schema.NumCols())
+	if err != nil {
+		return Result{}, err
 	}
 	h, _, err := scan(store, layout, prof, mode, opt, dv, scanSpec{
 		filter:  q,
@@ -395,251 +388,4 @@ func RunDelta(store *blockstore.Store, layout *cost.Layout, q expr.Query, acs []
 	h.Query = q.Name
 	h.WallTime = time.Since(start)
 	return Result{Header: h}, err
-}
-
-// WorkloadResult reports a batched multi-query execution.
-type WorkloadResult struct {
-	Results []Result
-	// TotalSimTime is Σ per-query SimTime — the single-stream engine time,
-	// kept for profile-ordering comparisons.
-	TotalSimTime time.Duration
-	// SimTime is the deterministic estimate for the whole batch under
-	// Options.Parallelism workers (and shared reads, if enabled).
-	SimTime time.Duration
-	// WallTime is the measured wall clock of the whole batch.
-	WallTime time.Duration
-	// PhysicalReads and PhysicalBytes count actual block-file reads. With
-	// ShareReads they fall below the per-query sums because one read
-	// serves every query that scans the block.
-	PhysicalReads int
-	PhysicalBytes int64
-}
-
-// RunWorkloadDelta executes a whole workload as one batch over `delta ∪
-// base`: candidates are pruned per query via the layout plus the store's
-// SMA metadata, then dispatched to a pool of scan workers. With
-// ShareReads, queries touching the same block share one physical read
-// (read-once, filter-many). After the batched block scan every query
-// additionally scans every delta table in full; column conversions are
-// shared across queries per delta table, but each query is charged
-// exactly the bytes it alone references, matching the unshared
-// accounting of block scans. Per-query ScanStats and SimTime are
-// bit-identical to sequential execution for every Options value. A nil
-// view means no delta.
-func RunWorkloadDelta(store *blockstore.Store, layout *cost.Layout, w []expr.Query, acs []expr.AdvCut, prof Profile, mode Mode, opt Options, dv *DeltaView) (*WorkloadResult, error) {
-	workers := opt.workers()
-	cands := make([][]int, len(w))
-	colsets := make([][]int, len(w))
-	for i, q := range w {
-		c, err := candidateBlocks(store, layout, q, mode, nil)
-		if err != nil {
-			return nil, err
-		}
-		cands[i] = c
-		if prof.Columnar {
-			colsets[i] = queryColumns(q, acs)
-		}
-	}
-
-	// task is one physical block read evaluating one or more query filters.
-	type task struct {
-		block   int
-		queries []int // indices into w
-		cols    []int // columns to read; nil = all
-	}
-	var tasks []task
-	if opt.ShareReads {
-		byBlock := make(map[int]int) // block -> index into tasks
-		for qi, cs := range cands {
-			for _, b := range cs {
-				ti, ok := byBlock[b]
-				if !ok {
-					ti = len(tasks)
-					byBlock[b] = ti
-					tasks = append(tasks, task{block: b})
-				}
-				tasks[ti].queries = append(tasks[ti].queries, qi)
-			}
-		}
-		sort.Slice(tasks, func(i, j int) bool { return tasks[i].block < tasks[j].block })
-		if prof.Columnar {
-			for ti := range tasks {
-				tasks[ti].cols = unionColumns(colsets, tasks[ti].queries)
-			}
-		}
-	} else {
-		for qi, cs := range cands {
-			for _, b := range cs {
-				tasks = append(tasks, task{block: b, queries: []int{qi}, cols: colsets[qi]})
-			}
-		}
-	}
-
-	type acc struct {
-		perQuery  []ScanStats
-		physTotal time.Duration
-		crit      time.Duration
-		reads     int
-		bytes     int64
-		scratch   vecScratch
-		arena     *blockstore.Arena
-	}
-	accs := make([]acc, max(workers, 1))
-	for i := range accs {
-		accs[i].perQuery = make([]ScanStats, len(w))
-		accs[i].arena = blockstore.GetArena()
-	}
-	defer func() {
-		for i := range accs {
-			blockstore.PutArena(accs[i].arena)
-		}
-	}()
-	ncols := store.Schema.NumCols()
-	start := time.Now()
-	err := runPool(len(tasks), workers, func(slot, ti int) error {
-		t := tasks[ti]
-		a := &accs[slot]
-		vecs, nrows, nbytes, err := store.ReadColVecsArena(t.block, t.cols, a.arena)
-		if err != nil {
-			return err
-		}
-		if vecs == nil {
-			return nil
-		}
-		a.reads++
-		a.bytes += nbytes
-		for _, qi := range t.queries {
-			s := &a.perQuery[qi]
-			s.BlocksScanned++
-			s.RowsScanned += int64(nrows)
-			// Charge the query the bytes it alone would have read, so
-			// accounting matches an unshared scan exactly.
-			if prof.Columnar {
-				s.BytesRead += store.ColBytes(t.block, colsets[qi])
-				s.BytesLogical += int64(8*nrows) * int64(len(colsets[qi]))
-			} else {
-				s.BytesRead += store.ColBytes(t.block, nil)
-				s.BytesLogical += int64(8*nrows) * int64(ncols)
-			}
-			s.RowsMatched += int64(countMatchesVec(w[qi], acs, vecs, nrows, &a.scratch))
-		}
-		c := blockCost(prof, nbytes, nrows, len(t.queries))
-		a.physTotal += c
-		if c > a.crit {
-			a.crit = c
-		}
-		return nil
-	})
-	if err != nil {
-		return nil, err
-	}
-
-	res := &WorkloadResult{Results: make([]Result, len(w))}
-	merged := make([]ScanStats, len(w))
-	var crit, physTotal time.Duration
-	for i := range accs {
-		for qi := range merged {
-			merged[qi].merge(accs[i].perQuery[qi])
-		}
-		physTotal += accs[i].physTotal
-		if accs[i].crit > crit {
-			crit = accs[i].crit
-		}
-		res.PhysicalReads += accs[i].reads
-		res.PhysicalBytes += accs[i].bytes
-	}
-	for _, t := range dv.tables() {
-		// Per-table conversion cache; arena scratch is recycled between
-		// tables, and the block-scan vectors above are no longer live.
-		accs[0].arena.ResetPlain()
-		cache := make([]*blockstore.ColVec, ncols)
-		vecFor := func(c int) *blockstore.ColVec {
-			if cache[c] == nil {
-				cache[c] = accs[0].arena.Plain(t.Cols[c][:t.N])
-			}
-			return cache[c]
-		}
-		for qi := range w {
-			vecs := make([]*blockstore.ColVec, ncols)
-			width := int64(8 * ncols)
-			if prof.Columnar {
-				width = int64(8 * len(colsets[qi]))
-				for _, c := range colsets[qi] {
-					vecs[c] = vecFor(c)
-				}
-			} else {
-				for c := range vecs {
-					vecs[c] = vecFor(c)
-				}
-			}
-			s := &merged[qi]
-			nbytes := width * int64(t.N)
-			s.BlocksScanned++
-			s.DeltaRows += int64(t.N)
-			s.RowsScanned += int64(t.N)
-			s.BytesRead += nbytes
-			s.BytesLogical += nbytes
-			s.RowsMatched += int64(countMatchesVec(w[qi], acs, vecs, t.N, &accs[0].scratch))
-			if c := blockCost(prof, nbytes, t.N, 1); c > crit {
-				crit = c
-			}
-			physTotal += blockCost(prof, nbytes, t.N, 1)
-		}
-	}
-	totBlocks, totRows := storeTotals(store)
-	totRows += dv.Rows()
-	for qi := range merged {
-		r := Result{Header{Query: w[qi].Name, ScanStats: merged[qi], BlocksTotal: totBlocks, RowsTotal: totRows}}
-		r.SimTime = r.simTime(prof)
-		res.Results[qi] = r
-		res.TotalSimTime += r.SimTime
-	}
-	res.SimTime = parallelSimTime(physTotal, crit, workers)
-	res.WallTime = time.Since(start)
-	return res, nil
-}
-
-// unionColumns merges the sorted column sets of the given queries into one
-// sorted distinct read set.
-func unionColumns(colsets [][]int, queries []int) []int {
-	seen := make(map[int]bool)
-	var out []int
-	for _, qi := range queries {
-		for _, c := range colsets[qi] {
-			if !seen[c] {
-				seen[c] = true
-				out = append(out, c)
-			}
-		}
-	}
-	sort.Ints(out)
-	if out == nil {
-		out = []int{} // non-nil: an empty read set must not mean "all columns"
-	}
-	return out
-}
-
-// queryColumns returns the sorted distinct columns the query reads.
-func queryColumns(q expr.Query, acs []expr.AdvCut) []int {
-	seen := make(map[int]bool)
-	for _, p := range q.Preds() {
-		seen[p.Col] = true
-	}
-	for _, a := range q.AdvRefs() {
-		if a < len(acs) {
-			seen[acs[a].Left] = true
-			seen[acs[a].Right] = true
-		}
-	}
-	out := make([]int, 0, len(seen))
-	for c := range seen {
-		out = append(out, c)
-	}
-	// Insertion sort: the sets are tiny.
-	for i := 1; i < len(out); i++ {
-		for j := i; j > 0 && out[j] < out[j-1]; j-- {
-			out[j], out[j-1] = out[j-1], out[j]
-		}
-	}
-	return out
 }

@@ -1,8 +1,8 @@
 package exec
 
 import (
+	"fmt"
 	"testing"
-	"time"
 
 	"repro/internal/blockstore"
 	"repro/internal/cost"
@@ -134,44 +134,26 @@ func TestSimTimeMonotoneInWork(t *testing.T) {
 }
 
 // runSequential executes every query on its own, one worker each — the
-// single-stream ground truth the batched engine is held to.
-func runSequential(store *blockstore.Store, layout *cost.Layout, w []expr.Query, acs []expr.AdvCut, prof Profile, mode Mode) ([]Result, time.Duration, error) {
+// single-stream ground truth the worker pool is held to.
+func runSequential(store *blockstore.Store, layout *cost.Layout, w []expr.Query, acs []expr.AdvCut, prof Profile, mode Mode) ([]Result, error) {
 	out := make([]Result, 0, len(w))
-	var total time.Duration
 	for _, q := range w {
 		r, err := RunDelta(store, layout, q, acs, prof, mode, Options{Parallelism: 1}, nil)
 		if err != nil {
-			return nil, 0, err
+			return nil, err
 		}
 		out = append(out, r)
-		total += r.SimTime
 	}
-	return out, total, nil
-}
-
-func TestRunWorkloadAggregates(t *testing.T) {
-	st, layout, spec := fixture(t)
-	wr, err := RunWorkloadDelta(st, layout, spec.Queries, spec.ACs, EngineDBMS, RouteQdTree, Options{Parallelism: 1}, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	results, total := wr.Results, wr.TotalSimTime
-	if len(results) != len(spec.Queries) {
-		t.Fatalf("results = %d", len(results))
-	}
-	var sum int64
-	for _, r := range results {
-		sum += int64(r.SimTime)
-	}
-	if int64(total) != sum {
-		t.Error("aggregate sim time mismatch")
-	}
+	return out, nil
 }
 
 func TestQueryColumnsIncludesACs(t *testing.T) {
 	spec := workload.TPCH(workload.TPCHConfig{Rows: 100, SeedsPerTmpl: 1, Seed: 1})
 	for _, q := range spec.Queries {
-		cols := queryColumns(q, spec.ACs)
+		cols, err := readSet(q, spec.ACs, spec.Table.Schema.NumCols())
+		if err != nil {
+			t.Fatalf("%s: %v", q.Name, err)
+		}
 		for _, a := range q.AdvRefs() {
 			foundL, foundR := false, false
 			for _, c := range cols {
@@ -191,6 +173,25 @@ func TestQueryColumnsIncludesACs(t *testing.T) {
 			if cols[i] <= cols[i-1] {
 				t.Fatalf("%s: column set not sorted/unique: %v", q.Name, cols)
 			}
+		}
+	}
+	// An empty read set is empty, never nil ("all columns"); extra
+	// columns merge into the filter's.
+	ncols := spec.Table.Schema.NumCols()
+	if cols, err := readSet(expr.Query{}, spec.ACs, ncols); err != nil || cols == nil || len(cols) != 0 {
+		t.Errorf("empty filter: read set %v (nil %v), err %v", cols, cols == nil, err)
+	}
+	filter := expr.Query{Root: expr.NewPred(expr.Pred{Col: 2, Op: expr.Ge, Literal: 1})}
+	if cols, err := readSet(filter, spec.ACs, ncols, 5, 2, 0); err != nil || fmt.Sprint(cols) != "[0 2 5]" {
+		t.Errorf("filter on 2 plus {5 2 0}: read set %v, err %v", cols, err)
+	}
+	// Out-of-range filter columns and advanced cuts are errors.
+	for _, bad := range []expr.Query{
+		{Root: expr.NewPred(expr.Pred{Col: ncols, Op: expr.Ge, Literal: 1})},
+		{Root: expr.NewAdv(len(spec.ACs))},
+	} {
+		if _, err := readSet(bad, spec.ACs, ncols); err == nil {
+			t.Errorf("%s: out-of-range filter must error", bad)
 		}
 	}
 }

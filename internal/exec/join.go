@@ -74,13 +74,14 @@ type joinPlan struct {
 	// scanL / scanR are the column sets projectBlock materializes per
 	// side: the key first, then the side's projected columns.
 	scanL, scanR []int
-	// readL / readR are the physical column read sets (nil = all).
+	// readL / readR are each side's read set: its filter columns plus
+	// scanL / scanR.
 	readL, readR []int
 	codeSpace    bool
 	denseDom     int
 }
 
-func planJoin(store *blockstore.Store, jq expr.JoinQuery, acs []expr.AdvCut, prof Profile) (*joinPlan, error) {
+func planJoin(store *blockstore.Store, jq expr.JoinQuery, acs []expr.AdvCut) (*joinPlan, error) {
 	ncols := store.Schema.NumCols()
 	if len(jq.Cols) == 0 {
 		return nil, fmt.Errorf("exec: join has an empty projection")
@@ -96,13 +97,6 @@ func planJoin(store *blockstore.Store, jq expr.JoinQuery, acs []expr.AdvCut, pro
 	for _, k := range jq.OrderBy {
 		if k.Pos < 0 || k.Pos >= len(jq.Cols) {
 			return nil, fmt.Errorf("exec: ORDER BY position %d outside %d-column projection", k.Pos, len(jq.Cols))
-		}
-	}
-	for _, f := range []expr.Query{jq.LeftFilter, jq.RightFilter} {
-		for _, a := range f.AdvRefs() {
-			if a < 0 || a >= len(acs) {
-				return nil, fmt.Errorf("exec: filter references advanced cut %d but the cut table holds %d", a, len(acs))
-			}
 		}
 	}
 	if jq.Limit < 0 {
@@ -142,28 +136,14 @@ func planJoin(store *blockstore.Store, jq expr.JoinQuery, acs []expr.AdvCut, pro
 		pl.codeSpace = true
 		pl.denseDom = int(lc.Dom)
 	}
-	if prof.Columnar {
-		pl.readL = joinSideColumns(jq.LeftFilter, acs, pl.scanL)
-		pl.readR = joinSideColumns(jq.RightFilter, acs, pl.scanR)
+	var err error
+	if pl.readL, err = readSet(jq.LeftFilter, acs, ncols, pl.scanL...); err != nil {
+		return nil, err
+	}
+	if pl.readR, err = readSet(jq.RightFilter, acs, ncols, pl.scanR...); err != nil {
+		return nil, err
 	}
 	return pl, nil
-}
-
-// joinSideColumns is one side's sorted distinct physical read set:
-// filter columns plus the side's materialized columns.
-func joinSideColumns(f expr.Query, acs []expr.AdvCut, scan []int) []int {
-	seen := make(map[int]bool)
-	for _, p := range f.Preds() {
-		seen[p.Col] = true
-	}
-	for _, a := range f.AdvRefs() {
-		seen[acs[a].Left] = true
-		seen[acs[a].Right] = true
-	}
-	for _, c := range scan {
-		seen[c] = true
-	}
-	return sortedCols(seen)
 }
 
 // buildTable is the read-only lookup structure the probe phase shares:
@@ -208,7 +188,7 @@ func (bt *buildTable) lookup(k int64) [][]int64 {
 // its usual meaning. A nil view means no delta.
 func RunJoinDelta(store *blockstore.Store, layout *cost.Layout, jq expr.JoinQuery, acs []expr.AdvCut, prof Profile, mode Mode, opt Options, dv *DeltaView) (*RowsResult, error) {
 	start := time.Now()
-	pl, err := planJoin(store, jq, acs, prof)
+	pl, err := planJoin(store, jq, acs)
 	if err != nil {
 		return nil, err
 	}

@@ -11,49 +11,37 @@ var eqProfiles = []Profile{EngineSpark, EngineDBMS}
 var eqModes = []Mode{RouteQdTree, NoRoute}
 var eqOptions = []Options{
 	{Parallelism: 1},
-	{Parallelism: 1, ShareReads: true},
 	{Parallelism: 4},
-	{Parallelism: 4, ShareReads: true},
 	{Parallelism: 0}, // GOMAXPROCS
 }
 
-// TestWorkloadParallelEquivalence: per-query ScanStats and SimTime from the
-// batched parallel engine must be bit-identical to sequential execution for
-// every profile, mode, and Options value.
+// TestWorkloadParallelEquivalence: every query of the workload reports
+// ScanStats bit-identical to Parallelism 1 for every profile, mode, and
+// Options value; the parallel SimTime never exceeds the single stream.
 func TestWorkloadParallelEquivalence(t *testing.T) {
 	st, layout, spec := fixture(t)
 	defer st.Close()
 	for _, prof := range eqProfiles {
 		for _, mode := range eqModes {
-			seq, seqTotal, err := runSequential(st, layout, spec.Queries, spec.ACs, prof, mode)
+			seq, err := runSequential(st, layout, spec.Queries, spec.ACs, prof, mode)
 			if err != nil {
 				t.Fatal(err)
 			}
 			for _, opt := range eqOptions {
-				wr, err := RunWorkloadDelta(st, layout, spec.Queries, spec.ACs, prof, mode, opt, nil)
-				if err != nil {
-					t.Fatal(err)
-				}
-				if len(wr.Results) != len(seq) {
-					t.Fatalf("%s/%d/%+v: %d results, want %d", prof.Name, mode, opt, len(wr.Results), len(seq))
-				}
-				for i := range seq {
-					got, want := wr.Results[i], seq[i]
+				for i, q := range spec.Queries {
+					got, err := RunDelta(st, layout, q, spec.ACs, prof, mode, opt, nil)
+					if err != nil {
+						t.Fatal(err)
+					}
+					want := seq[i]
 					if got.ScanStats != want.ScanStats {
 						t.Errorf("%s/%d/%+v %s: stats %+v, sequential %+v",
 							prof.Name, mode, opt, want.Query, got.ScanStats, want.ScanStats)
 					}
-					if got.SimTime != want.SimTime {
+					if got.SimTime > want.SimTime || (opt.Parallelism == 1 && got.SimTime != want.SimTime) {
 						t.Errorf("%s/%d/%+v %s: SimTime %v, sequential %v",
 							prof.Name, mode, opt, want.Query, got.SimTime, want.SimTime)
 					}
-				}
-				if wr.TotalSimTime != seqTotal {
-					t.Errorf("%s/%d/%+v: TotalSimTime %v, sequential %v", prof.Name, mode, opt, wr.TotalSimTime, seqTotal)
-				}
-				// The parallel estimate never exceeds the single stream.
-				if wr.SimTime > wr.TotalSimTime {
-					t.Errorf("%s/%d/%+v: parallel SimTime %v > sequential %v", prof.Name, mode, opt, wr.SimTime, wr.TotalSimTime)
 				}
 			}
 		}
@@ -91,19 +79,20 @@ func TestRunOptsEquivalence(t *testing.T) {
 func TestParallelSimTimeDeterministic(t *testing.T) {
 	st, layout, spec := fixture(t)
 	defer st.Close()
-	opt := Options{Parallelism: 4, ShareReads: true}
-	first, err := RunWorkloadDelta(st, layout, spec.Queries, spec.ACs, EngineSpark, RouteQdTree, opt, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < 5; i++ {
-		again, err := RunWorkloadDelta(st, layout, spec.Queries, spec.ACs, EngineSpark, RouteQdTree, opt, nil)
+	opt := Options{Parallelism: 4}
+	for _, q := range spec.Queries {
+		first, err := RunDelta(st, layout, q, spec.ACs, EngineSpark, RouteQdTree, opt, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if again.SimTime != first.SimTime || again.TotalSimTime != first.TotalSimTime {
-			t.Fatalf("run %d: SimTime %v/%v, first %v/%v",
-				i, again.SimTime, again.TotalSimTime, first.SimTime, first.TotalSimTime)
+		for i := 0; i < 5; i++ {
+			again, err := RunDelta(st, layout, q, spec.ACs, EngineSpark, RouteQdTree, opt, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if again.SimTime != first.SimTime {
+				t.Fatalf("%s run %d: SimTime %v, first %v", q.Name, i, again.SimTime, first.SimTime)
+			}
 		}
 	}
 }
@@ -129,41 +118,12 @@ func TestParallelSimTimeModel(t *testing.T) {
 	}
 }
 
-// TestSharedReadsReadOnceFilterMany: with ShareReads a block is read once
-// no matter how many queries scan it.
-func TestSharedReadsReadOnceFilterMany(t *testing.T) {
-	st, layout, spec := fixture(t)
-	defer st.Close()
-	wr, err := RunWorkloadDelta(st, layout, spec.Queries, spec.ACs, EngineSpark, RouteQdTree, Options{Parallelism: 2, ShareReads: true}, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	distinct := map[int]bool{}
-	var logicalReads int
-	for _, q := range spec.Queries {
-		cands, err := candidateBlocks(st, layout, q, RouteQdTree, nil)
-		if err != nil {
-			t.Fatal(err)
-		}
-		logicalReads += len(cands)
-		for _, b := range cands {
-			distinct[b] = true
-		}
-	}
-	if wr.PhysicalReads != len(distinct) {
-		t.Errorf("physical reads %d, distinct candidate blocks %d", wr.PhysicalReads, len(distinct))
-	}
-	if logicalReads > len(distinct) && wr.PhysicalReads >= logicalReads {
-		t.Errorf("shared reads saved nothing: %d physical vs %d logical", wr.PhysicalReads, logicalReads)
-	}
-}
-
 // TestConcurrentScanStress scans one store from many goroutines at once —
 // the race-detector target for the shared block-reader and the pool.
 func TestConcurrentScanStress(t *testing.T) {
 	st, layout, spec := fixture(t)
 	defer st.Close()
-	exact, _, err := runSequential(st, layout, spec.Queries, spec.ACs, EngineDBMS, RouteQdTree)
+	exact, err := runSequential(st, layout, spec.Queries, spec.ACs, EngineDBMS, RouteQdTree)
 	if err != nil {
 		t.Fatal(err)
 	}

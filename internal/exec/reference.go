@@ -326,7 +326,7 @@ func RunRowsNaive(store *blockstore.Store, layout *cost.Layout, rq expr.RowQuery
 	for i, c := range rq.Cols {
 		res.Cols[i] = expr.ColRef{Side: 0, Col: c}
 	}
-	if err := validateRowQuery(store, rq, acs); err != nil {
+	if _, err := validateRowQuery(store, rq, acs); err != nil {
 		return nil, err
 	}
 	candidates, err := candidateBlocks(store, layout, rq.Filter, mode, nil)

@@ -75,48 +75,27 @@ type RowsResult struct {
 	MatchedLowerBound bool
 }
 
-// validateRowQuery bounds-checks the query against the store schema.
-func validateRowQuery(store *blockstore.Store, rq expr.RowQuery, acs []expr.AdvCut) error {
+// validateRowQuery bounds-checks the query against the store schema and
+// returns its read set: filter columns plus the projection.
+func validateRowQuery(store *blockstore.Store, rq expr.RowQuery, acs []expr.AdvCut) ([]int, error) {
 	ncols := store.Schema.NumCols()
 	if len(rq.Cols) == 0 {
-		return fmt.Errorf("exec: row query has an empty projection")
+		return nil, fmt.Errorf("exec: row query has an empty projection")
 	}
 	for _, c := range rq.Cols {
 		if c < 0 || c >= ncols {
-			return fmt.Errorf("exec: projected column %d outside %d-column schema", c, ncols)
+			return nil, fmt.Errorf("exec: projected column %d outside %d-column schema", c, ncols)
 		}
 	}
 	for _, k := range rq.OrderBy {
 		if k.Pos < 0 || k.Pos >= len(rq.Cols) {
-			return fmt.Errorf("exec: ORDER BY position %d outside %d-column projection", k.Pos, len(rq.Cols))
-		}
-	}
-	for _, a := range rq.Filter.AdvRefs() {
-		if a < 0 || a >= len(acs) {
-			return fmt.Errorf("exec: filter references advanced cut %d but the cut table holds %d", a, len(acs))
+			return nil, fmt.Errorf("exec: ORDER BY position %d outside %d-column projection", k.Pos, len(rq.Cols))
 		}
 	}
 	if rq.Limit < 0 {
-		return fmt.Errorf("exec: negative LIMIT %d", rq.Limit)
+		return nil, fmt.Errorf("exec: negative LIMIT %d", rq.Limit)
 	}
-	return nil
-}
-
-// rowQueryColumns is the sorted distinct read set: filter columns plus
-// the projection.
-func rowQueryColumns(rq expr.RowQuery, acs []expr.AdvCut) []int {
-	seen := make(map[int]bool)
-	for _, p := range rq.Filter.Preds() {
-		seen[p.Col] = true
-	}
-	for _, a := range rq.Filter.AdvRefs() {
-		seen[acs[a].Left] = true
-		seen[acs[a].Right] = true
-	}
-	for _, c := range rq.Cols {
-		seen[c] = true
-	}
-	return sortedCols(seen)
+	return readSet(rq.Filter, acs, ncols, rq.Cols...)
 }
 
 // RunRowsDelta executes a row query over the merged view `delta ∪ base`
@@ -125,13 +104,11 @@ func rowQueryColumns(rq expr.RowQuery, acs []expr.AdvCut) []int {
 // nil view means no delta.
 func RunRowsDelta(store *blockstore.Store, layout *cost.Layout, rq expr.RowQuery, acs []expr.AdvCut, prof Profile, mode Mode, opt Options, dv *DeltaView) (*RowsResult, error) {
 	start := time.Now()
-	if err := validateRowQuery(store, rq, acs); err != nil {
+	cols, err := validateRowQuery(store, rq, acs)
+	if err != nil {
 		return nil, err
 	}
-	sp := scanSpec{filter: rq.Filter, workers: opt.workers()}
-	if prof.Columnar {
-		sp.cols = rowQueryColumns(rq, acs)
-	}
+	sp := scanSpec{filter: rq.Filter, cols: cols, workers: opt.workers()}
 	topk := rq.Limit > 0 && len(rq.OrderBy) > 0
 	if topk {
 		sp.workers = 1 // the bound must be current when each block is considered

@@ -7,10 +7,13 @@ package exec
 // either side of a join) plugs into it as a scanSpec: which columns to
 // read, and what to do with each block's vectors. The driver owns
 // everything else — candidate pruning, the per-worker arenas, the pread,
-// ScanStats and critical-path accounting, the delta pass, the
-// block_prune/scan/delta_scan spans and the parallel SimTime model.
+// what the engine profile makes of the read set, ScanStats and
+// critical-path accounting, the delta pass, the block_prune/scan/
+// delta_scan spans and the parallel SimTime model.
 
 import (
+	"fmt"
+	"slices"
 	"time"
 
 	"repro/internal/blockstore"
@@ -38,7 +41,7 @@ func (w *scanWorker) account(prof Profile, nrows int, nbytes, logical int64) {
 	w.stats.RowsScanned += int64(nrows)
 	w.stats.BytesRead += nbytes
 	w.stats.BytesLogical += logical
-	if c := blockCost(prof, nbytes, nrows, 1); c > w.crit {
+	if c := blockCost(prof, nbytes, nrows); c > w.crit {
 		w.crit = c
 	}
 }
@@ -46,7 +49,7 @@ func (w *scanWorker) account(prof Profile, nrows int, nbytes, logical int64) {
 // scanSpec is what one statement kind plugs into the driver.
 type scanSpec struct {
 	filter  expr.Query // prunes the candidate blocks
-	cols    []int      // read set of a block or delta table (nil = all columns)
+	cols    []int      // the statement's read set (readSet; scan widens it per profile)
 	side    string     // join side ("build", "probe") labelling the spans; "" otherwise
 	workers int        // pool size (Options.workers, or 1); per-slot state of the kind is sized to it
 
@@ -56,9 +59,10 @@ type scanSpec struct {
 	fold func(w *scanWorker, vecs []*blockstore.ColVec, nrows int, full bool) int64
 
 	// catalog, when set, is offered each candidate base block before it is
-	// read. It may narrow the read set (cols) for a block whose rows are
-	// all selected (full), or answer the block from catalog metadata alone
-	// (skip: nothing is read and nothing counts as scanned).
+	// read and returns the block's read set: cols, or a narrower one for a
+	// block whose rows are all selected (full). It may also answer the
+	// block from catalog metadata alone (skip: nothing is read and nothing
+	// counts as scanned).
 	catalog func(w *scanWorker, b int) (cols []int, full, skip bool)
 
 	// order, when set, makes the visit sequential on worker 0: delta
@@ -94,12 +98,16 @@ func scan(store *blockstore.Store, layout *cost.Layout, prof Profile, mode Mode,
 		return h, 0, err
 	}
 
+	// physical is what the profile reads of a statement's read set, and
+	// that read's decoded width per row: a columnar engine reads only the
+	// statement's columns; a row-group engine (Spark over Parquet) reads
+	// whole blocks and delta tables (nil = all columns).
 	ncols := store.Schema.NumCols()
-	width := func(cols []int) int64 { // logical decoded width of one read set
-		if cols == nil {
-			return 8 * int64(ncols)
+	physical := func(cols []int) ([]int, int64) {
+		if !prof.Columnar {
+			return nil, 8 * int64(ncols)
 		}
-		return 8 * int64(len(cols))
+		return cols, 8 * int64(len(cols))
 	}
 	ws := make([]scanWorker, sp.workers)
 	for i := range ws {
@@ -119,6 +127,7 @@ func scan(store *blockstore.Store, layout *cost.Layout, prof Profile, mode Mode,
 				return nil
 			}
 		}
+		cols, width := physical(cols)
 		vecs, nrows, nbytes, err := store.ReadColVecsArena(b, cols, w.arena)
 		if err != nil {
 			return err
@@ -126,7 +135,7 @@ func scan(store *blockstore.Store, layout *cost.Layout, prof Profile, mode Mode,
 		if vecs == nil {
 			return nil
 		}
-		w.account(prof, nrows, nbytes, width(cols)*int64(nrows))
+		w.account(prof, nrows, nbytes, width*int64(nrows))
 		w.stats.RowsMatched += sp.fold(w, vecs, nrows, full)
 		return nil
 	}
@@ -143,10 +152,11 @@ func scan(store *blockstore.Store, layout *cost.Layout, prof Profile, mode Mode,
 		w := &ws[0]
 		base := w.stats
 		w.stats = ScanStats{}
+		cols, width := physical(sp.cols)
 		for _, t := range tabs {
 			w.arena.ResetPlain()
-			vecs, nbytes := deltaColVecs(t, sp.cols, w.arena)
-			w.account(prof, t.N, nbytes, width(sp.cols)*int64(t.N))
+			vecs, nbytes := deltaColVecs(t, cols, w.arena)
+			w.account(prof, t.N, nbytes, width*int64(t.N))
 			w.stats.DeltaRows += int64(t.N)
 			w.stats.RowsMatched += sp.fold(w, vecs, t.N, false)
 		}
@@ -202,4 +212,28 @@ func scan(store *blockstore.Store, layout *cost.Layout, prof Profile, mode Mode,
 	}
 	h.SimTime = parallelSimTime(h.simTime(prof), crit, sp.workers)
 	return h, stopped, nil
+}
+
+// readSet is a statement's read set: the sorted distinct columns of the
+// filter's predicates and advanced cuts, plus extra. It is never nil (nil
+// means "all columns"). A filter column or advanced cut outside the
+// schema or the cut table is an error here, before routing or a kernel
+// indexes with it.
+func readSet(f expr.Query, acs []expr.AdvCut, ncols int, extra ...int) ([]int, error) {
+	cols := make([]int, 0, 8)
+	for _, p := range f.Preds() {
+		if p.Col < 0 || p.Col >= ncols {
+			return nil, fmt.Errorf("exec: filter predicate on column %d outside %d-column schema", p.Col, ncols)
+		}
+		cols = append(cols, p.Col)
+	}
+	for _, a := range f.AdvRefs() {
+		if a < 0 || a >= len(acs) {
+			return nil, fmt.Errorf("exec: filter references advanced cut %d but the cut table holds %d", a, len(acs))
+		}
+		cols = append(cols, acs[a].Left, acs[a].Right)
+	}
+	cols = append(cols, extra...)
+	slices.Sort(cols)
+	return slices.Compact(cols), nil
 }

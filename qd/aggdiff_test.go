@@ -92,14 +92,13 @@ func sameAggRows(t *testing.T, label string, got, want qd.Rows) {
 // identical to the naive row-at-a-time reference evaluator — exact for
 // integer aggregates, within 1e-9 relative error for AVG — across both
 // block formats, both engine profiles, both pruning modes, every
-// parallelism/ShareReads setting, and the Engine facade.
+// parallelism setting, and the Engine facade.
 func TestAggregateDifferential(t *testing.T) {
 	profiles := []qd.EngineProfile{qd.EngineSpark, qd.EngineDBMS}
 	modes := []qd.ExecMode{qd.RouteQdTree, qd.NoRoute}
 	options := []qd.ExecOptions{
 		{Parallelism: 1},
 		{Parallelism: 4},
-		{Parallelism: 4, ShareReads: true},
 	}
 	for seed := int64(1); seed <= 4; seed++ {
 		seed := seed
@@ -130,7 +129,7 @@ func TestAggregateDifferential(t *testing.T) {
 				for _, mode := range modes {
 					for _, opt := range options {
 						for fi, store := range []*qd.BlockStore{v1, v2} {
-							label := fmt.Sprintf("v%d/%s/mode%d/p%d/share%v", fi+1, prof.Name, mode, opt.Parallelism, opt.ShareReads)
+							label := fmt.Sprintf("v%d/%s/mode%d/p%d", fi+1, prof.Name, mode, opt.Parallelism)
 							eng, err := qd.NewEngine(store, plan, prof, opt)
 							if err != nil {
 								t.Fatal(err)
@@ -196,12 +195,27 @@ func TestAggregateSQLEndToEnd(t *testing.T) {
 	if _, err := eng.Aggregate(qd.AggQuery{Aggs: []qd.Agg{{Func: qd.AggSum, Col: 99}}}); err == nil {
 		t.Error("out-of-schema aggregate must error through the engine")
 	}
-	// A filter referencing an advanced cut beyond the plan's table must
-	// surface as an error, never an index panic in the kernels.
-	if _, err := eng.Aggregate(qd.AggQuery{
-		Aggs:   []qd.Agg{{Func: qd.AggCountStar}},
-		Filter: qd.Query{Root: qd.AdvRef(len(acs) + 3)},
-	}); err == nil {
-		t.Error("out-of-range advanced cut must error through the engine")
+	// A filter referencing an advanced cut beyond the plan's table, or a
+	// column beyond the schema, must surface as an error through every
+	// statement kind, never an index panic in routing or the kernels.
+	for _, bad := range []qd.Query{
+		{Name: "adv", Root: qd.AdvRef(len(acs) + 3)},
+		{Name: "col", Root: qd.P(qd.Pred{Col: 99, Op: qd.Ge, Literal: 1})},
+	} {
+		if _, err := eng.Query(bad); err == nil {
+			t.Errorf("%s: out-of-range filter must error through Query", bad.Name)
+		}
+		if _, err := eng.Aggregate(qd.AggQuery{Aggs: []qd.Agg{{Func: qd.AggCountStar}}, Filter: bad}); err == nil {
+			t.Errorf("%s: out-of-range filter must error through Aggregate", bad.Name)
+		}
+		if _, err := eng.Select(qd.RowStmt{Row: &qd.RowQuery{Cols: []int{0}, Filter: bad}}); err == nil {
+			t.Errorf("%s: out-of-range filter must error through a row Select", bad.Name)
+		}
+		if _, err := eng.Select(qd.RowStmt{Join: &qd.JoinQuery{
+			Cols:        []qd.ColRef{{Side: 0, Col: 0}},
+			RightFilter: bad,
+		}}); err == nil {
+			t.Errorf("%s: out-of-range filter must error through a join Select", bad.Name)
+		}
 	}
 }

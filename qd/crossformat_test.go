@@ -84,14 +84,13 @@ func randomSpec(seed int64) (*qd.Table, []qd.Query, []qd.AdvCut) {
 // and a v2 (encoded) store, must return identical per-query match counts
 // — equal to the exact row-at-a-time ground truth — and identical
 // RowsScanned / BlocksScanned / RowsTotal through qd.Engine, across every
-// engine profile, pruning mode, parallelism, and read-sharing setting.
+// engine profile, pruning mode, and parallelism.
 func TestCrossFormatEquivalence(t *testing.T) {
 	profiles := []qd.EngineProfile{qd.EngineSpark, qd.EngineDBMS}
 	modes := []qd.ExecMode{qd.RouteQdTree, qd.NoRoute}
 	options := []qd.ExecOptions{
 		{Parallelism: 1},
 		{Parallelism: 4},
-		{Parallelism: 4, ShareReads: true},
 	}
 	for seed := int64(1); seed <= 4; seed++ {
 		seed := seed
@@ -122,7 +121,7 @@ func TestCrossFormatEquivalence(t *testing.T) {
 			for _, prof := range profiles {
 				for _, mode := range modes {
 					for _, opt := range options {
-						label := fmt.Sprintf("%s/mode%d/p%d/share%v", prof.Name, mode, opt.Parallelism, opt.ShareReads)
+						label := fmt.Sprintf("%s/mode%d/p%d", prof.Name, mode, opt.Parallelism)
 						e1, err := qd.NewEngine(v1, plan, prof, opt)
 						if err != nil {
 							t.Fatal(err)
@@ -160,25 +159,6 @@ func TestCrossFormatEquivalence(t *testing.T) {
 							}
 						}
 
-						// The batched path must agree with itself and the truth too.
-						w1, err := e1.Workload(queries)
-						if err != nil {
-							t.Fatalf("%s: v1 workload: %v", label, err)
-						}
-						w2, err := e2.Workload(queries)
-						if err != nil {
-							t.Fatalf("%s: v2 workload: %v", label, err)
-						}
-						for qi := range queries {
-							a, b := w1.Results[qi], w2.Results[qi]
-							if a.RowsMatched != truth[qi] || b.RowsMatched != truth[qi] {
-								t.Fatalf("%s: workload query %d matches v1=%d v2=%d truth=%d",
-									label, qi, a.RowsMatched, b.RowsMatched, truth[qi])
-							}
-							if a.RowsScanned != b.RowsScanned {
-								t.Fatalf("%s: workload query %d rows scanned diverge", label, qi)
-							}
-						}
 						e1.Close()
 						e2.Close()
 					}

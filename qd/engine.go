@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"os"
 	"sync"
+	"time"
 
 	"repro/internal/blockstore"
 	"repro/internal/cost"
@@ -233,17 +234,25 @@ func (e *Engine) Query(q Query) (ExecResult, error) {
 	return exec.RunDelta(e.store, e.layout, q, e.acs, e.prof, e.mode, e.opt, e.deltaView())
 }
 
-// Workload executes a whole workload as one batch: per-query SMA pruning
-// before dispatch, one scan worker pool across all queries, and (with
-// ExecOptions.ShareReads) one physical read per block shared by every
-// query touching it. Uncompacted delta rows are scanned by every query.
+// WorkloadResult reports a workload executed query by query.
+type WorkloadResult struct {
+	Results      []ExecResult  // one per query, in workload order
+	TotalSimTime time.Duration // Σ Results[i].SimTime
+}
+
+// Workload executes each query in order through Query. Each query sees
+// the delta as of its own start, as AggregateWorkload does.
 func (e *Engine) Workload(w []Query) (*WorkloadResult, error) {
-	e.mu.RLock()
-	defer e.mu.RUnlock()
-	if e.closed {
-		return nil, fmt.Errorf("qd: engine is closed")
+	out := &WorkloadResult{Results: make([]ExecResult, len(w))}
+	for i, q := range w {
+		res, err := e.Query(q)
+		if err != nil {
+			return nil, fmt.Errorf("qd: query %q: %w", q.Name, err)
+		}
+		out.Results[i] = res
+		out.TotalSimTime += res.SimTime
 	}
-	return exec.RunWorkloadDelta(e.store, e.layout, w, e.acs, e.prof, e.mode, e.opt, e.deltaView())
+	return out, nil
 }
 
 // Aggregate executes one aggregation statement (SELECT <aggs> FROM t

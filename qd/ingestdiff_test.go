@@ -38,7 +38,7 @@ func TestIngestDifferential(t *testing.T) {
 	modes := []qd.ExecMode{qd.RouteQdTree, qd.NoRoute}
 	options := []qd.ExecOptions{
 		{Parallelism: 1},
-		{Parallelism: 4, ShareReads: true},
+		{Parallelism: 4},
 	}
 	formats := []int{qd.StoreFormatV1, qd.StoreFormatV2}
 

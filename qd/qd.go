@@ -218,8 +218,6 @@ type (
 	ExecResult = exec.Result
 	// ScanStats are the physical counters of a scan.
 	ScanStats = exec.ScanStats
-	// WorkloadResult reports a batched multi-query execution.
-	WorkloadResult = exec.WorkloadResult
 	// ExecMode selects block pruning: qd-tree routing or SMA-only.
 	ExecMode = exec.Mode
 	// AggQuery is a full aggregation statement: SELECT-list aggregates,
@@ -238,9 +236,8 @@ type (
 	AggVal = exec.AggVal
 	// ExecOptions tune physical execution: Parallelism is the scan worker
 	// pool size (0 or negative selects GOMAXPROCS, 1 is sequential) and
-	// ShareReads makes Engine.Workload read each block once for all
-	// queries that scan it. Options change scheduling only — ScanStats
-	// are identical for every value.
+	// Trace, when set, collects per-stage spans. Options change
+	// scheduling only — ScanStats are identical for every value.
 	ExecOptions = exec.Options
 )
 

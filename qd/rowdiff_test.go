@@ -114,7 +114,7 @@ func sameTuples(t *testing.T, label string, got, want [][]int64) {
 // tables and random projection/ORDER BY/LIMIT/join workloads return
 // tuples bit-identical to the row-at-a-time reference evaluator across
 // both block formats, both engine profiles, both pruning modes, and
-// every parallelism/ShareReads setting — the deterministic comparator
+// every parallelism setting — the deterministic comparator
 // makes even unordered statements comparable without sorting the
 // expectation.
 func TestRowDifferential(t *testing.T) {
@@ -123,7 +123,6 @@ func TestRowDifferential(t *testing.T) {
 	options := []qd.ExecOptions{
 		{Parallelism: 1},
 		{Parallelism: 4},
-		{Parallelism: 4, ShareReads: true},
 	}
 	for seed := int64(1); seed <= 3; seed++ {
 		seed := seed
@@ -159,7 +158,7 @@ func TestRowDifferential(t *testing.T) {
 				for _, mode := range modes {
 					for _, opt := range options {
 						for fi, store := range []*qd.BlockStore{v1, v2} {
-							label := fmt.Sprintf("v%d/%s/mode%d/p%d/share%v", fi+1, prof.Name, mode, opt.Parallelism, opt.ShareReads)
+							label := fmt.Sprintf("v%d/%s/mode%d/p%d", fi+1, prof.Name, mode, opt.Parallelism)
 							eng, err := qd.NewEngine(store, plan, prof, opt)
 							if err != nil {
 								t.Fatal(err)
