@@ -96,6 +96,10 @@ func TestStatementRoutingParity(t *testing.T) {
 		{"selector >= 5", http.StatusOK, false},
 		{"SELECT NOPE(x) FROM t WHERE x < 5", http.StatusBadRequest, false},
 		{"SELECT x FROM t ORDER BY nope", http.StatusBadRequest, false},
+		{"SELECT a.x, b.x FROM a JOIN b ON a.x = b.x WHERE a.x < 2 OR b.x < 2", http.StatusBadRequest, false},
+		{"SELECT a.x, b.x FROM a JOIN b ON a.x = b.x WHERE a.x < b.x", http.StatusBadRequest, false},
+		{"SELECT a.x, b.x FROM a JOIN b ON a.x < b.x WHERE a.x < 2", http.StatusBadRequest, false},
+		{"SELECT a.x FROM a JOIN a ON a.x = a.x WHERE a.x < 2", http.StatusBadRequest, false},
 	}
 	for _, c := range cases {
 		aCode, a := ask(aloneHTTP.URL, c.sql)

@@ -1,8 +1,12 @@
 package sqlparse
 
 import (
+	"slices"
 	"strings"
 	"testing"
+
+	"repro/internal/expr"
+	"repro/internal/table"
 )
 
 // FuzzParse hardens the SQL parser with two properties:
@@ -186,4 +190,77 @@ func TestRoundTripNamedQueries(t *testing.T) {
 			t.Errorf("%q: advanced cuts changed across round-trip: %d -> %d", sql, len(p.ACs), len(p2.ACs))
 		}
 	}
+}
+
+// FuzzParseStatement hardens the serving entry point, which every tier
+// feeds raw client text, with three properties:
+//
+//  1. ParseStatement never panics, whatever bytes arrive.
+//  2. A failed parse leaves p.ACs as it was: a server reads growth of the
+//     cut table as "this statement introduces a cut".
+//  3. A parsed statement's canonical rendering — the text a front door
+//     scatters and a plan cache keys on — re-parses to a statement of
+//     the same kind that renders identically.
+//
+// Seeds are the routing-table texts of TestParseStatementRouting and the
+// statement shapes the serving benchmark sends, over a schema that has
+// the columns of both.
+func FuzzParseStatement(f *testing.F) {
+	seeds := []string{
+		"x >= 10 AND x < 20",
+		"SELECT COUNT(*), MAX(x) FROM t WHERE x < 50",
+		"SELECT x FROM t WHERE x < 5 ORDER BY x LIMIT 3",
+		"SELECT a.x, b.x FROM a JOIN b ON a.x = b.x WHERE a.x < 2 AND b.x < 2",
+		"SELECT * FROM t WHERE x < 10",
+		"selector >= 5",
+		"SELECT NOPE(x) FROM t WHERE x < 5",
+		"SELECT x FROM t ORDER BY nope",
+		"SELECT a.x, b.x FROM a JOIN b ON a.x = b.x WHERE a.x < 2 OR b.x < 2",
+		"SELECT a.x, b.x FROM a JOIN b ON a.x = b.x WHERE a.x < b.x",
+		"SELECT a.x, b.x FROM a JOIN b ON a.x < b.x WHERE a.x < 2",
+		"SELECT a.x FROM a JOIN a ON a.x = a.x WHERE a.x < 2",
+		"SELECT mode, COUNT(*), MAX(b) FROM logs WHERE (a < 10 OR b > 90) AND mode IN ('AIR', 'RAIL') GROUP BY mode",
+		"SELECT ship, mode, b FROM logs WHERE a >= 10 AND a < 20 ORDER BY ship DESC, b LIMIT 20",
+		"SELECT mode, a, COUNT(*), SUM(b), SUM(ship), AVG(b), AVG(a) FROM lineitem WHERE ship <= 2400 GROUP BY mode, a",
+		"SELECT SUM(b), COUNT(*) FROM lineitem WHERE ship >= '1994-01-01' AND ship < '1995-01-01' AND a BETWEEN 0.05 AND 0.07 AND b < 24",
+		"SELECT a, b, ship FROM lineitem WHERE ship >= 1096 AND a BETWEEN 1 AND 3 ORDER BY b DESC, a LIMIT 5",
+		"SELECT a, b, commit_d FROM lineitem WHERE b >= 500 AND ship < commit_d",
+		"SELECT a.a, b.a, a.mode FROM a JOIN b ON a.mode = b.mode WHERE a.b >= 900 AND b.b >= 950 ORDER BY a.a, b.a LIMIT 8",
+	}
+	for _, s := range seeds {
+		f.Add(s)
+	}
+	schema := table.MustSchema(append(testSchema().Cols,
+		table.Column{Name: "x", Kind: table.Numeric, Min: 0, Max: 999},
+		table.Column{Name: "selector", Kind: table.Numeric, Min: 0, Max: 9}))
+	names := schema.Names()
+	seeded := []expr.AdvCut{{Left: 2, Op: expr.Lt, Right: 3}}
+	f.Fuzz(func(t *testing.T, sql string) {
+		p := NewParser(schema)
+		p.ACs = append([]expr.AdvCut(nil), seeded...)
+		stmt, err := p.ParseStatement(sql) // must not panic
+		if err != nil {
+			if !slices.Equal(p.ACs, seeded) {
+				t.Fatalf("failed parse of %q changed the cut table to %v", sql, p.ACs)
+			}
+			return
+		}
+		rendered := stmt.StringWith(names, p.ACs)
+		// LIKE patterns matching nothing lower to an empty IN set, which
+		// has no SQL spelling; skip the fixpoint check for those.
+		if strings.Contains(rendered, "IN ()") {
+			return
+		}
+		p2 := NewParser(schema)
+		stmt2, err := p2.ParseStatement(rendered)
+		if err != nil {
+			t.Fatalf("round-trip parse failed\n  input:    %q\n  rendered: %q\n  error:    %v", sql, rendered, err)
+		}
+		if stmt2.Kind() != stmt.Kind() {
+			t.Fatalf("round trip changed the kind from %s to %s\n  input:    %q\n  rendered: %q", stmt.Type(), stmt2.Type(), sql, rendered)
+		}
+		if got := stmt2.StringWith(names, p2.ACs); got != rendered {
+			t.Fatalf("format not a fixpoint\n  input:  %q\n  first:  %q\n  second: %q", sql, rendered, got)
+		}
+	})
 }

@@ -147,23 +147,6 @@ func TestParseSelectAdvancedCutShared(t *testing.T) {
 	}
 }
 
-func TestParseSelectMany(t *testing.T) {
-	p := NewParser(testSchema())
-	aqs, err := p.ParseSelectMany([]string{
-		"SELECT COUNT(*) FROM t WHERE a < 5",
-		"SELECT mode, SUM(b) FROM t GROUP BY mode",
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(aqs) != 2 || aqs[0].Name != "q0" || aqs[1].Name != "q1" {
-		t.Fatalf("ParseSelectMany = %+v", aqs)
-	}
-	if _, err := p.ParseSelectMany([]string{"SELECT COUNT(*) FROM t", "garbage"}); err == nil {
-		t.Error("bad workload must error with query index")
-	}
-}
-
 func TestParseSelectNeedsColumn(t *testing.T) {
 	aq, _ := mustParseSelect(t, "SELECT COUNT(*), COUNT(b), SUM(a) FROM t")
 	// COUNT(*) and COUNT(col) only count selected rows; SUM reads data.

@@ -7,13 +7,13 @@
 // nesting, and column-vs-column comparisons, which become advanced cuts
 // (Sec. 6.1).
 //
-// Two entry points cover the two query surfaces:
-//
-//   - Parse takes a bare boolean filter (or the WHERE clause of a full
-//     statement) and returns the expr.Query the tree routes.
-//   - ParseSelect takes a full aggregation statement — SELECT over
-//     COUNT(*)/COUNT/SUM/MIN/MAX/AVG with an optional WHERE and GROUP BY
-//     — and returns an expr.AggQuery for the aggregate execution layer.
+// One grammar covers every query surface. Parser.ParseStatement lexes
+// and parses a text once: a bare boolean filter, or a SELECT whose shape
+// makes it an aggregation, a row statement, a two-table join or a legacy
+// match count (see ParseStatement). Every WHERE clause, join sides
+// included, goes through the same predicate parser, so every pushed-down
+// predicate stays a qd-tree cut candidate. Parse, ParseSelect and
+// ParseRowSelect are ParseStatement plus a check of the parsed kind.
 package sqlparse
 
 import (
@@ -33,8 +33,8 @@ type Parser struct {
 	Schema *table.Schema
 	ACs    []expr.AdvCut
 	// Tables optionally maps FROM-clause table names to schemas for
-	// two-table joins (ParseRowSelect). When nil, every table name
-	// binds Schema and a join is a self-join with positional aliases.
+	// two-table joins. When nil, every table name binds Schema and a
+	// join is a self-join with positional aliases.
 	Tables map[string]*table.Schema
 	// DateEpoch converts 'YYYY-MM-DD' literals to day numbers. The
 	// default counts days since 1992-01-01 (the TPC-H origin).
@@ -50,18 +50,24 @@ func defaultEpoch(y, m, d int) int64 {
 	days := int64(0)
 	for yy := 1992; yy < y; yy++ {
 		days += 365
-		if yy%4 == 0 {
+		if isLeap(yy) {
 			days++
 		}
 	}
-	mdays := []int{31, 28, 31, 30, 31, 30, 31, 31, 30, 31, 30, 31}
 	for mm := 1; mm < m; mm++ {
-		days += int64(mdays[mm-1])
-	}
-	if y%4 == 0 && m > 2 {
-		days++
+		days += int64(daysIn(y, mm))
 	}
 	return days + int64(d-1)
+}
+
+func isLeap(y int) bool { return y%4 == 0 && (y%100 != 0 || y%400 == 0) }
+
+// daysIn is the length of month m (1-12) of year y.
+func daysIn(y, m int) int {
+	if m == 2 && isLeap(y) {
+		return 29
+	}
+	return [...]int{31, 28, 31, 30, 31, 30, 31, 31, 30, 31, 30, 31}[m-1]
 }
 
 type tokKind int
@@ -178,7 +184,18 @@ type parseState struct {
 	toks  []token
 	i     int
 	depth int
+	// A join binds two tables; outside a join only the single Schema.
+	join    bool
+	tables  [2]string
+	schemas [2]*table.Schema
+	// sides is the set of join sides (bit 1<<side) the subtree just
+	// parsed reads; conj holds it for each top-level conjunct of a
+	// join's WHERE, which is where the clause splits by side.
+	sides uint8
+	conj  []uint8
 }
+
+const bothSides = 0b11
 
 func (ps *parseState) cur() token  { return ps.toks[ps.i] }
 func (ps *parseState) next() token { t := ps.toks[ps.i]; ps.i++; return t }
@@ -195,264 +212,66 @@ func isKeyword(t token, kw string) bool {
 	return t.kind == tokIdent && strings.EqualFold(t.text, kw)
 }
 
-// Parse parses either a full "SELECT ... FROM ... WHERE <expr>" statement
-// or a bare boolean expression, returning the query.
-func (p *Parser) Parse(sql string) (expr.Query, error) {
-	toks, err := lex(sql)
-	if err != nil {
-		return expr.Query{}, err
-	}
-	ps := &parseState{p: p, toks: toks}
-	// Skip an optional SELECT ... WHERE prefix.
-	if isKeyword(ps.cur(), "SELECT") {
-		for !isKeyword(ps.cur(), "WHERE") {
-			if ps.cur().kind == tokEOF {
-				return expr.Query{}, fmt.Errorf("sqlparse: SELECT without WHERE has no filter")
-			}
-			ps.next()
-		}
-	}
-	if isKeyword(ps.cur(), "WHERE") {
-		ps.next()
-	}
-	root, err := ps.parseOr()
-	if err != nil {
-		return expr.Query{}, err
-	}
-	if ps.cur().kind != tokEOF {
-		return expr.Query{}, fmt.Errorf("sqlparse: trailing input at %d: %q", ps.cur().pos, ps.cur().text)
-	}
-	return expr.Query{Root: root}, nil
-}
-
-// ParseMany parses a workload of statements, sharing the advanced-cut
-// table; query i is named q<i>.
-func (p *Parser) ParseMany(sqls []string) ([]expr.Query, error) {
-	out := make([]expr.Query, 0, len(sqls))
-	for i, sql := range sqls {
-		q, err := p.Parse(sql)
-		if err != nil {
-			return nil, fmt.Errorf("query %d: %w", i, err)
-		}
-		q.Name = fmt.Sprintf("q%d", i)
-		out = append(out, q)
-	}
-	return out, nil
-}
-
-// ParseSelect parses a full aggregation statement:
-//
-//	SELECT <item> [, <item>]... FROM <table>
-//	    [WHERE <filter>] [GROUP BY <col> [, <col>]...]
-//
-// where each item is COUNT(*), COUNT(col), SUM(col), MIN(col), MAX(col),
-// AVG(col), or a bare grouping column (which must then appear in GROUP
-// BY). The table name is accepted and ignored — the parser binds a single
-// schema. The filter uses the same predicate grammar as Parse, so every
-// pushed-down predicate stays a qd-tree cut candidate.
-func (p *Parser) ParseSelect(sql string) (expr.AggQuery, error) {
-	toks, err := lex(sql)
-	if err != nil {
-		return expr.AggQuery{}, err
-	}
-	ps := &parseState{p: p, toks: toks}
-	if !isKeyword(ps.cur(), "SELECT") {
-		return expr.AggQuery{}, fmt.Errorf("sqlparse: aggregation statement must start with SELECT, got %q at %d", ps.cur().text, ps.cur().pos)
-	}
-	ps.next()
-
-	var aq expr.AggQuery
-	var bareCols []int // bare select-list columns; must appear in GROUP BY
-	for {
-		item, bare, err := ps.parseSelectItem()
-		if err != nil {
-			return expr.AggQuery{}, err
-		}
-		if bare >= 0 {
-			bareCols = append(bareCols, bare)
-		} else {
-			aq.Aggs = append(aq.Aggs, item)
-		}
-		if ps.cur().kind != tokComma {
-			break
-		}
-		ps.next()
-	}
-	if len(aq.Aggs) == 0 && len(bareCols) == 0 {
-		return expr.AggQuery{}, fmt.Errorf("sqlparse: empty SELECT list")
-	}
-	if !isKeyword(ps.cur(), "FROM") {
-		return expr.AggQuery{}, fmt.Errorf("sqlparse: expected FROM at %d, got %q", ps.cur().pos, ps.cur().text)
-	}
-	ps.next()
-	if _, err := ps.expect(tokIdent, "table name"); err != nil {
-		return expr.AggQuery{}, err
-	}
-	if isKeyword(ps.cur(), "WHERE") {
-		ps.next()
-		root, err := ps.parseOr()
-		if err != nil {
-			return expr.AggQuery{}, err
-		}
-		aq.Filter = expr.Query{Root: root}
-	}
-	if isKeyword(ps.cur(), "GROUP") {
-		ps.next()
-		if !isKeyword(ps.cur(), "BY") {
-			return expr.AggQuery{}, fmt.Errorf("sqlparse: GROUP must be followed by BY at %d", ps.cur().pos)
-		}
-		ps.next()
-		for {
-			t, err := ps.expect(tokIdent, "grouping column")
-			if err != nil {
-				return expr.AggQuery{}, err
-			}
-			col := p.resolveCol(t.text)
-			if col < 0 {
-				return expr.AggQuery{}, fmt.Errorf("sqlparse: unknown column %q at %d", t.text, t.pos)
-			}
-			aq.GroupBy = append(aq.GroupBy, col)
-			if ps.cur().kind != tokComma {
-				break
-			}
-			ps.next()
-		}
-	}
-	if ps.cur().kind != tokEOF {
-		return expr.AggQuery{}, fmt.Errorf("sqlparse: trailing input at %d: %q", ps.cur().pos, ps.cur().text)
-	}
-	// Canonicalize: de-duplicate GROUP BY columns (keeping first position)
-	// so the rendered form is a parse fixpoint.
-	seen := make(map[int]bool, len(aq.GroupBy))
-	dedup := aq.GroupBy[:0]
-	for _, g := range aq.GroupBy {
-		if !seen[g] {
-			seen[g] = true
-			dedup = append(dedup, g)
-		}
-	}
-	aq.GroupBy = dedup
-	for _, c := range bareCols {
-		if !seen[c] {
-			return expr.AggQuery{}, fmt.Errorf("sqlparse: select column %q is not aggregated and not in GROUP BY", p.Schema.Cols[c].Name)
-		}
-	}
-	return aq, nil
-}
-
-// parseSelectItem parses one SELECT-list item. It returns either an
-// aggregate (bare == -1) or a bare column ordinal (bare >= 0).
-func (ps *parseState) parseSelectItem() (expr.Agg, int, error) {
-	t, err := ps.expect(tokIdent, "aggregate function or column")
-	if err != nil {
-		return expr.Agg{}, -1, err
-	}
-	var fn expr.AggFunc
-	switch strings.ToUpper(t.text) {
-	case "COUNT":
-		fn = expr.AggCount
-	case "SUM":
-		fn = expr.AggSum
-	case "MIN":
-		fn = expr.AggMin
-	case "MAX":
-		fn = expr.AggMax
-	case "AVG":
-		fn = expr.AggAvg
-	default:
-		// A bare column: only legal when grouped by it (validated later).
-		if ps.cur().kind == tokLParen {
-			return expr.Agg{}, -1, fmt.Errorf("sqlparse: unknown aggregate function %q at %d", t.text, t.pos)
-		}
-		col := ps.p.resolveCol(t.text)
-		if col < 0 {
-			return expr.Agg{}, -1, fmt.Errorf("sqlparse: unknown column %q at %d", t.text, t.pos)
-		}
-		return expr.Agg{}, col, nil
-	}
-	if _, err := ps.expect(tokLParen, "("); err != nil {
-		return expr.Agg{}, -1, err
-	}
-	if fn == expr.AggCount && ps.cur().kind == tokStar {
-		ps.next()
-		if _, err := ps.expect(tokRParen, ")"); err != nil {
-			return expr.Agg{}, -1, err
-		}
-		return expr.Agg{Func: expr.AggCountStar}, -1, nil
-	}
-	argTok, err := ps.expect(tokIdent, "column name")
-	if err != nil {
-		return expr.Agg{}, -1, err
-	}
-	col := ps.p.resolveCol(argTok.text)
-	if col < 0 {
-		return expr.Agg{}, -1, fmt.Errorf("sqlparse: unknown column %q at %d", argTok.text, argTok.pos)
-	}
-	if _, err := ps.expect(tokRParen, ")"); err != nil {
-		return expr.Agg{}, -1, err
-	}
-	return expr.Agg{Func: fn, Col: col}, -1, nil
-}
-
-// ParseSelectMany parses an aggregation workload, sharing the advanced-cut
-// table; statement i is named q<i>.
-func (p *Parser) ParseSelectMany(sqls []string) ([]expr.AggQuery, error) {
-	out := make([]expr.AggQuery, 0, len(sqls))
-	for i, sql := range sqls {
-		aq, err := p.ParseSelect(sql)
-		if err != nil {
-			return nil, fmt.Errorf("query %d: %w", i, err)
-		}
-		aq.Name = fmt.Sprintf("q%d", i)
-		out = append(out, aq)
-	}
-	return out, nil
-}
-
 func (ps *parseState) parseOr() (*expr.Node, error) {
 	left, err := ps.parseAnd()
 	if err != nil {
 		return nil, err
 	}
+	sides := ps.sides
 	children := []*expr.Node{left}
 	for isKeyword(ps.cur(), "OR") {
-		ps.next()
+		at := ps.next().pos
 		right, err := ps.parseAnd()
 		if err != nil {
 			return nil, err
 		}
+		if sides |= ps.sides; sides == bothSides {
+			return nil, fmt.Errorf("sqlparse: OR across join sides at %d (filters push down one side at a time)", at)
+		}
 		children = append(children, right)
 	}
+	ps.sides = sides
 	return expr.Or(children...), nil
 }
 
 func (ps *parseState) parseAnd() (*expr.Node, error) {
-	left, err := ps.parsePrimary()
-	if err != nil {
-		return nil, err
-	}
-	children := []*expr.Node{left}
-	for isKeyword(ps.cur(), "AND") {
-		ps.next()
-		right, err := ps.parsePrimary()
+	children := make([]*expr.Node, 0, 2)
+	var sides uint8
+	for {
+		n, err := ps.parsePrimary()
 		if err != nil {
 			return nil, err
 		}
-		children = append(children, right)
+		children = append(children, n)
+		sides |= ps.sides
+		if ps.join && ps.depth == 0 {
+			ps.conj = append(ps.conj, ps.sides)
+		}
+		if !isKeyword(ps.cur(), "AND") {
+			break
+		}
+		ps.next()
 	}
+	ps.sides = sides
 	return expr.And(children...), nil
 }
 
+// parsePrimary parses a parenthesized group or a predicate. In a join a
+// group is one conjunct, so it must read one side only.
 func (ps *parseState) parsePrimary() (*expr.Node, error) {
 	if ps.cur().kind == tokLParen {
+		at := ps.cur().pos
 		ps.depth++
 		if ps.depth > maxNestingDepth {
-			return nil, fmt.Errorf("sqlparse: expression nested deeper than %d at %d", maxNestingDepth, ps.cur().pos)
+			return nil, fmt.Errorf("sqlparse: expression nested deeper than %d at %d", maxNestingDepth, at)
 		}
 		ps.next()
 		inner, err := ps.parseOr()
 		if err != nil {
 			return nil, err
+		}
+		if ps.sides == bothSides {
+			return nil, fmt.Errorf("sqlparse: conjunction mixes join sides inside a group at %d (split into top-level AND terms)", at)
 		}
 		ps.depth--
 		if _, err := ps.expect(tokRParen, ")"); err != nil {
@@ -468,27 +287,33 @@ func (ps *parseState) parsePredicate() (*expr.Node, error) {
 	if err != nil {
 		return nil, err
 	}
-	col := ps.p.resolveCol(colTok.text)
-	if col < 0 {
-		return nil, fmt.Errorf("sqlparse: unknown column %q at %d", colTok.text, colTok.pos)
+	ref, sc, err := ps.resolve(colTok)
+	if err != nil {
+		return nil, err
 	}
+	col := ref.Col
+	ps.sides = 1 << ref.Side
 	t := ps.next()
 	switch {
 	case t.kind == tokOp:
 		// col op literal | col op column (advanced cut).
 		rhs := ps.next()
 		if rhs.kind == tokIdent && !looksLikeValueKeyword(rhs.text) {
-			rcol := ps.p.resolveCol(rhs.text)
-			if rcol < 0 {
-				return nil, fmt.Errorf("sqlparse: unknown column %q at %d", rhs.text, rhs.pos)
+			if ps.join {
+				// The ON clause is a join's only cross-column predicate.
+				return nil, fmt.Errorf("sqlparse: column-to-column predicates are not supported in join filters at %d", rhs.pos)
+			}
+			right, _, err := ps.resolve(rhs)
+			if err != nil {
+				return nil, err
 			}
 			op, err := opFromText(t.text)
 			if err != nil {
 				return nil, err
 			}
-			return expr.NewAdv(ps.p.internAC(expr.AdvCut{Left: col, Op: op, Right: rcol})), nil
+			return expr.NewAdv(ps.p.internAC(expr.AdvCut{Left: col, Op: op, Right: right.Col})), nil
 		}
-		lit, err := ps.p.literal(col, rhs)
+		lit, err := ps.p.literal(sc, col, rhs)
 		if err != nil {
 			return nil, err
 		}
@@ -510,7 +335,7 @@ func (ps *parseState) parsePredicate() (*expr.Node, error) {
 		var vals []int64
 		for {
 			v := ps.next()
-			lit, err := ps.p.literal(col, v)
+			lit, err := ps.p.literal(sc, col, v)
 			if err != nil {
 				return nil, err
 			}
@@ -526,7 +351,7 @@ func (ps *parseState) parsePredicate() (*expr.Node, error) {
 		return expr.NewPred(expr.NewIn(col, vals)), nil
 	case isKeyword(t, "BETWEEN"):
 		loTok := ps.next()
-		lo, err := ps.p.literal(col, loTok)
+		lo, err := ps.p.literal(sc, col, loTok)
 		if err != nil {
 			return nil, err
 		}
@@ -535,7 +360,7 @@ func (ps *parseState) parsePredicate() (*expr.Node, error) {
 			return nil, fmt.Errorf("sqlparse: BETWEEN requires AND at %d", andTok.pos)
 		}
 		hiTok := ps.next()
-		hi, err := ps.p.literal(col, hiTok)
+		hi, err := ps.p.literal(sc, col, hiTok)
 		if err != nil {
 			return nil, err
 		}
@@ -548,7 +373,7 @@ func (ps *parseState) parsePredicate() (*expr.Node, error) {
 		if err != nil {
 			return nil, err
 		}
-		return ps.p.likePred(col, pat.text, pat.pos)
+		return likePred(sc, col, pat.text, pat.pos)
 	}
 	return nil, fmt.Errorf("sqlparse: expected operator after column at %d, got %q", t.pos, t.text)
 }
@@ -577,6 +402,44 @@ func opFromText(s string) (expr.Op, error) {
 	return 0, fmt.Errorf("sqlparse: unsupported operator %q", s)
 }
 
+// resolve binds a column name to a join side, its ordinal in that
+// side's schema, and the schema. Outside a join every name binds the
+// single Schema (side 0), a table qualifier being stripped. In a join a
+// qualifier names the side; an unqualified name must belong to exactly
+// one side, so on a self-join every shared name needs a qualifier.
+func (ps *parseState) resolve(t token) (expr.ColRef, *table.Schema, error) {
+	if !ps.join {
+		if col := ps.p.resolveCol(t.text); col >= 0 {
+			return expr.ColRef{Col: col}, ps.p.Schema, nil
+		}
+		return expr.ColRef{}, nil, fmt.Errorf("sqlparse: unknown column %q at %d", t.text, t.pos)
+	}
+	name := t.text
+	if i := strings.LastIndexByte(name, '.'); i >= 0 {
+		qual, base := name[:i], name[i+1:]
+		for side, tbl := range ps.tables {
+			if qual != tbl {
+				continue
+			}
+			if c := ps.schemas[side].Col(base); c >= 0 {
+				return expr.ColRef{Side: side, Col: c}, ps.schemas[side], nil
+			}
+			return expr.ColRef{}, nil, fmt.Errorf("sqlparse: unknown column %q in table %q at %d", base, tbl, t.pos)
+		}
+		return expr.ColRef{}, nil, fmt.Errorf("sqlparse: unknown table qualifier %q at %d", qual, t.pos)
+	}
+	lc, rc := ps.schemas[0].Col(name), ps.schemas[1].Col(name)
+	switch {
+	case lc >= 0 && rc >= 0:
+		return expr.ColRef{}, nil, fmt.Errorf("sqlparse: ambiguous column %q (qualify with %s. or %s.) at %d", name, ps.tables[0], ps.tables[1], t.pos)
+	case lc >= 0:
+		return expr.ColRef{Side: 0, Col: lc}, ps.schemas[0], nil
+	case rc >= 0:
+		return expr.ColRef{Side: 1, Col: rc}, ps.schemas[1], nil
+	}
+	return expr.ColRef{}, nil, fmt.Errorf("sqlparse: unknown column %q at %d", name, t.pos)
+}
+
 func (p *Parser) resolveCol(name string) int {
 	// Strip a table qualifier ("R.a" -> "a").
 	if i := strings.LastIndexByte(name, '.'); i >= 0 {
@@ -598,37 +461,22 @@ func (p *Parser) internAC(ac expr.AdvCut) int {
 	return len(p.ACs) - 1
 }
 
-// literal resolves a literal token against the column type: numbers parse
-// directly; 'YYYY-MM-DD' strings become day numbers; other strings resolve
-// through the column dictionary.
-func (p *Parser) literal(col int, t token) (int64, error) {
-	return p.literalIn(p.Schema, col, t)
-}
-
-// literalIn is literal against an explicit schema (join sides may bind
-// different tables).
-func (p *Parser) literalIn(sc *table.Schema, col int, t token) (int64, error) {
+// literal resolves a literal token against column col of schema sc:
+// numbers parse directly; 'YYYY-MM-DD' strings become day numbers; other
+// strings resolve through the column dictionary.
+func (p *Parser) literal(sc *table.Schema, col int, t token) (int64, error) {
 	switch t.kind {
 	case tokNumber:
-		// Fixed-point decimals (e.g. 0.05) scale by the fractional width.
-		if dot := strings.IndexByte(t.text, '.'); dot >= 0 {
-			f, err := strconv.ParseFloat(t.text, 64)
-			if err != nil {
-				return 0, fmt.Errorf("sqlparse: bad number %q at %d", t.text, t.pos)
-			}
-			scale := len(t.text) - dot - 1
-			for i := 0; i < scale; i++ {
-				f *= 10
-			}
-			return int64(f + 0.5), nil
-		}
-		v, err := strconv.ParseInt(t.text, 10, 64)
-		if err != nil {
+		v, ok := fixedPoint(t.text)
+		if !ok {
 			return 0, fmt.Errorf("sqlparse: bad number %q at %d", t.text, t.pos)
 		}
 		return v, nil
 	case tokString:
 		if y, m, d, ok := parseDate(t.text); ok {
+			if d > daysIn(y, m) {
+				return 0, fmt.Errorf("sqlparse: invalid date %q at %d", t.text, t.pos)
+			}
 			return p.DateEpoch(y, m, d), nil
 		}
 		code := sc.Code(col, t.text)
@@ -638,6 +486,20 @@ func (p *Parser) literalIn(sc *table.Schema, col int, t token) (int64, error) {
 		return code, nil
 	}
 	return 0, fmt.Errorf("sqlparse: expected literal at %d, got %q", t.pos, t.text)
+}
+
+// fixedPoint reads a number literal as an integer. A decimal scales by
+// its fractional width (0.05 is 5, -1.5 is -15): the digits are read
+// as one integer with the point dropped, so the value is exact.
+func fixedPoint(s string) (int64, bool) {
+	if dot := strings.IndexByte(s, '.'); dot >= 0 {
+		if strings.IndexByte(s[dot+1:], '.') >= 0 {
+			return 0, false
+		}
+		s = s[:dot] + s[dot+1:]
+	}
+	v, err := strconv.ParseInt(s, 10, 64)
+	return v, err == nil
 }
 
 func parseDate(s string) (y, m, d int, ok bool) {
@@ -657,25 +519,18 @@ func parseDate(s string) (y, m, d int, ok bool) {
 	return y, m, d, m >= 1 && m <= 12 && d >= 1 && d <= 31
 }
 
-// likePred lowers LIKE 'prefix%' (or a pattern with no wildcard) to an IN
-// predicate over the dictionary codes whose strings match — the same
-// dictionary-filtering treatment the paper applies to string predicates.
-func (p *Parser) likePred(col int, pattern string, pos int) (*expr.Node, error) {
-	return p.likePredIn(p.Schema, col, pattern, pos)
-}
-
-// likePredIn is likePred against an explicit schema.
-func (p *Parser) likePredIn(sc *table.Schema, col int, pattern string, pos int) (*expr.Node, error) {
+// likePred lowers LIKE 'prefix%' (or a pattern with no wildcard) over
+// column col of schema sc to an IN predicate over the dictionary codes
+// whose strings match — the same dictionary-filtering treatment the
+// paper applies to string predicates.
+func likePred(sc *table.Schema, col int, pattern string, pos int) (*expr.Node, error) {
 	dict := sc.Cols[col].Dict
 	if dict == nil {
 		return nil, fmt.Errorf("sqlparse: LIKE on column %q without dictionary at %d", sc.Cols[col].Name, pos)
 	}
 	var vals []int64
-	match := func(s string) bool {
-		return likeMatch(pattern, s)
-	}
 	for code, s := range dict {
-		if match(s) {
+		if likeMatch(pattern, s) {
 			vals = append(vals, int64(code))
 		}
 	}

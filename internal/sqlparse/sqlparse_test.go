@@ -108,6 +108,11 @@ func TestParseDateLiteral(t *testing.T) {
 	if !q2.Eval([]int64{0, 0, 60, 0, 0}, nil) {
 		t.Error("1992-03-01 must be day 60")
 	}
+	// 1992 is a leap year, so Feb 29 exists and is the day before.
+	q3, _ := mustParse(t, "ship = '1992-02-29'")
+	if !q3.Eval([]int64{0, 0, 59, 0, 0}, nil) {
+		t.Error("1992-02-29 must be day 59")
+	}
 }
 
 func TestParseStringDictionary(t *testing.T) {
@@ -167,6 +172,13 @@ func TestParseDecimalScaling(t *testing.T) {
 	if !q.Eval([]int64{5, 0, 0, 0, 0}, nil) || q.Eval([]int64{4, 0, 0, 0, 0}, nil) {
 		t.Error("decimal scaling wrong")
 	}
+	// Negative decimals scale exactly too: no rounding toward zero.
+	for sql, want := range map[string]string{"a >= -0.05": "a >= -5", "a = -1.5": "a = -15", "a = 2.": "a = 2"} {
+		q, p := mustParse(t, sql)
+		if got := q.StringWith(p.Schema.Names(), p.ACs); got != want {
+			t.Errorf("%q parsed to %q, want %q", sql, got, want)
+		}
+	}
 }
 
 func TestParseErrors(t *testing.T) {
@@ -184,24 +196,16 @@ func TestParseErrors(t *testing.T) {
 		"a LIKE 'x%'", // numeric column without dictionary
 		"mode LIKE missing_quote",
 		"a = 'not-in-dict'",
+		"a = 1.2.3",
+		// Days past the month's end are not dates.
+		"ship = '1998-02-30'",
+		"ship = '1998-04-31'",
+		"ship = '1993-02-29'",
+		"ship = '1900-02-29'",
 	}
 	for _, sql := range bad {
 		if _, err := p.Parse(sql); err == nil {
 			t.Errorf("%q: expected error", sql)
 		}
-	}
-}
-
-func TestParseMany(t *testing.T) {
-	p := NewParser(testSchema())
-	qs, err := p.ParseMany([]string{"a < 5", "b > 7"})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(qs) != 2 || qs[0].Name != "q0" || qs[1].Name != "q1" {
-		t.Fatalf("ParseMany = %+v", qs)
-	}
-	if _, err := p.ParseMany([]string{"a < 5", "zzz"}); err == nil {
-		t.Error("bad workload must error with query index")
 	}
 }

@@ -38,6 +38,8 @@
 package qd
 
 import (
+	"fmt"
+
 	"repro/internal/blockstore"
 	"repro/internal/core"
 	"repro/internal/cost"
@@ -140,13 +142,19 @@ func NewTree(s *Schema, acs []AdvCut) *Tree { return core.NewTree(s, acs) }
 // per distinct reference.
 func ExtractCuts(queries []Query) []Cut { return core.ExtractCuts(queries) }
 
-// ParseWorkload parses SQL WHERE clauses (or full SELECT statements) into
-// queries plus the advanced-cut table discovered during parsing.
+// ParseWorkload parses SQL WHERE clauses (or the WHERE of full
+// single-table SELECT statements) into queries named q<i>, plus the
+// advanced-cut table discovered during parsing.
 func ParseWorkload(s *Schema, sqls []string) ([]Query, []AdvCut, error) {
 	p := sqlparse.NewParser(s)
-	qs, err := p.ParseMany(sqls)
-	if err != nil {
-		return nil, nil, err
+	qs := make([]Query, 0, len(sqls))
+	for i, sql := range sqls {
+		q, err := p.Parse(sql)
+		if err != nil {
+			return nil, nil, fmt.Errorf("query %d: %w", i, err)
+		}
+		q.Name = fmt.Sprintf("q%d", i)
+		qs = append(qs, q)
 	}
 	return qs, p.ACs, nil
 }
@@ -167,12 +175,18 @@ func ParseSelect(s *Schema, sql string) (AggQuery, []AdvCut, error) {
 }
 
 // ParseAggWorkload parses an aggregation workload, returning the
-// statements plus the advanced-cut table their filters discovered.
+// statements, named q<i>, plus the advanced-cut table their filters
+// discovered.
 func ParseAggWorkload(s *Schema, sqls []string) ([]AggQuery, []AdvCut, error) {
 	p := sqlparse.NewParser(s)
-	aqs, err := p.ParseSelectMany(sqls)
-	if err != nil {
-		return nil, nil, err
+	aqs := make([]AggQuery, 0, len(sqls))
+	for i, sql := range sqls {
+		aq, err := p.ParseSelect(sql)
+		if err != nil {
+			return nil, nil, fmt.Errorf("query %d: %w", i, err)
+		}
+		aq.Name = fmt.Sprintf("q%d", i)
+		aqs = append(aqs, aq)
 	}
 	return aqs, p.ACs, nil
 }

@@ -2,6 +2,7 @@ package qd_test
 
 import (
 	"bytes"
+	"strings"
 	"testing"
 
 	"repro/qd"
@@ -127,5 +128,46 @@ func TestExplicitQueryConstruction(t *testing.T) {
 	}
 	if got := plan.Tree.QueryBlocks(q); len(got) == 0 {
 		t.Error("query must intersect at least one block")
+	}
+}
+
+// TestParseWorkloadNamesQueries: a workload's queries are named q<i> in
+// order, a full single-table SELECT contributes its WHERE clause, and a
+// bad text fails with its index.
+func TestParseWorkloadNamesQueries(t *testing.T) {
+	schema := microDataset(t).Schema
+	qs, acs, err := qd.ParseWorkload(schema, []string{
+		"ship < 5",
+		"SELECT COUNT(*) FROM t WHERE ship < commit_d",
+		"SELECT * FROM t WHERE mode = 'AIR'",
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(qs) != 3 || qs[0].Name != "q0" || qs[1].Name != "q1" || qs[2].Name != "q2" || len(acs) != 1 {
+		t.Fatalf("ParseWorkload = %+v, cuts %v", qs, acs)
+	}
+	if _, _, err := qd.ParseWorkload(schema, []string{"ship < 5", "zzz"}); err == nil || !strings.Contains(err.Error(), "query 1:") {
+		t.Errorf("bad workload error = %v, want one naming query 1", err)
+	}
+}
+
+// TestParseAggWorkloadNamesStatements: an aggregation workload's
+// statements are named q<i> in order, and a bad text fails with its
+// index.
+func TestParseAggWorkloadNamesStatements(t *testing.T) {
+	schema := microDataset(t).Schema
+	aqs, _, err := qd.ParseAggWorkload(schema, []string{
+		"SELECT COUNT(*) FROM t WHERE ship < 5",
+		"SELECT mode, SUM(ship) FROM t GROUP BY mode",
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(aqs) != 2 || aqs[0].Name != "q0" || aqs[1].Name != "q1" {
+		t.Fatalf("ParseAggWorkload = %+v", aqs)
+	}
+	if _, _, err := qd.ParseAggWorkload(schema, []string{"SELECT COUNT(*) FROM t", "garbage"}); err == nil || !strings.Contains(err.Error(), "query 1:") {
+		t.Errorf("bad workload error = %v, want one naming query 1", err)
 	}
 }
