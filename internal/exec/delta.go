@@ -53,27 +53,15 @@ func (d *DeltaView) tables() []*table.Table {
 	return out
 }
 
-// deltaColVecs wraps the referenced columns of one in-memory delta table
-// (cols nil = all) as PLAIN column vectors, mirroring the shape
-// blockstore.ReadColVecs returns for a block, and reports the plain
-// byte volume converted — what the cost model charges for the scan.
-// Conversion buffers come from the arena's Plain space, valid until its
-// next ResetPlain.
+// deltaColVecs wraps the given columns of one in-memory delta table as
+// PLAIN column vectors, mirroring the shape blockstore.ReadColVecs
+// returns for a block, and reports the plain byte volume converted (8
+// bytes per value). Conversion buffers come from the arena's Plain
+// space, valid until its next ResetPlain.
 func deltaColVecs(t *table.Table, cols []int, ar *blockstore.Arena) ([]*blockstore.ColVec, int64) {
 	vecs := make([]*blockstore.ColVec, len(t.Cols))
-	var nbytes int64
-	add := func(c int) {
+	for _, c := range cols {
 		vecs[c] = ar.Plain(t.Cols[c][:t.N])
-		nbytes += int64(8 * t.N)
 	}
-	if cols == nil {
-		for c := range t.Cols {
-			add(c)
-		}
-	} else {
-		for _, c := range cols {
-			add(c)
-		}
-	}
-	return vecs, nbytes
+	return vecs, int64(8*t.N) * int64(len(cols))
 }

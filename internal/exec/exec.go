@@ -7,16 +7,18 @@
 // Two profiles model the paper's engines:
 //
 //   - EngineSpark: row-group scanning over Parquet-like files — every
-//     referenced block is read in full (all columns).
+//     referenced block is charged in full (all columns).
 //   - EngineDBMS: a columnar DBMS — only the columns the query touches are
-//     read (late materialization), with a lower per-row CPU cost.
+//     charged (late materialization), with a lower per-row CPU cost.
 //
+// A profile is a price, not a read path: under both, the scan reads only
+// the statement's columns, and Profile.price charges each scanned unit.
 // Simulated time is seek + bytes/bandwidth + rows×CPU, the same mechanism
 // that drives the paper's wall-clock results; absolute seconds are not
 // comparable to the paper's cluster, but layout orderings and ratios are.
-// ByteCost charges the encoded (on-disk) bytes actually read — for block
-// format v2 stores, compressed columns — while RowCost charges logical
-// rows, so compression shows up as modeled scan speedup.
+// ByteCost charges encoded (on-disk) bytes — for block format v2 stores,
+// compressed columns — while RowCost charges logical rows, so compression
+// shows up as modeled scan speedup.
 //
 // # Vectorized filters over encoded columns
 //
@@ -72,19 +74,20 @@ import (
 // Profile models one execution engine.
 type Profile struct {
 	Name     string
-	Columnar bool          // read only referenced columns
+	Columnar bool          // charge only the referenced columns (see price)
 	SeekCost time.Duration // per block touched
 	ByteCost time.Duration // per byte read (I/O)
 	RowCost  time.Duration // per row filtered (CPU)
 }
 
 // EngineSpark approximates the distributed-Spark-over-Parquet setup of
-// Fig. 5a: full block reads, per-block open overhead (remote blob store),
-// moderate CPU cost. SeekCost is calibrated so that, at this repo's
-// benchmark block sizes (10²–10³ rows vs the paper's 10⁵–10⁶), the
-// seek:scan cost ratio matches the paper's testbed (~1–2% of a block
-// read); with the paper's 8ms-per-54MB-block overheads applied to tiny
-// blocks, seek time would swamp scan time and invert every comparison.
+// Fig. 5a: whole blocks charged (row groups), per-block open overhead
+// (remote blob store), moderate CPU cost. SeekCost is calibrated so
+// that, at this repo's benchmark block sizes (10²–10³ rows vs the
+// paper's 10⁵–10⁶), the seek:scan cost ratio matches the paper's testbed
+// (~1–2% of a block read); with the paper's 8ms-per-54MB-block overheads
+// applied to tiny blocks, seek time would swamp scan time and invert
+// every comparison.
 var EngineSpark = Profile{
 	Name:     "spark",
 	Columnar: false,
@@ -94,8 +97,8 @@ var EngineSpark = Profile{
 }
 
 // EngineDBMS approximates the single-node commercial columnar DBMS of
-// Fig. 5b: column-pruned reads from local SSD, low per-block overhead
-// (same block-size calibration note as EngineSpark).
+// Fig. 5b: only the referenced columns charged, from local SSD, low
+// per-block overhead (same block-size calibration note as EngineSpark).
 var EngineDBMS = Profile{
 	Name:     "dbms",
 	Columnar: true,
@@ -111,13 +114,11 @@ type ScanStats struct {
 	BlocksScanned int
 	RowsScanned   int64
 	RowsMatched   int64
-	// BytesRead is the encoded (on-disk) I/O volume — for block format v2
-	// this is what the scanned columns physically occupy, the quantity
-	// Profile.ByteCost charges. BytesLogical is the same data's decoded
-	// footprint (8 bytes per value); BytesRead/BytesLogical is the scan's
-	// effective compression ratio.
-	BytesRead    int64
-	BytesLogical int64
+	// BytesRead is the encoded (on-disk) I/O volume the profile charges,
+	// the quantity Profile.ByteCost prices (see Profile.price): the bytes
+	// of the scanned columns under a columnar profile, of every column
+	// under the Spark profile.
+	BytesRead int64
 	// DeltaRows is the share of RowsScanned that came from the streaming
 	// ingest delta (scanned unpruned; see delta.go). Zero for scans
 	// without a delta view.
@@ -129,15 +130,29 @@ func (s *ScanStats) merge(o ScanStats) {
 	s.RowsScanned += o.RowsScanned
 	s.RowsMatched += o.RowsMatched
 	s.BytesRead += o.BytesRead
-	s.BytesLogical += o.BytesLogical
 	s.DeltaRows += o.DeltaRows
 }
 
 // simTime is the deterministic single-stream cost of the counted work.
 func (s ScanStats) simTime(prof Profile) time.Duration {
-	return time.Duration(s.BlocksScanned)*prof.SeekCost +
-		time.Duration(s.BytesRead)*prof.ByteCost +
-		time.Duration(s.RowsScanned)*prof.RowCost
+	_, t := prof.price(s.BlocksScanned, s.RowsScanned, s.BytesRead, s.BytesRead)
+	return t
+}
+
+// price is the profile's cost model, its one reading of Columnar: the
+// bytes it charges for scanning units (blocks or delta tables) of nrows
+// rows, and their modeled time — a seek per unit, the charged bytes, one
+// filter pass over the rows. read is what the scan read of the units;
+// whole is their full size over every column, what a row-group engine
+// pays for the same scan.
+func (p Profile) price(units int, nrows, read, whole int64) (int64, time.Duration) {
+	nbytes := whole
+	if p.Columnar {
+		nbytes = read
+	}
+	return nbytes, time.Duration(units)*p.SeekCost +
+		time.Duration(nbytes)*p.ByteCost +
+		time.Duration(nrows)*p.RowCost
 }
 
 // Header is the part of every execution result that does not depend on
@@ -230,14 +245,6 @@ func (o Options) workers() int {
 		return runtime.GOMAXPROCS(0)
 	}
 	return o.Parallelism
-}
-
-// blockCost is the deterministic cost of scanning one block: one seek, the
-// bytes read, and one filter pass over its rows.
-func blockCost(prof Profile, nbytes int64, nrows int) time.Duration {
-	return prof.SeekCost +
-		time.Duration(nbytes)*prof.ByteCost +
-		time.Duration(nrows)*prof.RowCost
 }
 
 // parallelSimTime reduces total work and critical-path cost to the modeled

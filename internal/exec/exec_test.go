@@ -2,6 +2,8 @@ package exec
 
 import (
 	"fmt"
+	"os"
+	"path/filepath"
 	"testing"
 
 	"repro/internal/blockstore"
@@ -110,6 +112,52 @@ func TestColumnarProfileReadsFewerBytes(t *testing.T) {
 	}
 	if pruned.RowsMatched != full.RowsMatched {
 		t.Error("profiles disagree on matches")
+	}
+}
+
+// TestSparkReadsOnlyTheReadSet pins that a profile prices a scan and
+// never widens it: with one byte cut off every block file (the tail of
+// the last column), a query that leaves that column out answers under
+// both profiles, and Spark still charges what it charged on the intact
+// store; a query that reads the column fails under both.
+func TestSparkReadsOnlyTheReadSet(t *testing.T) {
+	st, layout, spec := fixture(t)
+	q1, q2 := spec.Queries[0], spec.Queries[1] // Q1 reads cpu (column 0); Q2 reads disk, the last column
+	opt := Options{Parallelism: 1}
+	intact, err := RunDelta(st, layout, q1, spec.ACs, EngineSpark, RouteQdTree, opt, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := st.Close(); err != nil {
+		t.Fatal(err)
+	}
+	for _, m := range st.Blocks {
+		if m.Rows == 0 {
+			continue
+		}
+		path := filepath.Join(st.Dir, m.File)
+		fi, err := os.Stat(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := os.Truncate(path, fi.Size()-1); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for _, prof := range []Profile{EngineSpark, EngineDBMS} {
+		res, err := RunDelta(st, layout, q1, spec.ACs, prof, RouteQdTree, opt, nil)
+		if err != nil {
+			t.Fatalf("%s: query without the damaged column: %v", prof.Name, err)
+		}
+		if res.RowsMatched != intact.RowsMatched {
+			t.Errorf("%s: matched %d, intact store %d", prof.Name, res.RowsMatched, intact.RowsMatched)
+		}
+		if prof == EngineSpark && res.BytesRead != intact.BytesRead {
+			t.Errorf("spark charged %d bytes, intact store %d", res.BytesRead, intact.BytesRead)
+		}
+		if _, err := RunDelta(st, layout, q2, spec.ACs, prof, RouteQdTree, opt, nil); err == nil {
+			t.Errorf("%s: query reading the damaged column must error", prof.Name)
+		}
 	}
 }
 

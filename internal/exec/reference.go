@@ -184,6 +184,11 @@ func ReferenceAggregate(tbl *table.Table, aq expr.AggQuery, acs []expr.AdvCut) [
 // BenchmarkAggregatePushdown and TestAggregatePushdownAcceptance compare
 // against, and a second differential witness for correctness tests.
 func RunAggNaive(store *blockstore.Store, layout *cost.Layout, aq expr.AggQuery, acs []expr.AdvCut, prof Profile, mode Mode) (*AggResult, error) {
+	// planAgg only validates: the evaluation below shares no plan with
+	// the fast path.
+	if _, err := planAgg(store, aq, acs); err != nil {
+		return nil, err
+	}
 	res := &AggResult{Header: Header{Query: aq.Name}, GroupBy: append([]int(nil), aq.GroupBy...)}
 	res.BlocksTotal, res.RowsTotal = storeTotals(store)
 	candidates, err := candidateBlocks(store, layout, aq.Filter, mode, nil)
@@ -204,9 +209,7 @@ func RunAggNaive(store *blockstore.Store, layout *cost.Layout, aq expr.AggQuery,
 		}
 		res.BlocksScanned++
 		res.RowsScanned += int64(nrows)
-		logical := int64(8*nrows) * int64(ncols)
-		res.BytesRead += logical
-		res.BytesLogical += logical
+		res.BytesRead += int64(8*nrows) * int64(ncols)
 		for r := 0; r < nrows; r++ {
 			for c := 0; c < ncols; c++ {
 				row[c] = data[c][r]
@@ -347,9 +350,7 @@ func RunRowsNaive(store *blockstore.Store, layout *cost.Layout, rq expr.RowQuery
 		}
 		res.BlocksScanned++
 		res.RowsScanned += int64(nrows)
-		logical := int64(8*nrows) * int64(ncols)
-		res.BytesRead += logical
-		res.BytesLogical += logical
+		res.BytesRead += int64(8*nrows) * int64(ncols)
 		for r := 0; r < nrows; r++ {
 			for c := 0; c < ncols; c++ {
 				row[c] = data[c][r]

@@ -6,10 +6,11 @@ package exec
 // rows, so every statement kind (filter count, aggregate, row projection,
 // either side of a join) plugs into it as a scanSpec: which columns to
 // read, and what to do with each block's vectors. The driver owns
-// everything else — candidate pruning, the per-worker arenas, the pread,
-// what the engine profile makes of the read set, ScanStats and
-// critical-path accounting, the delta pass, the block_prune/scan/
-// delta_scan spans and the parallel SimTime model.
+// everything else — candidate pruning, the per-worker arenas, the pread
+// of the read set (the same under every engine profile: a profile prices
+// a scan, it never widens it), ScanStats and critical-path accounting,
+// the delta pass, the block_prune/scan/delta_scan spans and the parallel
+// SimTime model.
 
 import (
 	"fmt"
@@ -34,22 +35,20 @@ type scanWorker struct {
 	arena   *blockstore.Arena
 }
 
-// account charges one scanned unit — a base block or a delta table: a
-// seek, its encoded bytes, and one filter pass over its rows.
-func (w *scanWorker) account(prof Profile, nrows int, nbytes, logical int64) {
+// account charges one scanned unit — a base block or a delta table — at
+// the profile's price, given the bytes read of it and its whole size.
+func (w *scanWorker) account(prof Profile, nrows int, read, whole int64) {
+	nbytes, c := prof.price(1, int64(nrows), read, whole)
 	w.stats.BlocksScanned++
 	w.stats.RowsScanned += int64(nrows)
 	w.stats.BytesRead += nbytes
-	w.stats.BytesLogical += logical
-	if c := blockCost(prof, nbytes, nrows); c > w.crit {
-		w.crit = c
-	}
+	w.crit = max(w.crit, c)
 }
 
 // scanSpec is what one statement kind plugs into the driver.
 type scanSpec struct {
 	filter  expr.Query // prunes the candidate blocks
-	cols    []int      // the statement's read set (readSet; scan widens it per profile)
+	cols    []int      // the statement's read set (readSet)
 	side    string     // join side ("build", "probe") labelling the spans; "" otherwise
 	workers int        // pool size (Options.workers, or 1); per-slot state of the kind is sized to it
 
@@ -98,17 +97,6 @@ func scan(store *blockstore.Store, layout *cost.Layout, prof Profile, mode Mode,
 		return h, 0, err
 	}
 
-	// physical is what the profile reads of a statement's read set, and
-	// that read's decoded width per row: a columnar engine reads only the
-	// statement's columns; a row-group engine (Spark over Parquet) reads
-	// whole blocks and delta tables (nil = all columns).
-	ncols := store.Schema.NumCols()
-	physical := func(cols []int) ([]int, int64) {
-		if !prof.Columnar {
-			return nil, 8 * int64(ncols)
-		}
-		return cols, 8 * int64(len(cols))
-	}
 	ws := make([]scanWorker, sp.workers)
 	for i := range ws {
 		ws[i].slot = i
@@ -127,7 +115,6 @@ func scan(store *blockstore.Store, layout *cost.Layout, prof Profile, mode Mode,
 				return nil
 			}
 		}
-		cols, width := physical(cols)
 		vecs, nrows, nbytes, err := store.ReadColVecsArena(b, cols, w.arena)
 		if err != nil {
 			return err
@@ -135,7 +122,7 @@ func scan(store *blockstore.Store, layout *cost.Layout, prof Profile, mode Mode,
 		if vecs == nil {
 			return nil
 		}
-		w.account(prof, nrows, nbytes, width*int64(nrows))
+		w.account(prof, nrows, nbytes, store.ColBytes(b, nil))
 		w.stats.RowsMatched += sp.fold(w, vecs, nrows, full)
 		return nil
 	}
@@ -152,11 +139,10 @@ func scan(store *blockstore.Store, layout *cost.Layout, prof Profile, mode Mode,
 		w := &ws[0]
 		base := w.stats
 		w.stats = ScanStats{}
-		cols, width := physical(sp.cols)
 		for _, t := range tabs {
 			w.arena.ResetPlain()
-			vecs, nbytes := deltaColVecs(t, cols, w.arena)
-			w.account(prof, t.N, nbytes, width*int64(t.N))
+			vecs, nbytes := deltaColVecs(t, sp.cols, w.arena)
+			w.account(prof, t.N, nbytes, int64(8*t.N)*int64(len(t.Cols)))
 			w.stats.DeltaRows += int64(t.N)
 			w.stats.RowsMatched += sp.fold(w, vecs, t.N, false)
 		}

@@ -218,4 +218,16 @@ func TestAggregateSQLEndToEnd(t *testing.T) {
 			t.Errorf("%s: out-of-range filter must error through a join Select", bad.Name)
 		}
 	}
+	// The naive baseline rejects the same inputs instead of indexing
+	// past the row.
+	for name, aq := range map[string]qd.AggQuery{
+		"agg col":      {Aggs: []qd.Agg{{Func: qd.AggSum, Col: 99}}},
+		"group col":    {Aggs: []qd.Agg{{Func: qd.AggCountStar}}, GroupBy: []int{99}},
+		"filter col":   {Aggs: []qd.Agg{{Func: qd.AggCountStar}}, Filter: qd.Query{Root: qd.P(qd.Pred{Col: 99, Op: qd.Ge, Literal: 1})}},
+		"advanced cut": {Aggs: []qd.Agg{{Func: qd.AggCountStar}}, Filter: qd.Query{Root: qd.AdvRef(99)}},
+	} {
+		if _, err := qd.AggregateNaive(store, plan, aq, qd.EngineDBMS, qd.RouteQdTree); err == nil {
+			t.Errorf("%s: out-of-range input must error through AggregateNaive", name)
+		}
+	}
 }

@@ -153,10 +153,6 @@ func TestCrossFormatEquivalence(t *testing.T) {
 							if r1.RowsTotal != r2.RowsTotal || r1.BlocksTotal != r2.BlocksTotal {
 								t.Fatalf("%s: query %s store totals diverge", label, q.Name)
 							}
-							if r1.BytesLogical != r2.BytesLogical {
-								t.Fatalf("%s: query %s logical bytes diverge: %d vs %d",
-									label, q.Name, r1.BytesLogical, r2.BytesLogical)
-							}
 						}
 
 						e1.Close()
