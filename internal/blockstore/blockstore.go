@@ -454,13 +454,26 @@ func (s *Store) magic() string {
 	return magicV1
 }
 
-// openValidated opens block b's file and validates its header, returning
-// the handle and the block's (ncols, nrows) shape.
+// openValidated opens block b's file and validates its length against
+// the catalog (when the catalog records one) and its header, returning
+// the handle and the block's (ncols, nrows) shape. A file cut short or
+// grown fails here, so no read of any of its columns answers from it.
 func (s *Store) openValidated(b int) (*os.File, int, int, error) {
 	m := s.Blocks[b]
 	f, err := os.Open(filepath.Join(s.Dir, m.File))
 	if err != nil {
 		return nil, 0, 0, err
+	}
+	if m.Bytes != 0 {
+		fi, err := f.Stat()
+		if err != nil {
+			f.Close()
+			return nil, 0, 0, fmt.Errorf("blockstore: block %d stat: %w", b, err)
+		}
+		if fi.Size() != m.Bytes {
+			f.Close()
+			return nil, 0, 0, fmt.Errorf("blockstore: block %d file %s holds %d bytes, catalog records %d", b, m.File, fi.Size(), m.Bytes)
+		}
 	}
 	hdr := make([]byte, 12)
 	if _, err := f.ReadAt(hdr, 0); err != nil {

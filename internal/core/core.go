@@ -245,13 +245,16 @@ func (d *Desc) restrict(p expr.Pred, left bool, s *table.Schema) {
 // PredMayMatch reports whether predicate p can be satisfied by some point
 // of the description. This is the Sec. 3.3 leaf-intersection check for a
 // single unary predicate.
-func (d Desc) PredMayMatch(p expr.Pred) bool {
+func (d *Desc) PredMayMatch(p expr.Pred) bool {
 	c := p.Col
-	if m, isCat := d.Masks[c]; isCat {
-		switch p.Op {
-		case expr.Eq:
-			return p.Literal >= 0 && p.Literal < int64(m.Len()) && m.Get(int(p.Literal))
-		case expr.In:
+	// Only = and IN consult a categorical mask; range comparisons on a
+	// categorical column use the interval check below (ordered dictionary
+	// codes), so they skip the map lookup.
+	if p.Op == expr.Eq || p.Op == expr.In {
+		if m, isCat := d.Masks[c]; isCat {
+			if p.Op == expr.Eq {
+				return p.Literal >= 0 && p.Literal < int64(m.Len()) && m.Get(int(p.Literal))
+			}
 			for _, v := range p.Set {
 				if v >= 0 && v < int64(m.Len()) && m.Get(int(v)) {
 					return true
@@ -259,8 +262,6 @@ func (d Desc) PredMayMatch(p expr.Pred) bool {
 			}
 			return false
 		}
-		// Range comparisons on a categorical column fall through to the
-		// interval check below (ordered dictionary codes).
 	}
 	lo, hi := d.Lo[c], d.Hi[c] // [lo, hi)
 	if lo >= hi {
@@ -291,14 +292,14 @@ func (d Desc) PredMayMatch(p expr.Pred) bool {
 // QueryMayMatch reports whether query q can select any point of the
 // description: an AND intersects iff all conjuncts do, an OR iff any
 // disjunct does (Sec. 3.3).
-func (d Desc) QueryMayMatch(q expr.Query) bool {
+func (d *Desc) QueryMayMatch(q expr.Query) bool {
 	if q.Root == nil {
 		return true
 	}
 	return d.nodeMayMatch(q.Root)
 }
 
-func (d Desc) nodeMayMatch(n *expr.Node) bool {
+func (d *Desc) nodeMayMatch(n *expr.Node) bool {
 	switch n.Kind {
 	case expr.KindPred:
 		return d.PredMayMatch(n.Pred)

@@ -298,3 +298,57 @@ func TestTreeStringAndStats(t *testing.T) {
 		t.Error("empty render")
 	}
 }
+
+// TestPredMayMatchTruthTable checks PredMayMatch exhaustively on small
+// descriptions against its definition: = and IN on a categorical column
+// ask whether some value in the mask satisfies the predicate; every other
+// predicate asks whether some value of the interval does.
+func TestPredMayMatchTruthTable(t *testing.T) {
+	ref := func(d *Desc, p expr.Pred) bool {
+		if m, isCat := d.Masks[p.Col]; isCat && (p.Op == expr.Eq || p.Op == expr.In) {
+			for v := 0; v < m.Len(); v++ {
+				if m.Get(v) && p.EvalValue(int64(v)) {
+					return true
+				}
+			}
+			return false
+		}
+		for v := d.Lo[p.Col]; v < d.Hi[p.Col]; v++ {
+			if p.EvalValue(v) {
+				return true
+			}
+		}
+		return false
+	}
+	var preds []expr.Pred
+	for c := 0; c < 2; c++ {
+		for lit := int64(-1); lit <= 6; lit++ {
+			for _, op := range []expr.Op{expr.Lt, expr.Le, expr.Gt, expr.Ge, expr.Eq} {
+				preds = append(preds, expr.Pred{Col: c, Op: op, Literal: lit})
+			}
+			preds = append(preds, expr.NewIn(c, []int64{lit}), expr.NewIn(c, []int64{lit, lit + 2}))
+		}
+	}
+	d := NewRootDesc(twoColSchema(), 0)
+	for lo := int64(0); lo <= 5; lo++ {
+		for hi := int64(0); hi <= 5; hi++ {
+			d.Lo[0], d.Hi[0] = lo, hi
+			d.Lo[1], d.Hi[1] = min(lo, 3), min(hi, 3)
+			for mask := 0; mask < 8; mask++ {
+				m := expr.NewBitset(3)
+				for v := 0; v < 3; v++ {
+					if mask&(1<<v) != 0 {
+						m.Set(v)
+					}
+				}
+				d.Masks[1] = m
+				for _, p := range preds {
+					if got, want := d.PredMayMatch(p), ref(&d, p); got != want {
+						t.Fatalf("%v on cpu [%d,%d) mode [%d,%d) mask %03b: got %v, want %v",
+							p, d.Lo[0], d.Hi[0], d.Lo[1], d.Hi[1], mask, got, want)
+					}
+				}
+			}
+		}
+	}
+}

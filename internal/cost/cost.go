@@ -51,6 +51,10 @@ type Layout struct {
 	ExtraSkip func(block int, q expr.Query) bool
 	// ExtraSkip, when non-nil, may prove additional blocks skippable (used
 	// by the Bottom-Up baseline's feature-bitmap skipping).
+
+	// hulls indexes Descs in block order for BlocksFor (see buildHulls);
+	// nil for a Layout assembled without NewLayout or FromTree.
+	hulls []hullNode
 }
 
 // BuildDescs computes min-max + categorical-mask (+ advanced-cut)
@@ -118,7 +122,7 @@ func BuildDescs(tbl *table.Table, bids []int, numBlocks int, acs []expr.AdvCut) 
 // per-block descriptions.
 func NewLayout(name string, tbl *table.Table, bids []int, numBlocks int, acs []expr.AdvCut) *Layout {
 	descs, counts := BuildDescs(tbl, bids, numBlocks, acs)
-	return &Layout{Name: name, NumRows: tbl.N, BIDs: bids, Counts: counts, Descs: descs}
+	return &Layout{Name: name, NumRows: tbl.N, BIDs: bids, Counts: counts, Descs: descs, hulls: buildHulls(descs, counts)}
 }
 
 // FromTree routes the full table through a qd-tree, freezes the leaf
@@ -133,7 +137,7 @@ func FromTree(name string, t *core.Tree, tbl *table.Table) *Layout {
 		descs[i] = leaf.Desc
 		counts[i] = leaf.Count
 	}
-	return &Layout{Name: name, NumRows: tbl.N, BIDs: bids, Counts: counts, Descs: descs, Tree: t}
+	return &Layout{Name: name, NumRows: tbl.N, BIDs: bids, Counts: counts, Descs: descs, Tree: t, hulls: buildHulls(descs, counts)}
 }
 
 // NumBlocks returns the number of blocks in the layout.
@@ -153,26 +157,19 @@ func (l *Layout) DisableDictionaryFiltering() {
 		d.AdvMay = expr.NewFullBitset(d.AdvMay.Len())
 		d.AdvMayNot = expr.NewFullBitset(d.AdvMayNot.Len())
 	}
+	l.hulls = buildHulls(l.Descs, l.Counts)
 }
 
-// BlocksFor returns the block IDs that must be scanned for query q: the
-// blocks whose description intersects the query and that ExtraSkip (if
-// any) cannot prove skippable.
+// BlocksFor returns, in ascending order, the block IDs that must be
+// scanned for query q: the blocks whose description intersects the query
+// and that ExtraSkip (if any) cannot prove skippable. It descends the
+// layout's hull index, checking blocks one by one only under the hulls
+// the query may match.
 func (l *Layout) BlocksFor(q expr.Query) []int {
-	var out []int
-	for b := range l.Descs {
-		if l.Counts[b] == 0 {
-			continue
-		}
-		if !l.Descs[b].QueryMayMatch(q) {
-			continue
-		}
-		if l.ExtraSkip != nil && l.ExtraSkip(b, q) {
-			continue
-		}
-		out = append(out, b)
+	if l.hulls == nil {
+		return l.scanBlocks(0, len(l.Descs), q, nil)
 	}
-	return out
+	return l.descend(0, q, nil)
 }
 
 // AccessedTuples returns the number of tuples scanned for query q.

@@ -116,10 +116,11 @@ func TestColumnarProfileReadsFewerBytes(t *testing.T) {
 }
 
 // TestSparkReadsOnlyTheReadSet pins that a profile prices a scan and
-// never widens it: with one byte cut off every block file (the tail of
-// the last column), a query that leaves that column out answers under
-// both profiles, and Spark still charges what it charged on the intact
-// store; a query that reads the column fails under both.
+// never widens it: with the last column of every block made unreadable
+// (its catalog entry names an unknown encoding), a query that leaves that
+// column out answers under both profiles, and Spark still charges what it
+// charged on the intact store; a query that reads the column fails under
+// both.
 func TestSparkReadsOnlyTheReadSet(t *testing.T) {
 	st, layout, spec := fixture(t)
 	q1, q2 := spec.Queries[0], spec.Queries[1] // Q1 reads cpu (column 0); Q2 reads disk, the last column
@@ -128,20 +129,10 @@ func TestSparkReadsOnlyTheReadSet(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := st.Close(); err != nil {
-		t.Fatal(err)
-	}
-	for _, m := range st.Blocks {
-		if m.Rows == 0 {
-			continue
-		}
-		path := filepath.Join(st.Dir, m.File)
-		fi, err := os.Stat(path)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := os.Truncate(path, fi.Size()-1); err != nil {
-			t.Fatal(err)
+	last := st.Schema.NumCols() - 1
+	for b := range st.Blocks {
+		if st.Blocks[b].Rows > 0 {
+			st.Blocks[b].Cols[last].Enc = 255
 		}
 	}
 	for _, prof := range []Profile{EngineSpark, EngineDBMS} {
@@ -158,6 +149,49 @@ func TestSparkReadsOnlyTheReadSet(t *testing.T) {
 		if _, err := RunDelta(st, layout, q2, spec.ACs, prof, RouteQdTree, opt, nil); err == nil {
 			t.Errorf("%s: query reading the damaged column must error", prof.Name)
 		}
+	}
+}
+
+// TestTruncatedBlockFailsEveryQueryThatTouchesIt cuts one byte off one
+// block file, in both block formats. Every query that would scan that
+// block must fail, even one that reads only the block's first column,
+// whose bytes are all still there; every other query answers exactly.
+// No query returns a partial answer.
+func TestTruncatedBlockFailsEveryQueryThatTouchesIt(t *testing.T) {
+	_, layout, spec := fixture(t)
+	exact := cost.PerQueryMatches(spec.Table, spec.Queries, spec.ACs)
+	cpuOnly := spec.Queries[0] // reads cpu, column 0, and scans every block
+	for _, format := range []int{blockstore.FormatV1, blockstore.FormatV2} {
+		st, err := blockstore.WriteOpts(t.TempDir(), spec.Table, layout.BIDs, layout.NumBlocks(), blockstore.WriteOptions{FormatVersion: format})
+		if err != nil {
+			t.Fatal(err)
+		}
+		damaged := layout.BlocksFor(cpuOnly)[0]
+		m := st.Blocks[damaged]
+		if err := os.Truncate(filepath.Join(st.Dir, m.File), m.Bytes-1); err != nil {
+			t.Fatal(err)
+		}
+		for _, prof := range []Profile{EngineSpark, EngineDBMS} {
+			for i, q := range spec.Queries {
+				touches := false
+				for _, b := range layout.BlocksFor(q) {
+					touches = touches || (b == damaged && cost.SMAMayMatch(m.Min, m.Max, q))
+				}
+				res, err := RunDelta(st, layout, q, spec.ACs, prof, RouteQdTree, Options{Parallelism: 1}, nil)
+				switch {
+				case touches && err == nil:
+					t.Errorf("v%d %s %s: scans truncated block %d but answered %d rows", format, prof.Name, q.Name, damaged, res.RowsMatched)
+				case !touches && err != nil:
+					t.Errorf("v%d %s %s: does not scan block %d but failed: %v", format, prof.Name, q.Name, damaged, err)
+				case err == nil && res.RowsMatched != exact[i]:
+					t.Errorf("v%d %s %s: matched %d, exact %d", format, prof.Name, q.Name, res.RowsMatched, exact[i])
+				}
+			}
+		}
+		if _, err := RunDelta(st, layout, cpuOnly, spec.ACs, EngineDBMS, RouteQdTree, Options{Parallelism: 1}, nil); err == nil {
+			t.Errorf("v%d: a query reading only the first column of a truncated block must fail", format)
+		}
+		st.Close()
 	}
 }
 

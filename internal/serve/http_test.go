@@ -3,11 +3,15 @@ package serve
 import (
 	"bytes"
 	"encoding/json"
+	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"reflect"
 	"testing"
 
+	"repro/internal/exec"
 	"repro/internal/expr"
+	"repro/internal/sqlparse"
 	"repro/internal/table"
 )
 
@@ -208,6 +212,74 @@ func TestHTTPIngestAndCompact(t *testing.T) {
 		t.Fatalf("write amplification %v, want > 0 after a compaction", stats.WriteAmplification)
 	}
 	_ = s
+}
+
+// TestHTTPIngestBeyondSchemaBoundsThenCompact ingests rows above the
+// schema's Max (ingest accepts any numeric value), folds them into the
+// base with a compaction that re-freezes the live qd-tree, and counts
+// them: block pruning must keep the blocks that hold them, and the
+// answers must equal the row-at-a-time reference over base ∪ ingested.
+func TestHTTPIngestBeyondSchemaBoundsThenCompact(t *testing.T) {
+	s, ts := newHTTPFixture(t)
+	for _, q := range workloadA() {
+		if _, err := s.Execute(expr.Statement{Filter: q}, nil); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if _, err := s.Relayout(true); err != nil {
+		t.Fatal(err)
+	}
+	ingested := []int64{2500, 1500, 1000, 999, 7}
+	var body IngestRequest
+	for _, v := range ingested {
+		body.Rows = append(body.Rows, []json.RawMessage{json.RawMessage(fmt.Sprint(v))})
+	}
+	resp := postJSON(t, ts.URL+"/ingest", body)
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("ingest status %d", resp.StatusCode)
+	}
+	c := postJSON(t, ts.URL+"/compact", struct{}{})
+	defer c.Body.Close()
+	var rep CompactReport
+	if err := json.NewDecoder(c.Body).Decode(&rep); err != nil {
+		t.Fatal(err)
+	}
+	if !rep.Swapped || rep.Routed != "tree" {
+		t.Fatalf("compact report %+v, want a swap routed by the live qd-tree", rep)
+	}
+
+	merged := fixtureTable(2000)
+	for _, v := range ingested {
+		merged.AppendRow([]int64{v})
+	}
+	p := sqlparse.NewParser(merged.Schema)
+	for _, where := range []string{"x > 999", "x >= 1500", "x > 2000", "x = 1000", "x > 990 AND x < 1200"} {
+		aggSQL := "SELECT COUNT(*), MAX(x) FROM t WHERE " + where
+		stmt, err := p.ParseStatement(aggSQL)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want := exec.ReferenceAggregate(merged, *stmt.Agg, nil)
+		got, err := s.SelectSQL(aggSQL)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(got.Rows, want) {
+			t.Errorf("%s: %+v, reference %+v", aggSQL, got.Rows, want)
+		}
+		q := postJSON(t, ts.URL+"/query", QueryRequest{SQL: where})
+		var qr QueryResponse
+		err = json.NewDecoder(q.Body).Decode(&qr)
+		q.Body.Close()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if qr.Generation != rep.Generation || qr.RowsMatched != want[0].Vals[0].Int {
+			t.Errorf("POST /query %q: generation %d matched %d, want generation %d and %d",
+				where, qr.Generation, qr.RowsMatched, rep.Generation, want[0].Vals[0].Int)
+		}
+	}
 }
 
 func TestHTTPIngestErrors(t *testing.T) {
