@@ -1,14 +1,14 @@
 // Streaming example: the online half of the paper's architecture
-// (Fig. 1) through the Writer API. A qd-tree is learned offline on a
-// week of history and materialized as a block store; new days then
-// stream in through Engine.Insert while the hot service drifts
-// (Sec. 8). Inserted rows answer queries at once but sit in an
+// (Fig. 1) through a Server, the one live write path. A qd-tree is
+// learned offline on a week of history and bootstraps a serving root;
+// new days then stream in through Server.Insert while the hot service
+// drifts (Sec. 8). Inserted rows answer queries at once but sit in an
 // unpruned delta, so the workload's skip rate falls as the delta fills;
-// Compact routes them through the deployed tree into the blocks their
-// values belong to and restores it, without changing a single answer.
-// What compaction cannot recover is the drift itself: the cuts were
-// learned before 'storage' ran hot, which is what a Server's drift
-// monitor replans for.
+// Compact folds them into a fresh generation, planned over the logged
+// queries, and restores it without changing a single answer. What
+// compaction cannot recover is the drift itself: the cuts were learned
+// before 'storage' ran hot, which is what a Server's drift monitor
+// replans for.
 //
 //	go run ./examples/streaming
 package main
@@ -35,19 +35,19 @@ func genDay(day, n int, hotService int64, rng *rand.Rand) [][]int64 {
 	return rows
 }
 
-// measure runs the workload and returns its skip rate and per-query
-// match counts.
-func measure(eng *qd.Engine, queries []qd.Query) (float64, []int64) {
-	wr, err := eng.Workload(queries)
-	if err != nil {
-		log.Fatal(err)
-	}
+// measure runs the workload through the server and returns its skip
+// rate and per-query match counts.
+func measure(srv *qd.Server, queries []qd.Query) (float64, []int64) {
 	var scanned, total int64
-	matched := make([]int64, len(wr.Results))
-	for i, r := range wr.Results {
-		scanned += r.RowsScanned
-		total += r.RowsTotal
-		matched[i] = r.RowsMatched
+	matched := make([]int64, len(queries))
+	for i, q := range queries {
+		res, err := srv.Execute(qd.Statement{Filter: q}, nil)
+		if err != nil {
+			log.Fatal(err)
+		}
+		scanned += res.Filter.RowsScanned
+		total += res.Filter.RowsTotal
+		matched[i] = res.Filter.RowsMatched
 	}
 	return 1 - float64(scanned)/float64(total), matched
 }
@@ -78,48 +78,52 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	plan, err := qd.GreedyPlanner{}.Plan(ds, qd.PlanOptions{MinBlockSize: 5_000})
+	popt := qd.PlanOptions{MinBlockSize: 5_000}
+	plan, err := qd.GreedyPlanner{}.Plan(ds, popt)
 	if err != nil {
 		log.Fatal(err)
 	}
-	dir, err := os.MkdirTemp("", "qd-streaming-")
+	root, err := os.MkdirTemp("", "qd-streaming-")
 	if err != nil {
 		log.Fatal(err)
 	}
-	defer os.RemoveAll(dir)
-	store, err := qd.WriteStore(dir, history, plan.Layout)
+	defer os.RemoveAll(root)
+	if err := qd.InitServing(root, history, plan); err != nil {
+		log.Fatal(err)
+	}
+	// No background drift checks or compactions: this example runs each
+	// step on demand.
+	srv, err := qd.NewServer(root, qd.ServeOptions{Plan: popt})
 	if err != nil {
 		log.Fatal(err)
 	}
-	eng, err := qd.NewEngine(store, plan, qd.EngineSpark, qd.ExecOptions{})
-	if err != nil {
-		log.Fatal(err)
-	}
-	defer eng.Close()
+	defer srv.Close()
 	fmt.Printf("learned tree on %d historical rows: %d blocks\n", history.N, plan.Layout.NumBlocks())
-	skip, _ := measure(eng, ds.Queries)
+	skip, _ := measure(srv, ds.Queries)
 	fmt.Printf("%-26s skip rate %5.1f%%\n", "before the fill:", 100*skip)
 
 	// Online: stream ten more days; the hot spot drifts to 'storage'.
 	for day := 7; day < 17; day++ {
-		if err := eng.Insert(genDay(day, 10_000, 4, rng)); err != nil {
+		if err := srv.Insert(genDay(day, 10_000, 4, rng)); err != nil {
 			log.Fatal(err)
 		}
 	}
-	if err := eng.Flush(); err != nil { // seal the delta to durable segments
+	if err := srv.Flush(); err != nil { // seal the memtable into a delta segment
 		log.Fatal(err)
 	}
-	skip, filled := measure(eng, ds.Queries)
+	skip, filled := measure(srv, ds.Queries)
 	fmt.Printf("%-26s skip rate %5.1f%%  (%d rows in the unpruned delta)\n",
-		"at full fill:", 100*skip, eng.DeltaRows())
+		"at full fill:", 100*skip, srv.Stats().DeltaRows)
 
-	// Compact folds the delta into the layout through the learned cuts.
-	if err := eng.Compact(); err != nil {
+	// Compact folds the delta into a fresh generation, planned over the
+	// queries the server has logged, and flips CURRENT to it.
+	if err := srv.Compact(); err != nil {
 		log.Fatal(err)
 	}
-	skip, compacted := measure(eng, ds.Queries)
-	fmt.Printf("%-26s skip rate %5.1f%%  (%d blocks)\n",
-		"after compaction:", 100*skip, eng.Layout().NumBlocks())
+	skip, compacted := measure(srv, ds.Queries)
+	st := srv.Stats()
+	fmt.Printf("%-26s skip rate %5.1f%%  (%d blocks, generation %d)\n",
+		"after compaction:", 100*skip, st.Blocks, st.Generation)
 	for i := range filled {
 		if filled[i] != compacted[i] {
 			log.Fatalf("query %d: %d matches before compaction, %d after", i, filled[i], compacted[i])

@@ -99,13 +99,6 @@ type Store struct {
 	// value reads as v1 for compatibility with directly constructed stores.
 	Format int
 
-	// Delta lists the validated streaming-ingest delta segments found
-	// beside the blocks at Open time (delta_*.qdb); their rows belong to
-	// the table but are not yet part of any block. DeltaWarnings records
-	// torn or corrupt segments Open quarantined instead of failing.
-	Delta         []DeltaSegment
-	DeltaWarnings []string
-
 	once  sync.Once
 	files []blockHandle // lazily-opened, validated per-block handles
 }
@@ -374,7 +367,10 @@ func (s *Store) writeCatalog() error {
 // non-empty block whose file is missing, or a block file the catalog does
 // not describe, fails with an error naming the discrepancy — a
 // half-deleted or stale generation directory must not open as a smaller
-// store and silently drop rows.
+// store and silently drop rows. For the same reason a directory holding
+// delta segments (delta_*.qdb) fails: delta segments live in a serving
+// root's own delta directory, never beside blocks, so segments here hold
+// rows no block has and that nothing would serve. Open only reads.
 func Open(dir string) (*Store, error) {
 	data, err := os.ReadFile(filepath.Join(dir, "catalog.json"))
 	if err != nil {
@@ -405,15 +401,12 @@ func Open(dir string) (*Store, error) {
 			}
 		}
 	}
-	delta, warns, err := ScanDeltaSegments(dir, schema.NumCols())
-	if err != nil {
-		return nil, err
-	}
-	return &Store{Dir: dir, Schema: schema, Blocks: cat.Blocks, Format: cat.Version, Delta: delta, DeltaWarnings: warns}, nil
+	return &Store{Dir: dir, Schema: schema, Blocks: cat.Blocks, Format: cat.Version}, nil
 }
 
 // validateBlockFiles cross-checks the catalog's block list against the
-// block_*.qdb files on disk, in both directions.
+// block_*.qdb files on disk, in both directions, and refuses any delta
+// segment file.
 func validateBlockFiles(dir string, blocks []BlockMeta) error {
 	expected := make(map[string]int, len(blocks))
 	for _, m := range blocks {
@@ -425,6 +418,14 @@ func validateBlockFiles(dir string, blocks []BlockMeta) error {
 				dir, m.ID, m.Rows, m.File, err)
 		}
 		expected[m.File] = m.ID
+	}
+	segs, err := filepath.Glob(filepath.Join(dir, DeltaSegPrefix+"*"+DeltaSegSuffix))
+	if err != nil {
+		return err
+	}
+	if len(segs) > 0 {
+		return fmt.Errorf("blockstore: %s holds delta segment %s beside its blocks; its rows are in no block, so the directory does not open as a block store",
+			dir, filepath.Base(segs[0]))
 	}
 	onDisk, err := filepath.Glob(filepath.Join(dir, "block_*.qdb"))
 	if err != nil {

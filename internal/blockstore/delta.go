@@ -1,16 +1,16 @@
 // Delta segments are the on-disk half of the streaming ingest path: small
-// append-only v1 segment files (delta_NNNNNN.qdb) that sit beside a
-// store's block files and hold rows inserted since the last compaction.
-// They carry no pruning metadata and are scanned in full by every query
-// (delta ∪ base); compaction routes their rows through the qd-tree into a
-// fresh generation and deletes them.
+// append-only v1 segment files (delta_NNNNNN.qdb) in a serving root's
+// delta directory (internal/delta), holding rows inserted since the last
+// compaction. They carry no pruning metadata and are scanned in full by
+// every query (delta ∪ base); compaction routes their rows through the
+// qd-tree into a fresh generation and deletes them. A block directory
+// never holds them: Open refuses one that does.
 //
-// Because a crash can interrupt a segment write, opening a directory
+// Because a crash can interrupt a segment write, ScanDeltaSegments
 // validates every delta file against its self-describing header and
-// quarantines torn tails (renamed to *.quarantined) instead of failing
-// the whole store open — losing an unacknowledged partial append is
-// acceptable; refusing to serve the intact base and remaining delta is
-// not.
+// quarantines torn tails (renamed to *.quarantined) instead of failing —
+// losing an unacknowledged partial append is acceptable; refusing to
+// serve the intact base and remaining delta is not.
 package blockstore
 
 import (
@@ -29,7 +29,7 @@ const (
 	DeltaSegPrefix = "delta_"
 	DeltaSegSuffix = ".qdb"
 	// QuarantineSuffix is appended to a torn or corrupt delta segment's
-	// name when Open sets it aside.
+	// name when ScanDeltaSegments sets it aside.
 	QuarantineSuffix = ".quarantined"
 )
 

@@ -376,26 +376,13 @@ func (fd *FrontDoor) scatter(owning []*shardState, canonical string, decodeAgg b
 			label := shardLabel(c.st)
 			ssp := tr.Start("shard")
 			ssp.SetAttr("shard", label).SetAttr("addr", c.st.addr)
-			for attempt := 0; ; attempt++ {
-				var dst any
-				if decodeAgg {
-					dst = &c.agg
-				} else {
-					dst = &c.reply
-				}
-				err := fd.postTraced(c.st.addr+path, body, dst, tr.ID())
-				if err == nil {
-					c.err = nil
-					break
-				}
-				c.err = err
-				var ce ClientError
-				if errors.As(err, &ce) || attempt >= fd.retries {
-					break
-				}
-				c.retries++
-				time.Sleep(50 * time.Millisecond)
+			var dst any = &c.reply
+			if decodeAgg {
+				dst = &c.agg
 			}
+			c.retries, c.err = fd.retry(func() error {
+				return fd.postTraced(c.st.addr+path, body, dst, tr.ID())
+			})
 			outcome := "ok"
 			if c.err != nil {
 				outcome = "failed"
@@ -564,7 +551,7 @@ func (fd *FrontDoor) Ingest(req serve.IngestRequest) (*IngestResult, error) {
 		st := fd.shards[id]
 		batch := batches[id]
 		var resp serve.IngestResponse
-		err := fd.postRetry(st.addr+"/ingest", ingestBody(batch), &resp)
+		_, err := fd.retry(func() error { return fd.postTraced(st.addr+"/ingest", ingestBody(batch), &resp, "") })
 		if err != nil {
 			out.Failed = append(out.Failed, ShardError{Shard: id, Addr: st.addr, Err: err.Error()})
 			errs = append(errs, fmt.Errorf("shard %d (%s): %w", id, st.addr, err))
@@ -660,20 +647,37 @@ func (fd *FrontDoor) Stats() Stats {
 // fetchSummary pulls one shard's current summary (with the retry budget).
 func (fd *FrontDoor) fetchSummary(st *shardState) (serve.Summary, error) {
 	var sum serve.Summary
-	err := fd.getRetry(st.addr+"/cluster/summary", &sum)
+	_, err := fd.retry(func() error {
+		req, err := http.NewRequest(http.MethodGet, st.addr+"/cluster/summary", nil)
+		if err != nil {
+			return err
+		}
+		return fd.do(req, &sum)
+	})
 	return sum, err
 }
 
-// post issues one HTTP attempt. A 4xx response comes back as ClientError
-// (not retried: the request itself is at fault); 5xx and transport
-// errors are retriable shard failures.
-func (fd *FrontDoor) post(url string, body any, dst any) error {
-	return fd.postTraced(url, body, dst, "")
+// retry runs one shard call, retrying it up to the front door's budget
+// with a 50 ms pause between attempts, and returns how many retries it
+// took and the last error. A ClientError (4xx: the request itself is at
+// fault) is returned at once and never retried; 5xx and transport errors
+// are retriable shard failures.
+func (fd *FrontDoor) retry(call func() error) (retries int, err error) {
+	for {
+		err = call()
+		var ce ClientError
+		if err == nil || errors.As(err, &ce) || retries >= fd.retries {
+			return retries, err
+		}
+		retries++
+		time.Sleep(50 * time.Millisecond)
+	}
 }
 
-// postTraced is post propagating the gathered query's TraceID to the
-// shard via the X-Qd-Trace-Id header, so shard-side trace rings and
-// logs correlate with the front door's.
+// postTraced issues one HTTP POST attempt of body as JSON, decoding the
+// reply into dst. A non-empty traceID propagates the gathered query's
+// trace to the shard via the X-Qd-Trace-Id header, so shard-side trace
+// rings and logs correlate with the front door's.
 func (fd *FrontDoor) postTraced(url string, body any, dst any, traceID string) error {
 	data, err := json.Marshal(body)
 	if err != nil {
@@ -690,46 +694,7 @@ func (fd *FrontDoor) postTraced(url string, body any, dst any, traceID string) e
 	return fd.do(req, dst)
 }
 
-func (fd *FrontDoor) postRetry(url string, body any, dst any) error {
-	var err error
-	for attempt := 0; attempt <= fd.retries; attempt++ {
-		if attempt > 0 {
-			time.Sleep(50 * time.Millisecond)
-		}
-		err = fd.post(url, body, dst)
-		if err == nil {
-			return nil
-		}
-		var ce ClientError
-		if errors.As(err, &ce) {
-			return err
-		}
-	}
-	return err
-}
-
-func (fd *FrontDoor) getRetry(url string, dst any) error {
-	var err error
-	for attempt := 0; attempt <= fd.retries; attempt++ {
-		if attempt > 0 {
-			time.Sleep(50 * time.Millisecond)
-		}
-		req, rerr := http.NewRequest(http.MethodGet, url, nil)
-		if rerr != nil {
-			return rerr
-		}
-		err = fd.do(req, dst)
-		if err == nil {
-			return nil
-		}
-		var ce ClientError
-		if errors.As(err, &ce) {
-			return err
-		}
-	}
-	return err
-}
-
+// do issues one HTTP attempt. A 4xx response comes back as ClientError.
 func (fd *FrontDoor) do(req *http.Request, dst any) error {
 	ctx, cancel := context.WithTimeout(req.Context(), fd.timeout)
 	defer cancel()

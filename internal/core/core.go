@@ -142,6 +142,22 @@ func (d Desc) Clone() Desc {
 	return out
 }
 
+// Widen grows d to contain o: the hull of the two intervals per column
+// and the union of every categorical mask and advanced-cut bitset. The
+// two descriptions must have the same shape (columns, mask columns and
+// widths, advanced-cut count), and d must own its slices and bitsets.
+func (d *Desc) Widen(o *Desc) {
+	for c := range d.Lo {
+		d.Lo[c] = min(d.Lo[c], o.Lo[c])
+		d.Hi[c] = max(d.Hi[c], o.Hi[c])
+	}
+	for c, m := range d.Masks {
+		m.UnionWith(o.Masks[c])
+	}
+	d.AdvMay.UnionWith(o.AdvMay)
+	d.AdvMayNot.UnionWith(o.AdvMayNot)
+}
+
 // Empty reports whether the description provably contains no rows.
 func (d Desc) Empty() bool {
 	for c := range d.Lo {
@@ -359,9 +375,9 @@ func NewTree(s *table.Schema, acs []expr.AdvCut) *Tree {
 
 // Clone returns a deep copy of the node graph and every description, so
 // the copy can be re-routed and re-frozen — Freeze rewrites leaf
-// descriptions in place — while layouts derived from the original keep
-// pruning with theirs. The schema, the advanced-cut table and the cuts
-// are immutable and stay shared.
+// descriptions and widens inner ones in place — while layouts derived
+// from the original keep pruning with theirs. The schema, the
+// advanced-cut table and the cuts are immutable and stay shared.
 func (t *Tree) Clone() *Tree {
 	var clone func(n *Node) *Node
 	clone = func(n *Node) *Node {
@@ -599,7 +615,37 @@ func (t *Tree) QueryBlocks(q expr.Query) []int {
 // there, per the optimization in Sec. 3.2: "replace each leaf's range with
 // a min-max index over the leaf's records". bids must come from RouteTable
 // on the same table.
+//
+// Rows beyond the schema bounds (ingest accepts any numeric value) can
+// give a leaf an interval outside its ancestors' split-time ones, so
+// Freeze then widens every inner description, bottom-up, to contain its
+// non-empty children's: each node keeps describing everything below it.
+// On rows inside the bounds the frozen leaves already lie within their
+// ancestors and the widening changes nothing.
 func (t *Tree) Freeze(tbl *table.Table, bids []int) {
+	t.freezeLeaves(tbl, bids)
+	widenAncestors(t.Root)
+}
+
+// widenAncestors widens every inner description under n to contain its
+// non-empty children's and reports whether n's subtree holds any row.
+func widenAncestors(n *Node) bool {
+	if n.IsLeaf() {
+		return n.Count > 0
+	}
+	l, r := widenAncestors(n.Left), widenAncestors(n.Right)
+	if l {
+		n.Desc.Widen(&n.Left.Desc)
+	}
+	if r {
+		n.Desc.Widen(&n.Right.Desc)
+	}
+	return l || r
+}
+
+// freezeLeaves tightens each leaf description to the rows bids routes
+// to it and sets the leaf counts.
+func (t *Tree) freezeLeaves(tbl *table.Table, bids []int) {
 	leaves := t.Leaves()
 	perLeaf := make([][]int, len(leaves))
 	for r, b := range bids {

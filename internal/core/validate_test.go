@@ -2,6 +2,7 @@ package core
 
 import (
 	"math/rand"
+	"reflect"
 	"testing"
 
 	"repro/internal/expr"
@@ -150,5 +151,79 @@ func TestValidatePropertyRandomTrees(t *testing.T) {
 		if err := tree.Validate(); err != nil {
 			t.Fatalf("trial %d: constructed tree invalid: %v", trial, err)
 		}
+	}
+}
+
+// TestFreezeWidensAncestorsBeyondSchemaBounds: rows outside the schema's
+// numeric bounds (ingest accepts them) give leaves intervals outside
+// their ancestors' split-time ones; Freeze widens every ancestor so the
+// frozen tree still validates and each node contains its leaves' rows.
+// On rows inside the bounds the inner descriptions do not change.
+func TestFreezeWidensAncestorsBeyondSchemaBounds(t *testing.T) {
+	build := func(tbl *table.Table) *Tree {
+		tree := NewTree(tbl.Schema, nil)
+		l, r := tree.Split(tree.Root, UnaryCut(expr.Pred{Col: 0, Op: expr.Lt, Literal: 40}))
+		tree.Split(l, UnaryCut(expr.Pred{Col: 1, Op: expr.Eq, Literal: 1}))
+		tree.Split(r, UnaryCut(expr.Pred{Col: 0, Op: expr.Ge, Literal: 80}))
+		return tree
+	}
+	inner := func(tree *Tree) []Desc {
+		var out []Desc
+		tree.Walk(func(n *Node) {
+			if !n.IsLeaf() {
+				out = append(out, n.Desc.Clone())
+			}
+		})
+		return out
+	}
+
+	tbl := randomTable(1000, 23)
+	tree := build(tbl)
+	before := inner(tree)
+	tree.Freeze(tbl, tree.RouteTable(tbl))
+	if after := inner(tree); !reflect.DeepEqual(before, after) {
+		t.Fatalf("in-bounds Freeze changed inner descriptions:\n%+v\n%+v", before, after)
+	}
+
+	max := tbl.Schema.Cols[0].Max
+	for _, v := range []int64{max + 1, 2 * max, -7} {
+		tbl.AppendRow([]int64{v, 1})
+	}
+	tree = build(tbl)
+	tree.Freeze(tbl, tree.RouteTable(tbl))
+	if err := tree.Validate(); err != nil {
+		t.Fatalf("tree frozen over out-of-bounds rows: %v", err)
+	}
+	if lo, hi := tree.Root.Desc.Lo[0], tree.Root.Desc.Hi[0]; lo > -7 || hi <= 2*max {
+		t.Fatalf("root interval [%d,%d) does not cover the ingested rows", lo, hi)
+	}
+}
+
+func TestDescWiden(t *testing.T) {
+	s := table.MustSchema([]table.Column{
+		{Name: "x", Kind: table.Numeric, Min: 0, Max: 99},
+		{Name: "c", Kind: table.Categorical, Dom: 4},
+	})
+	a, b := NewRootDesc(s, 2), NewRootDesc(s, 2)
+	a.Lo[0], a.Hi[0] = 10, 20
+	b.Lo[0], b.Hi[0] = 150, 160
+	a.Masks[1], b.Masks[1] = expr.NewBitset(4), expr.NewBitset(4)
+	a.Masks[1].Set(0)
+	b.Masks[1].Set(3)
+	a.AdvMay.Clear(1)
+	b.AdvMayNot.Clear(0)
+	a.AdvMayNot.Clear(0)
+	a.Widen(&b)
+	if a.Lo[0] != 10 || a.Hi[0] != 160 {
+		t.Errorf("interval [%d,%d), want [10,160)", a.Lo[0], a.Hi[0])
+	}
+	if !a.Masks[1].Get(0) || !a.Masks[1].Get(3) || a.Masks[1].Get(1) {
+		t.Errorf("mask %v, want {0,3}", a.Masks[1])
+	}
+	if !a.AdvMay.Get(1) || a.AdvMayNot.Get(0) {
+		t.Errorf("advanced-cut bits may=%v mayNot=%v", a.AdvMay, a.AdvMayNot)
+	}
+	if b.Lo[0] != 150 || b.Masks[1].Get(0) {
+		t.Error("Widen must not modify its argument")
 	}
 }

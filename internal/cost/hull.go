@@ -81,16 +81,7 @@ func widen(nd *hullNode, d *core.Desc) {
 		nd.hull, nd.empty = d.Clone(), false
 		return
 	}
-	h := &nd.hull
-	for c := range h.Lo {
-		h.Lo[c] = min(h.Lo[c], d.Lo[c])
-		h.Hi[c] = max(h.Hi[c], d.Hi[c])
-	}
-	for c, m := range h.Masks {
-		m.UnionWith(d.Masks[c])
-	}
-	h.AdvMay.UnionWith(d.AdvMay)
-	h.AdvMayNot.UnionWith(d.AdvMayNot)
+	nd.hull.Widen(d)
 }
 
 // sameShape reports whether every description has the first one's

@@ -1,9 +1,8 @@
 // Package delta is the writable half of the LSM-style streaming ingest
 // path: an in-memory memtable absorbs Insert traffic, seals into
 // append-only delta segment files when full, and the sealed set is folded
-// into the learned base layout by compaction (internal/serve routes the
-// rows through the live qd-tree into a fresh generation; qd.Engine
-// rewrites its store in place).
+// into the learned base layout by compaction: internal/serve, its only
+// user, routes the rows into a fresh generation and flips CURRENT.
 //
 // Until compacted, delta rows are served unpruned: Snapshot returns a
 // point-in-time view (sealed segment tables plus the memtable prefix)
@@ -30,8 +29,7 @@ import (
 	"repro/internal/table"
 )
 
-// ErrClosed is returned by operations on a closed Store (and surfaced by
-// the qd.Writer implementations for insert-after-Close).
+// ErrClosed is returned by operations on a closed Store.
 var ErrClosed = errors.New("delta: store is closed")
 
 // ErrSchemaMismatch is wrapped by Insert when a row does not fit the

@@ -16,12 +16,9 @@ package serve
 
 import (
 	"fmt"
-	"os"
 	"time"
 
-	"repro/internal/blockstore"
 	"repro/internal/cost"
-	"repro/internal/delta"
 	"repro/internal/table"
 )
 
@@ -50,8 +47,8 @@ type CompactReport struct {
 }
 
 // Compact forces one compaction cycle, folding every uncompacted delta
-// row into a fresh generation regardless of the CompactRows gate. It is
-// the qd.Writer surface of the compactor (POST /compact over HTTP).
+// row into a fresh generation regardless of the CompactRows gate (POST
+// /compact over HTTP).
 func (s *Server) Compact() error {
 	_, err := s.RunCompaction(true)
 	return err
@@ -109,51 +106,12 @@ func (s *Server) RunCompaction(force bool) (CompactReport, error) {
 	}
 	rep.Routed = routed
 
-	store, err := blockstore.WriteGenerationOpts(s.root, newID, merged, cand.BIDs, cand.NumBlocks(), s.cfg.StoreWrite)
+	written, reason, err := s.install(newID, merged, cand, cp)
 	if err != nil {
-		rep.Reason = "generation write failed"
+		rep.Reason = reason
 		s.finishCompact(rep, err)
 		return rep, err
 	}
-	var written int64
-	for _, m := range store.Blocks {
-		written += m.Bytes
-	}
-	// The marker must be durable before the flip: once CURRENT names the
-	// new generation, the checkpointed segments are duplicate copies that
-	// recovery is allowed to delete.
-	if err := delta.WriteMarker(deltaDir(s.root), delta.Marker{Gen: newID, Segs: cp.SegIDs()}); err != nil {
-		store.Close()
-		blockstore.RemoveGeneration(s.root, newID)
-		rep.Reason = "compaction marker write failed"
-		s.finishCompact(rep, err)
-		return rep, err
-	}
-	if err := blockstore.SetCurrent(s.root, newID); err != nil {
-		store.Close()
-		blockstore.RemoveGeneration(s.root, newID)
-		delta.ClearMarker(deltaDir(s.root))
-		rep.Reason = "CURRENT flip failed"
-		s.finishCompact(rep, err)
-		return rep, err
-	}
-
-	next := &generation{id: newID, store: store, layout: cand}
-	s.mu.Lock()
-	old := s.gen
-	s.gen = next
-	s.tbl = merged
-	// Dropping the checkpoint under the same lock as the pointer flip
-	// keeps the served view duplicate-free at every instant.
-	paths := s.delta.Complete(cp)
-	s.mu.Unlock()
-
-	old.store.Close()
-	s.gcGenerations(newID)
-	for _, p := range paths {
-		os.Remove(p)
-	}
-	delta.ClearMarker(deltaDir(s.root))
 
 	s.compactions.Add(1)
 	s.compactedRows.Add(int64(cp.Rows))
@@ -177,8 +135,9 @@ func (s *Server) RunCompaction(force bool) (CompactReport, error) {
 func (s *Server) compactionLayout(liveLayout *cost.Layout, merged *table.Table, newID int) (*cost.Layout, string, error) {
 	name := genName(newID)
 	if liveLayout.Tree != nil {
-		// FromTree re-freezes the tree it is given, rewriting every leaf
-		// description in place; the live layout's Descs share those slices
+		// FromTree re-freezes the tree it is given, rewriting its leaf
+		// descriptions (and widening inner ones) in place; the live
+		// layout's Descs share the leaves' slices
 		// and maps and queries are pruning with them right now, so route
 		// and freeze a private copy.
 		return cost.FromTree(name, liveLayout.Tree.Clone(), merged), "tree", nil

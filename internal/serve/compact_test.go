@@ -475,3 +475,86 @@ func TestCompactionNeverMutatesLiveLayout(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// TestInstallFailureKeepsLiveGeneration drives every failure step of the
+// shared install sequence: a failed marker write or CURRENT flip leaves
+// the live generation serving every row, removes the half-installed
+// generation, leaves no compaction marker behind, and lets the next cycle
+// succeed once the obstacle is gone. The obstacle is a directory where
+// the step writes its temporary file.
+func TestInstallFailureKeepsLiveGeneration(t *testing.T) {
+	tbl := fixtureTable(2000)
+	root := newTestRoot(t, tbl, workloadA())
+	s, err := New(root, testConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	for _, q := range workloadA() {
+		if _, err := s.Execute(expr.Statement{Filter: q}, nil); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := s.Insert(insertRows(5, 500)); err != nil {
+		t.Fatal(err)
+	}
+	probe := bandQuery("probe", 500, 501)
+	intact := func(step string) {
+		t.Helper()
+		if g := s.Generation(); g != 1 {
+			t.Fatalf("%s: live generation %d, want 1", step, g)
+		}
+		if ids, err := blockstore.ListGenerations(root); err != nil || !reflect.DeepEqual(ids, []int{1}) {
+			t.Fatalf("%s: generations on disk %v (%v), want just 1", step, ids, err)
+		}
+		if m, err := delta.ReadMarker(deltaDir(root)); err != nil || m != nil {
+			t.Fatalf("%s: marker %+v (%v) left behind", step, m, err)
+		}
+		res, err := s.Execute(expr.Statement{Filter: probe}, nil)
+		if err != nil || res.Filter.RowsMatched != 7 || res.Filter.DeltaRows != 5 {
+			t.Fatalf("%s: %+v %v, want 7 matches with the 5 delta rows", step, res.Filter, err)
+		}
+	}
+	block := func(path string) func() {
+		t.Helper()
+		if err := os.MkdirAll(filepath.Join(path, "x"), 0o755); err != nil {
+			t.Fatal(err)
+		}
+		return func() { os.RemoveAll(path) }
+	}
+
+	for _, tc := range []struct {
+		step, obstacle, reason string
+		run                    func() (string, error)
+	}{
+		{"relayout flip", filepath.Join(root, "CURRENT.tmp"), "CURRENT flip failed", func() (string, error) {
+			rep, err := s.Relayout(true)
+			return rep.Reason, err
+		}},
+		{"compaction marker", filepath.Join(deltaDir(root), "COMPACTING.json.tmp"), "compaction marker write failed", func() (string, error) {
+			rep, err := s.RunCompaction(true)
+			return rep.Reason, err
+		}},
+		{"compaction flip", filepath.Join(root, "CURRENT.tmp"), "CURRENT flip failed", func() (string, error) {
+			rep, err := s.RunCompaction(true)
+			return rep.Reason, err
+		}},
+	} {
+		unblock := block(tc.obstacle)
+		reason, err := tc.run()
+		if err == nil || reason != tc.reason {
+			t.Fatalf("%s: reason %q err %v, want %q and an error", tc.step, reason, err, tc.reason)
+		}
+		intact(tc.step)
+		unblock()
+	}
+
+	rep, err := s.RunCompaction(true)
+	if err != nil || !rep.Swapped {
+		t.Fatalf("compaction after the failures: %+v %v", rep, err)
+	}
+	res, err := s.Execute(expr.Statement{Filter: probe}, nil)
+	if err != nil || res.Filter.RowsMatched != 7 || res.Filter.DeltaRows != 0 {
+		t.Fatalf("after compaction: %+v %v, want 7 matches from the base alone", res.Filter, err)
+	}
+}

@@ -248,6 +248,11 @@ func TestHTTPIngestBeyondSchemaBoundsThenCompact(t *testing.T) {
 	if !rep.Swapped || rep.Routed != "tree" {
 		t.Fatalf("compact report %+v, want a swap routed by the live qd-tree", rep)
 	}
+	// Freeze widened the inner descriptions over the out-of-bounds leaves,
+	// so the re-frozen tree still passes its containment invariant.
+	if err := s.gen.layout.Tree.Validate(); err != nil {
+		t.Fatalf("compacted tree: %v", err)
+	}
 
 	merged := fixtureTable(2000)
 	for _, v := range ingested {

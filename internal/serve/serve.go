@@ -3,6 +3,7 @@ package serve
 import (
 	"errors"
 	"fmt"
+	"os"
 	"path/filepath"
 	"slices"
 	"sync"
@@ -678,33 +679,80 @@ func (s *Server) Relayout(force bool) (Report, error) {
 	// a failed cycle), so one bad cycle cannot wedge every later one.
 	newID := s.nextGenID(live.id)
 	cand.Name = genName(newID)
-	store, err := blockstore.WriteGenerationOpts(s.root, newID, tbl, cand.BIDs, cand.NumBlocks(), s.cfg.StoreWrite)
-	if err != nil {
-		rep.Reason = "generation write failed"
+	if _, reason, err := s.install(newID, tbl, cand, nil); err != nil {
+		rep.Reason = reason
 		s.finishCheck(rep, err)
 		return rep, err
 	}
-	if err := blockstore.SetCurrent(s.root, newID); err != nil {
-		store.Close()
-		blockstore.RemoveGeneration(s.root, newID)
-		rep.Reason = "CURRENT flip failed"
-		s.finishCheck(rep, err)
-		return rep, err
-	}
-	next := &generation{id: newID, store: store, layout: cand}
-	s.mu.Lock()
-	old := s.gen
-	s.gen = next
-	s.mu.Unlock()
-	// No new query can acquire old past this point and mu.Lock drained the
-	// in-flight ones, so the old generation can be released and collected.
-	old.store.Close()
-	s.gcGenerations(newID)
 	s.swaps.Add(1)
 	rep.Swapped = true
 	rep.Generation = newID
 	s.finishCheck(rep, nil)
 	return rep, nil
+}
+
+// install materializes tbl under layout l as generation id and makes it
+// live: write the generation, flip CURRENT, swap it in under the
+// generation lock, then close the old store and collect retired
+// generations. A compaction passes its delta checkpoint cp: the marker
+// naming cp's segments is written before the flip, the checkpoint leaves
+// the delta view under the same lock as the swap, and its segment files
+// and the marker are deleted after. A failure up to and including the
+// flip leaves the live generation serving, removes what was written, and
+// names the failed step in reason. It returns the new generation's
+// on-disk size. Callers hold relayoutMu.
+func (s *Server) install(id int, tbl *table.Table, l *cost.Layout, cp *delta.Checkpoint) (written int64, reason string, err error) {
+	store, err := blockstore.WriteGenerationOpts(s.root, id, tbl, l.BIDs, l.NumBlocks(), s.cfg.StoreWrite)
+	if err != nil {
+		return 0, "generation write failed", err
+	}
+	fail := func(reason string, err error, marked bool) (int64, string, error) {
+		store.Close()
+		blockstore.RemoveGeneration(s.root, id)
+		if marked {
+			delta.ClearMarker(deltaDir(s.root))
+		}
+		return 0, reason, err
+	}
+	if cp != nil {
+		// The marker must be on disk before the flip: once CURRENT names
+		// the new generation, the checkpointed segments are duplicate
+		// copies that recovery is allowed to delete. Neither file is
+		// fsynced yet, so this ordering holds against a killed process,
+		// not a power loss.
+		if err := delta.WriteMarker(deltaDir(s.root), delta.Marker{Gen: id, Segs: cp.SegIDs()}); err != nil {
+			return fail("compaction marker write failed", err, false)
+		}
+	}
+	if err := blockstore.SetCurrent(s.root, id); err != nil {
+		return fail("CURRENT flip failed", err, cp != nil)
+	}
+	for _, m := range store.Blocks {
+		written += m.Bytes
+	}
+
+	next := &generation{id: id, store: store, layout: l}
+	var paths []string
+	s.mu.Lock()
+	old := s.gen
+	s.gen, s.tbl = next, tbl
+	if cp != nil {
+		// Dropping the checkpoint under the same lock as the pointer flip
+		// keeps the served view duplicate-free at every instant.
+		paths = s.delta.Complete(cp)
+	}
+	s.mu.Unlock()
+	// No new query can acquire old past this point and mu.Lock drained the
+	// in-flight ones, so the old generation can be released and collected.
+	old.store.Close()
+	s.gcGenerations(id)
+	if cp != nil {
+		for _, p := range paths {
+			os.Remove(p)
+		}
+		delta.ClearMarker(deltaDir(s.root))
+	}
+	return written, "", nil
 }
 
 // nextGenID picks the next generation id, skipping past any directory

@@ -83,63 +83,43 @@ func TestEngineParallelCountsIdentical(t *testing.T) {
 }
 
 // TestEngineWorkloadMatchesQuery: Workload is Query in a loop. For both
-// profiles, both modes and every Options value, with and without a
-// delta, each workload result equals Query's on ScanStats and SimTime,
-// and TotalSimTime is their sum.
+// profiles, both modes and every Options value, each workload result
+// equals Query's on ScanStats and SimTime, and TotalSimTime is their sum.
 func TestEngineWorkloadMatchesQuery(t *testing.T) {
-	ds := microDataset(t)
-	plan, err := qd.GreedyPlanner{}.Plan(ds, qd.PlanOptions{MinBlockSize: 200})
-	if err != nil {
-		t.Fatal(err)
-	}
-	extra := [][]int64{{5, 5, 0}, {550, 549, 1}, {950, 951, 2}}
+	ds, plan, store := planAndMaterialize(t)
 	for _, prof := range []qd.EngineProfile{qd.EngineSpark, qd.EngineDBMS} {
 		for _, opt := range []qd.ExecOptions{{Parallelism: 1}, {Parallelism: 4}, {Parallelism: 0}} {
-			store, err := qd.WriteStore(t.TempDir(), ds.Table, plan.Layout)
-			if err != nil {
-				t.Fatal(err)
-			}
 			eng, err := qd.NewEngine(store, plan, prof, opt)
 			if err != nil {
 				t.Fatal(err)
 			}
-			for _, withDelta := range []bool{false, true} {
-				if withDelta {
-					if err := eng.Insert(extra); err != nil {
-						t.Fatal(err)
-					}
+			for _, mode := range []qd.ExecMode{qd.RouteQdTree, qd.NoRoute} {
+				label := fmt.Sprintf("%s/p%d/mode%d", prof.Name, opt.Parallelism, mode)
+				eng.WithMode(mode)
+				wr, err := eng.Workload(ds.Queries)
+				if err != nil {
+					t.Fatalf("%s: %v", label, err)
 				}
-				for _, mode := range []qd.ExecMode{qd.RouteQdTree, qd.NoRoute} {
-					label := fmt.Sprintf("%s/p%d/delta%v/mode%d", prof.Name, opt.Parallelism, withDelta, mode)
-					eng.WithMode(mode)
-					wr, err := eng.Workload(ds.Queries)
+				var total time.Duration
+				for i, q := range ds.Queries {
+					want, err := eng.Query(q)
 					if err != nil {
 						t.Fatalf("%s: %v", label, err)
 					}
-					var total time.Duration
-					for i, q := range ds.Queries {
-						want, err := eng.Query(q)
-						if err != nil {
-							t.Fatalf("%s: %v", label, err)
-						}
-						got := wr.Results[i]
-						if got.ScanStats != want.ScanStats || got.SimTime != want.SimTime {
-							t.Errorf("%s %s: workload %+v / %v, query %+v / %v",
-								label, q.Name, got.ScanStats, got.SimTime, want.ScanStats, want.SimTime)
-						}
-						if withDelta != (got.DeltaRows == int64(len(extra))) {
-							t.Errorf("%s %s: %d delta rows scanned", label, q.Name, got.DeltaRows)
-						}
-						total += got.SimTime
+					got := wr.Results[i]
+					if got.ScanStats != want.ScanStats || got.SimTime != want.SimTime {
+						t.Errorf("%s %s: workload %+v / %v, query %+v / %v",
+							label, q.Name, got.ScanStats, got.SimTime, want.ScanStats, want.SimTime)
 					}
-					if wr.TotalSimTime != total {
-						t.Errorf("%s: TotalSimTime %v, Σ SimTime %v", label, wr.TotalSimTime, total)
-					}
+					total += got.SimTime
+				}
+				if wr.TotalSimTime != total {
+					t.Errorf("%s: TotalSimTime %v, Σ SimTime %v", label, wr.TotalSimTime, total)
 				}
 			}
-			eng.Close()
 		}
 	}
+	store.Close()
 }
 
 // TestEngineCloseIdempotent is the regression test for Engine.Close:

@@ -1,17 +1,19 @@
 package qd_test
 
-// Differential property test for the streaming-ingest read path: random
-// interleavings of Insert / Flush / Query / Aggregate must keep the
-// merged `delta ∪ base` view bit-identical to a row-at-a-time reference
-// over the table-so-far — across both store formats, both engine
-// profiles, both pruning modes, and sequential vs parallel scans — and a
-// final Compact must fold the delta without changing a single answer.
+// Differential property test for the streaming-ingest read path, which
+// only a Server has: random interleavings of Insert / Flush / filter /
+// aggregate statements must keep the merged `delta ∪ base` view
+// bit-identical to a row-at-a-time reference over the table-so-far —
+// across both store formats and sequential, parallel and default scans —
+// and a final Compact must fold the delta without changing a single
+// answer.
 
 import (
 	"fmt"
 	"math/rand"
 	"testing"
 
+	"repro/internal/serve"
 	"repro/qd"
 )
 
@@ -33,62 +35,78 @@ func splitSpec(tbl *qd.Table, frac float64) (*qd.Table, [][]int64) {
 	return base, stream
 }
 
-func TestIngestDifferential(t *testing.T) {
-	profiles := []qd.EngineProfile{qd.EngineSpark, qd.EngineDBMS}
-	modes := []qd.ExecMode{qd.RouteQdTree, qd.NoRoute}
-	options := []qd.ExecOptions{
-		{Parallelism: 1},
-		{Parallelism: 4},
+// newTestServer bootstraps a serving root from a layout written in the
+// given block format and opens a Server over it with scan parallelism
+// par and no background drift checks or compactions; compactions that
+// replan use popt.
+func newTestServer(t *testing.T, tbl *qd.Table, l *qd.Layout, acs []qd.AdvCut, format, par int, popt qd.PlanOptions) *qd.Server {
+	t.Helper()
+	root := t.TempDir()
+	if err := serve.InitOpts(root, tbl, l, qd.StoreOptions{FormatVersion: format}); err != nil {
+		t.Fatal(err)
 	}
-	formats := []int{qd.StoreFormatV1, qd.StoreFormatV2}
+	srv, err := qd.NewServer(root, qd.ServeOptions{ACs: acs, Plan: popt, Exec: qd.ExecOptions{Parallelism: par}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { srv.Close() })
+	return srv
+}
 
+// serverFilter runs one filter query through a Server.
+func serverFilter(srv *qd.Server, q qd.Query) (qd.ExecResult, error) {
+	res, err := srv.Execute(qd.Statement{Filter: q}, nil)
+	if err != nil {
+		return qd.ExecResult{}, err
+	}
+	return *res.Filter, nil
+}
+
+func TestIngestDifferential(t *testing.T) {
+	formats := []int{qd.StoreFormatV1, qd.StoreFormatV2}
+	popt := qd.PlanOptions{MinBlockSize: 300}
 	for seed := int64(1); seed <= 2; seed++ {
 		seed := seed
 		t.Run(fmt.Sprintf("seed%d", seed), func(t *testing.T) {
 			tbl, queries, acs := randomSpec(seed)
 			base, stream := splitSpec(tbl, 0.7)
 			ds := qd.NewDataset(tbl.Schema, base).WithQueries(queries, acs)
-			plan, err := qd.GreedyPlanner{}.Plan(ds, qd.PlanOptions{MinBlockSize: 300})
+			plan, err := qd.GreedyPlanner{}.Plan(ds, popt)
 			if err != nil {
 				t.Fatal(err)
 			}
 
 			combo := 0
 			for _, format := range formats {
-				for _, prof := range profiles {
-					for _, mode := range modes {
-						for _, opt := range options {
-							combo++
-							label := fmt.Sprintf("v%d/%s/mode%d/p%d", format, prof.Name, mode, opt.Parallelism)
-							store, err := qd.WriteStore(t.TempDir(), base, plan.Layout, qd.StoreOptions{FormatVersion: format})
-							if err != nil {
-								t.Fatal(err)
-							}
-							eng, err := qd.NewEngine(store, plan, prof, opt)
-							if err != nil {
-								t.Fatal(err)
-							}
-							eng.WithMode(mode)
-							runInterleaving(t, label, eng, rand.New(rand.NewSource(seed*1000+int64(combo))),
-								base, stream, queries, acs)
-							eng.Close()
-						}
-					}
+				for _, par := range []int{1, 4, 0} {
+					combo++
+					label := fmt.Sprintf("v%d/p%d", format, par)
+					srv := newTestServer(t, base, plan.Layout, acs, format, par, popt)
+					runInterleaving(t, label, srv, rand.New(rand.NewSource(seed*1000+int64(combo))),
+						base, stream, queries, acs)
+					srv.Close()
 				}
 			}
 		})
 	}
 }
 
-// runInterleaving drives one engine through a random op sequence,
+// runInterleaving drives one server through a random op sequence,
 // checking every read against the reference over the rows inserted so
 // far, then compacts and re-checks the whole workload.
-func runInterleaving(t *testing.T, label string, eng *qd.Engine, rng *rand.Rand,
+func runInterleaving(t *testing.T, label string, srv *qd.Server, rng *rand.Rand,
 	base *qd.Table, stream [][]int64, queries []qd.Query, acs []qd.AdvCut) {
 	t.Helper()
 	ref := qd.NewTable(base.Schema, base.N+len(stream))
 	ref.Concat(base)
 	aggs := randomAggWorkload(rng, base.Schema.Cols[1].Dom)
+	aggregate := func(aq qd.AggQuery) (qd.Rows, error) {
+		res, err := srv.Execute(qd.Statement{Agg: &aq}, nil)
+		if err != nil {
+			return nil, err
+		}
+		return res.Agg.Rows, nil
+	}
 	si := 0
 
 	for step := 0; step < 16; step++ {
@@ -101,7 +119,7 @@ func runInterleaving(t *testing.T, label string, eng *qd.Engine, rng *rand.Rand,
 			if k == 0 {
 				continue
 			}
-			if err := eng.Insert(stream[si : si+k]); err != nil {
+			if err := srv.Insert(stream[si : si+k]); err != nil {
 				t.Fatalf("%s step %d: insert: %v", label, step, err)
 			}
 			for _, row := range stream[si : si+k] {
@@ -109,12 +127,12 @@ func runInterleaving(t *testing.T, label string, eng *qd.Engine, rng *rand.Rand,
 			}
 			si += k
 		case 1: // durability point
-			if err := eng.Flush(); err != nil {
+			if err := srv.Flush(); err != nil {
 				t.Fatalf("%s step %d: flush: %v", label, step, err)
 			}
 		case 2: // filter query
 			qi := rng.Intn(len(queries))
-			res, err := eng.Query(queries[qi])
+			res, err := serverFilter(srv, queries[qi])
 			if err != nil {
 				t.Fatalf("%s step %d: query: %v", label, step, err)
 			}
@@ -129,42 +147,42 @@ func runInterleaving(t *testing.T, label string, eng *qd.Engine, rng *rand.Rand,
 			}
 		default: // aggregation
 			ai := rng.Intn(len(aggs))
-			res, err := eng.Aggregate(aggs[ai])
+			rows, err := aggregate(aggs[ai])
 			if err != nil {
 				t.Fatalf("%s step %d: aggregate: %v", label, step, err)
 			}
 			sameAggRows(t, fmt.Sprintf("%s step %d %s", label, step, aggs[ai].Name),
-				res.Rows, qd.ReferenceAggregate(ref, aggs[ai], acs))
+				rows, qd.ReferenceAggregate(ref, aggs[ai], acs))
 		}
 	}
 
 	// Compaction folds the delta without changing any answer.
-	if err := eng.Compact(); err != nil {
+	if err := srv.Compact(); err != nil {
 		t.Fatalf("%s: compact: %v", label, err)
 	}
-	if eng.DeltaRows() != 0 {
-		t.Fatalf("%s: %d delta rows survive compaction", label, eng.DeltaRows())
+	if n := srv.Stats().DeltaRows; n != 0 {
+		t.Fatalf("%s: %d delta rows survive compaction", label, n)
 	}
 	exact := qd.PerQueryMatches(ref, queries, acs)
-	wr, err := eng.Workload(queries)
-	if err != nil {
-		t.Fatalf("%s: post-compaction workload: %v", label, err)
-	}
-	for i := range wr.Results {
-		if wr.Results[i].RowsMatched != exact[i] {
-			t.Fatalf("%s: post-compaction %s matched %d, reference %d",
-				label, queries[i].Name, wr.Results[i].RowsMatched, exact[i])
+	for i, q := range queries {
+		res, err := serverFilter(srv, q)
+		if err != nil {
+			t.Fatalf("%s: post-compaction %s: %v", label, q.Name, err)
 		}
-		if wr.Results[i].DeltaRows != 0 {
+		if res.RowsMatched != exact[i] {
+			t.Fatalf("%s: post-compaction %s matched %d, reference %d",
+				label, q.Name, res.RowsMatched, exact[i])
+		}
+		if res.DeltaRows != 0 {
 			t.Fatalf("%s: post-compaction scan still reads delta rows", label)
 		}
 	}
 	for _, aq := range aggs {
-		res, err := eng.Aggregate(aq)
+		rows, err := aggregate(aq)
 		if err != nil {
 			t.Fatalf("%s: post-compaction %s: %v", label, aq.Name, err)
 		}
 		sameAggRows(t, fmt.Sprintf("%s post-compaction %s", label, aq.Name),
-			res.Rows, qd.ReferenceAggregate(ref, aq, acs))
+			rows, qd.ReferenceAggregate(ref, aq, acs))
 	}
 }

@@ -372,5 +372,7 @@ func WriteStore(dir string, tbl *Table, l *Layout, opts ...StoreOptions) (*Block
 	return blockstore.WriteOpts(dir, tbl, l.BIDs, l.NumBlocks(), opt)
 }
 
-// OpenStore reopens a block directory from its catalog.
+// OpenStore reopens a block directory from its catalog. It fails on a
+// directory holding delta segments (delta_*.qdb): only a Server ingests,
+// and its segments live under its root's delta directory.
 func OpenStore(dir string) (*BlockStore, error) { return blockstore.Open(dir) }

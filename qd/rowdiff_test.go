@@ -188,9 +188,9 @@ func TestRowDifferential(t *testing.T) {
 }
 
 // TestRowDifferentialDelta extends the property to base ∪ delta: rows
-// inserted through the engine's LSM delta are merged into row and join
-// answers exactly as if the table had been written with them, across
-// both formats and profiles.
+// inserted into a Server's delta are merged into row and join answers
+// exactly as if the table had been written with them, across both
+// block formats and sequential and parallel scans.
 func TestRowDifferentialDelta(t *testing.T) {
 	tbl, queries, acs := randomSpec(5)
 	rng := rand.New(rand.NewSource(99))
@@ -210,52 +210,37 @@ func TestRowDifferentialDelta(t *testing.T) {
 	rows := randomRowWorkload(rng, dom)[:12]
 	joins := randomJoinWorkload(rng)[:3]
 
+	popt := qd.PlanOptions{MinBlockSize: 300}
 	ds := qd.NewDataset(tbl.Schema, tbl).WithQueries(queries, acs)
-	plan, err := qd.GreedyPlanner{}.Plan(ds, qd.PlanOptions{MinBlockSize: 300})
+	plan, err := qd.GreedyPlanner{}.Plan(ds, popt)
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, format := range []int{1, 2} {
-		opts := qd.StoreOptions{}
-		if format == 1 {
-			opts.FormatVersion = qd.StoreFormatV1
-		}
-		for _, prof := range []qd.EngineProfile{qd.EngineSpark, qd.EngineDBMS} {
-			for _, par := range []int{1, 4} {
-				label := fmt.Sprintf("v%d/%s/p%d", format, prof.Name, par)
-				// Each engine gets its own store directory: delta segments
-				// seal to disk beside the blocks, so sharing a directory
-				// would double-count inserts across engines.
-				store, err := qd.WriteStore(t.TempDir(), tbl, plan.Layout, opts)
-				if err != nil {
-					t.Fatal(err)
-				}
-				eng, err := qd.NewEngine(store, plan, prof, qd.ExecOptions{Parallelism: par})
-				if err != nil {
-					t.Fatal(err)
-				}
-				if err := eng.Insert(extra); err != nil {
-					t.Fatal(err)
-				}
-				if got := eng.DeltaRows(); got != len(extra) {
-					t.Fatalf("%s: delta rows %d, want %d", label, got, len(extra))
-				}
-				for _, rq := range rows {
-					res, err := eng.Select(qd.RowStmt{Row: &rq})
-					if err != nil {
-						t.Fatalf("%s/%s: %v", label, rq.Name, err)
-					}
-					sameTuples(t, fmt.Sprintf("%s/%s", label, rq.Name), res.Rows, qd.ReferenceSelect(combined, rq, acs))
-				}
-				for _, jq := range joins {
-					res, err := eng.Select(qd.RowStmt{Join: &jq})
-					if err != nil {
-						t.Fatalf("%s/%s: %v", label, jq.Name, err)
-					}
-					sameTuples(t, fmt.Sprintf("%s/%s", label, jq.Name), res.Rows, qd.ReferenceJoin(combined, jq, acs))
-				}
-				eng.Close()
+	for _, format := range []int{qd.StoreFormatV1, qd.StoreFormatV2} {
+		for _, par := range []int{1, 4} {
+			label := fmt.Sprintf("v%d/p%d", format, par)
+			srv := newTestServer(t, tbl, plan.Layout, acs, format, par, popt)
+			if err := srv.Insert(extra); err != nil {
+				t.Fatal(err)
 			}
+			if got := srv.Stats().DeltaRows; got != len(extra) {
+				t.Fatalf("%s: delta rows %d, want %d", label, got, len(extra))
+			}
+			for _, rq := range rows {
+				res, err := srv.Execute(qd.Statement{Row: &rq}, nil)
+				if err != nil {
+					t.Fatalf("%s/%s: %v", label, rq.Name, err)
+				}
+				sameTuples(t, fmt.Sprintf("%s/%s", label, rq.Name), res.Rows.Rows, qd.ReferenceSelect(combined, rq, acs))
+			}
+			for _, jq := range joins {
+				res, err := srv.Execute(qd.Statement{Join: &jq}, nil)
+				if err != nil {
+					t.Fatalf("%s/%s: %v", label, jq.Name, err)
+				}
+				sameTuples(t, fmt.Sprintf("%s/%s", label, jq.Name), res.Rows.Rows, qd.ReferenceJoin(combined, jq, acs))
+			}
+			srv.Close()
 		}
 	}
 }

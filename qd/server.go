@@ -39,6 +39,11 @@ type (
 	CompactReport = serve.CompactReport
 )
 
+// ErrServerClosed is returned by every Server method that needs the live
+// generation (Insert, Flush, Compact and the query path among them) after
+// Close.
+var ErrServerClosed = serve.ErrClosed
+
 // ServeOptions configure NewServer. The zero value serves with the greedy
 // replanner and drift gates of 16 logged queries / 10% improvement; only
 // Strategy-specific planning knobs usually need setting. A server routes
