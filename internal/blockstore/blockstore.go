@@ -101,6 +101,10 @@ type Store struct {
 
 	once  sync.Once
 	files []blockHandle // lazily-opened, validated per-block handles
+
+	totalsOnce  sync.Once
+	totalBlocks int
+	totalRows   int64
 }
 
 // blockHandle caches one block's open file. The pointer is read lock-free
@@ -443,6 +447,20 @@ func validateBlockFiles(dir string, blocks []BlockMeta) error {
 
 // NumBlocks returns the block count (including empty blocks).
 func (s *Store) NumBlocks() int { return len(s.Blocks) }
+
+// Totals returns how many blocks hold rows and how many rows they hold.
+// It counts them on its first call: Blocks must not change after that.
+func (s *Store) Totals() (blocks int, rows int64) {
+	s.totalsOnce.Do(func() {
+		for i := range s.Blocks {
+			if n := s.Blocks[i].Rows; n > 0 {
+				s.totalBlocks++
+				s.totalRows += int64(n)
+			}
+		}
+	})
+	return s.totalBlocks, s.totalRows
+}
 
 // isV2 reports whether the store reads format v2 blocks.
 func (s *Store) isV2() bool { return s.Format >= FormatV2 }

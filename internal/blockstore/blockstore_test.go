@@ -137,6 +137,9 @@ func TestEmptyBlocks(t *testing.T) {
 	if err != nil || data != nil || rows != 0 || nb != 0 {
 		t.Fatal("empty block ReadColumns must return nothing")
 	}
+	if blocks, rows := st.Totals(); blocks != 1 || rows != int64(spec.Table.N) {
+		t.Fatalf("Totals = %d blocks, %d rows; want 1, %d", blocks, rows, spec.Table.N)
+	}
 }
 
 func TestWriteValidation(t *testing.T) {

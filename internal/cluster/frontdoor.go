@@ -23,8 +23,10 @@ import (
 )
 
 // ErrAllShardsFailed reports a scatter in which every owning
-// (non-pruned) shard failed after retries — the one condition a front
-// door maps to 503. Partial failures return a Result with Partial set.
+// (non-pruned) shard failed after retries, and not every one of them
+// with a 4xx (that is the shards' ClientError) — the one condition a
+// front door maps to 503. Partial failures return a Result with Partial
+// set.
 var ErrAllShardsFailed = errors.New("cluster: all owning shards failed")
 
 // ErrJoinUnsupported reports a two-table join sent to the front door.
@@ -467,6 +469,9 @@ func (fd *FrontDoor) scatterGather(stmt expr.Statement, tr *obs.Trace, deep bool
 	ok := fd.gatherShape(res, calls)
 	msp.SetAttr("shards_merged", len(ok))
 	if len(owning) > 0 && len(ok) == 0 {
+		if ce, ok := requestFault(calls); ok {
+			return nil, ce
+		}
 		return nil, fmt.Errorf("%w: %s", ErrAllShardsFailed, canonical)
 	}
 	if aq := stmt.Agg; aq != nil {
@@ -513,6 +518,24 @@ func (fd *FrontDoor) scatterGather(stmt expr.Statement, tr *obs.Trace, deep bool
 	h.RowsTotal += prunedRows
 	h.BlocksTotal += prunedBlocks
 	return res, nil
+}
+
+// requestFault returns the first call's ClientError when every call
+// failed with one: each owning shard blamed the request, so the client
+// gets that 4xx rather than a shard failure. A mix with any other
+// failure is a shard failure.
+func requestFault(calls []*shardCall) (ClientError, bool) {
+	var first ClientError
+	for i, c := range calls {
+		var ce ClientError
+		if !errors.As(c.err, &ce) {
+			return ClientError{}, false
+		}
+		if i == 0 {
+			first = ce
+		}
+	}
+	return first, len(calls) > 0
 }
 
 // IngestResult reports one routed ingest batch.

@@ -3,6 +3,7 @@ package cluster
 import (
 	"encoding/json"
 	"errors"
+	"io"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -121,8 +122,9 @@ func TestNoRetryOn4xx(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := fd.Query("t >= 500"); !errors.Is(err, ErrAllShardsFailed) {
-		t.Fatalf("query err %v, want ErrAllShardsFailed", err)
+	var ce ClientError
+	if _, err := fd.Query("t >= 500"); !errors.As(err, &ce) {
+		t.Fatalf("query err %v, want the shard's ClientError", err)
 	}
 	if n := f.count("/query"); n != 1 {
 		t.Fatalf("shard saw %d /query requests, want 1 (a 400 is never retried)", n)
@@ -132,5 +134,40 @@ func TestNoRetryOn4xx(t *testing.T) {
 	}
 	if n := f.count("/ingest"); n != 1 {
 		t.Fatalf("shard saw %d /ingest requests, want 1 (a 400 is never retried)", n)
+	}
+}
+
+// TestEveryShard4xxIsAClientError: when every owning shard blames the
+// request, the front door answers with that 4xx and the shard's text, not
+// 503 "all owning shards failed"; a 5xx among the failures makes it a
+// shard failure again.
+func TestEveryShard4xxIsAClientError(t *testing.T) {
+	_, bad1 := startFlakyShard(t, map[string]int{"/query": http.StatusBadRequest}, -1)
+	_, bad2 := startFlakyShard(t, map[string]int{"/query": http.StatusBadRequest}, -1)
+	_, down := startFlakyShard(t, map[string]int{"/query": http.StatusServiceUnavailable}, -1)
+	for _, tc := range []struct {
+		name   string
+		addrs  []string
+		status int
+		text   string
+	}{
+		{"every shard 400", []string{bad1, bad2}, http.StatusBadRequest, "shard returned 400: injected"},
+		{"400 and 503", []string{bad1, down}, http.StatusServiceUnavailable, "all owning shards failed"},
+	} {
+		fd, err := NewFrontDoor(tc.addrs, FrontDoorOptions{Retries: -1})
+		if err != nil {
+			t.Fatal(err)
+		}
+		ts := httptest.NewServer(FrontDoorHandler(fd))
+		resp, err := http.Post(ts.URL+"/query", "application/json", strings.NewReader(`{"sql": "t >= 500"}`))
+		if err != nil {
+			t.Fatal(err)
+		}
+		body, _ := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		ts.Close()
+		if resp.StatusCode != tc.status || !strings.Contains(string(body), tc.text) {
+			t.Errorf("%s: status %d %s, want %d with %q", tc.name, resp.StatusCode, body, tc.status, tc.text)
+		}
 	}
 }

@@ -134,6 +134,15 @@ func propTree(rng *rand.Rand, s *table.Schema, leaves int) *core.Tree {
 // and checks that every row a query selects lies in a returned block.
 func checkLayout(t *testing.T, name string, l *cost.Layout, tbl *table.Table, queries []expr.Query) {
 	t.Helper()
+	nonEmpty := 0
+	for b := range l.Descs {
+		if l.Counts[b] != 0 {
+			nonEmpty++
+		}
+	}
+	if got := l.NonEmptyBlocks(); got != nonEmpty {
+		t.Fatalf("%s, %d blocks: NonEmptyBlocks %d, want %d", name, l.NumBlocks(), got, nonEmpty)
+	}
 	row := make([]int64, tbl.Schema.NumCols())
 	for _, q := range queries {
 		got, want := l.BlocksFor(q), linearBlocksFor(l, q)

@@ -172,6 +172,21 @@ func (l *Layout) BlocksFor(q expr.Query) []int {
 	return l.descend(0, q, nil)
 }
 
+// NonEmptyBlocks returns how many blocks hold rows: the blocks BlocksFor
+// chooses from, so every one of them it does not return was pruned.
+func (l *Layout) NonEmptyBlocks() int {
+	if l.hulls != nil {
+		return l.hulls[0].nonEmpty
+	}
+	n := 0
+	for b := range l.Descs {
+		if l.Counts[b] != 0 {
+			n++
+		}
+	}
+	return n
+}
+
 // AccessedTuples returns the number of tuples scanned for query q.
 func (l *Layout) AccessedTuples(q expr.Query) int64 {
 	var n int64

@@ -17,10 +17,10 @@ const hullLeafBlocks = 16
 type hullNode struct {
 	lo, hi      int
 	left, right int
-	// empty marks a range whose blocks all hold no rows; hull is then
-	// unset.
-	empty bool
-	hull  core.Desc
+	// nonEmpty counts the blocks of the range that hold rows; hull is
+	// unset while it is 0.
+	nonEmpty int
+	hull     core.Desc
 }
 
 // buildHulls indexes descs, in block order, by the hulls of consecutive
@@ -49,12 +49,12 @@ func buildHulls(descs []core.Desc, counts []int) []hullNode {
 	var build func(c0, c1 int) int
 	build = func(c0, c1 int) int {
 		i := len(nodes)
-		nodes = append(nodes, hullNode{lo: c0 * hullLeafBlocks, hi: min(c1*hullLeafBlocks, n), left: -1, right: -1, empty: true})
+		nodes = append(nodes, hullNode{lo: c0 * hullLeafBlocks, hi: min(c1*hullLeafBlocks, n), left: -1, right: -1})
 		if c1-c0 == 1 {
 			nd := &nodes[i]
 			for b := nd.lo; b < nd.hi; b++ {
 				if counts[b] != 0 {
-					widen(nd, &descs[b])
+					widen(nd, &descs[b], 1)
 				}
 			}
 			return i
@@ -65,8 +65,8 @@ func buildHulls(descs []core.Desc, counts []int) []hullNode {
 		nd := &nodes[i]
 		nd.left, nd.right = l, r
 		for _, child := range []int{l, r} {
-			if !nodes[child].empty {
-				widen(nd, &nodes[child].hull)
+			if k := nodes[child].nonEmpty; k > 0 {
+				widen(nd, &nodes[child].hull, k)
 			}
 		}
 		return i
@@ -75,13 +75,14 @@ func buildHulls(descs []core.Desc, counts []int) []hullNode {
 	return nodes
 }
 
-// widen grows nd's hull to contain d.
-func widen(nd *hullNode, d *core.Desc) {
-	if nd.empty {
-		nd.hull, nd.empty = d.Clone(), false
-		return
+// widen grows nd's hull to contain d, the hull of k non-empty blocks.
+func widen(nd *hullNode, d *core.Desc, k int) {
+	if nd.nonEmpty == 0 {
+		nd.hull = d.Clone()
+	} else {
+		nd.hull.Widen(d)
 	}
-	nd.hull.Widen(d)
+	nd.nonEmpty += k
 }
 
 // sameShape reports whether every description has the first one's
@@ -108,7 +109,7 @@ func sameShape(descs []core.Desc) bool {
 // scan.
 func (l *Layout) descend(i int, q expr.Query, out []int) []int {
 	nd := &l.hulls[i]
-	if nd.empty || !nd.hull.QueryMayMatch(q) {
+	if nd.nonEmpty == 0 || !nd.hull.QueryMayMatch(q) {
 		return out
 	}
 	if nd.left < 0 {

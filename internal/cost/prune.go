@@ -37,94 +37,95 @@ func opString(op expr.Op) string {
 }
 
 // pruneCause walks q like mayMatch and returns the first witness that
-// forces a prune, or nil when the query may match.
-func pruneCause(q expr.Query, interval func(c int) (lo, hi int64)) *PruneCause {
+// forces a prune, or nil when the query may match. Column c spans the
+// inclusive interval [lo[c], hi[c]-hiOpen]: hiOpen is 1 over the
+// half-open Desc representation and 0 over catalog zone maps. Only a
+// pruned query allocates its witness.
+func pruneCause(q expr.Query, lo, hi []int64, hiOpen int64) *PruneCause {
 	if q.Root == nil {
 		return nil
 	}
-	var rec func(n *expr.Node) *PruneCause
-	rec = func(n *expr.Node) *PruneCause {
-		switch n.Kind {
-		case expr.KindPred:
-			p := n.Pred
-			l, h := interval(p.Col)
-			if l > h {
-				return &PruneCause{Col: p.Col, Op: "empty", Lo: l, Hi: h}
-			}
-			fail := &PruneCause{Col: p.Col, Op: opString(p.Op), Literal: p.Literal, Lo: l, Hi: h}
-			switch p.Op {
-			case expr.Lt:
-				if l < p.Literal {
-					return nil
-				}
-				return fail
-			case expr.Le:
-				if l <= p.Literal {
-					return nil
-				}
-				return fail
-			case expr.Gt:
-				if h > p.Literal {
-					return nil
-				}
-				return fail
-			case expr.Ge:
-				if h >= p.Literal {
-					return nil
-				}
-				return fail
-			case expr.Eq:
-				if p.Literal >= l && p.Literal <= h {
-					return nil
-				}
-				return fail
-			case expr.In:
-				for _, v := range p.Set {
-					if v >= l && v <= h {
-						return nil
-					}
-				}
-				if len(p.Set) > 0 {
-					fail.Literal = p.Set[0]
-				}
-				return fail
-			}
-			return nil
-		case expr.KindAdv:
-			return nil // conservatively matches, like mayMatch
-		case expr.KindAnd:
-			for _, c := range n.Children {
-				if cause := rec(c); cause != nil {
-					return cause
-				}
-			}
-			return nil
-		case expr.KindOr:
-			var first *PruneCause
-			for _, c := range n.Children {
-				cause := rec(c)
-				if cause == nil {
-					return nil // one disjunct may match
-				}
-				if first == nil {
-					first = cause
-				}
-			}
-			return first
-		}
-		return nil
+	if cause, pruned := nodeCause(q.Root, lo, hi, hiOpen); pruned {
+		return &cause
 	}
-	return rec(q.Root)
+	return nil
+}
+
+// nodeCause reports whether n prunes the intervals and, if so, its
+// witness.
+func nodeCause(n *expr.Node, lo, hi []int64, hiOpen int64) (PruneCause, bool) {
+	switch n.Kind {
+	case expr.KindPred:
+		c := n.Pred.Col
+		return predCause(&n.Pred, lo[c], hi[c]-hiOpen)
+	case expr.KindAnd:
+		for _, c := range n.Children {
+			if cause, pruned := nodeCause(c, lo, hi, hiOpen); pruned {
+				return cause, true
+			}
+		}
+	case expr.KindOr:
+		var first PruneCause
+		for i, c := range n.Children {
+			cause, pruned := nodeCause(c, lo, hi, hiOpen)
+			if !pruned {
+				return PruneCause{}, false // one disjunct may match
+			}
+			if i == 0 {
+				first = cause
+			}
+		}
+		return first, len(n.Children) > 0
+	}
+	return PruneCause{}, false // KindAdv conservatively matches, like mayMatch
+}
+
+// predCause reports whether p prunes the inclusive interval [l, h] and,
+// if so, its witness.
+func predCause(p *expr.Pred, l, h int64) (PruneCause, bool) {
+	if l > h {
+		return PruneCause{Col: p.Col, Op: "empty", Lo: l, Hi: h}, true
+	}
+	var may bool
+	lit := p.Literal
+	switch p.Op {
+	case expr.Lt:
+		may = l < p.Literal
+	case expr.Le:
+		may = l <= p.Literal
+	case expr.Gt:
+		may = h > p.Literal
+	case expr.Ge:
+		may = h >= p.Literal
+	case expr.Eq:
+		may = p.Literal >= l && p.Literal <= h
+	case expr.In:
+		for _, v := range p.Set {
+			if v >= l && v <= h {
+				may = true
+				break
+			}
+		}
+		if len(p.Set) > 0 {
+			lit = p.Set[0]
+		}
+	default:
+		may = true
+	}
+	if may {
+		return PruneCause{}, false
+	}
+	return PruneCause{Col: p.Col, Op: opString(p.Op), Literal: lit, Lo: l, Hi: h}, true
 }
 
 // SMAPruneCause explains why SMAMayMatch(min, max, q) is false; nil when
 // the query may match the inclusive [min, max] zone map.
 func SMAPruneCause(min, max []int64, q expr.Query) *PruneCause {
-	return pruneCause(q, func(c int) (int64, int64) { return min[c], max[c] })
+	return pruneCause(q, min, max, 0)
 }
 
 // MinMaxPruneCause explains why MinMaxMayMatch(lo, hi, q) is false over
 // the half-open Desc interval representation; nil when it may match.
 func MinMaxPruneCause(lo, hi []int64, q expr.Query) *PruneCause {
-	return pruneCause(q, func(c int) (int64, int64) { return lo[c], hi[c] - 1 })
+	return pruneCause(q, lo, hi, 1)
 }

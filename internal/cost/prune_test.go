@@ -1,6 +1,7 @@
 package cost
 
 import (
+	"math/rand"
 	"testing"
 
 	"repro/internal/expr"
@@ -90,5 +91,109 @@ func TestMinMaxPruneCause(t *testing.T) {
 	}
 	if c := MinMaxPruneCause(lo, hi, expr.AndQ("t", expr.Pred{Col: 0, Op: expr.Ge, Literal: 199})); c != nil {
 		t.Fatalf("boundary value should match: %+v", c)
+	}
+}
+
+// closurePruneCause is the reference witness: a predicate's failure
+// built eagerly at every predicate, through an interval callback.
+func closurePruneCause(q expr.Query, interval func(c int) (lo, hi int64)) *PruneCause {
+	if q.Root == nil {
+		return nil
+	}
+	var rec func(n *expr.Node) *PruneCause
+	rec = func(n *expr.Node) *PruneCause {
+		switch n.Kind {
+		case expr.KindPred:
+			p := n.Pred
+			l, h := interval(p.Col)
+			if l > h {
+				return &PruneCause{Col: p.Col, Op: "empty", Lo: l, Hi: h}
+			}
+			fail := &PruneCause{Col: p.Col, Op: opString(p.Op), Literal: p.Literal, Lo: l, Hi: h}
+			if len(p.Set) > 0 {
+				fail.Literal = p.Set[0]
+			}
+			if mayMatch(expr.Query{Root: n}, interval) {
+				return nil
+			}
+			return fail
+		case expr.KindAnd:
+			for _, c := range n.Children {
+				if cause := rec(c); cause != nil {
+					return cause
+				}
+			}
+		case expr.KindOr:
+			var first *PruneCause
+			for _, c := range n.Children {
+				cause := rec(c)
+				if cause == nil {
+					return nil
+				}
+				if first == nil {
+					first = cause
+				}
+			}
+			return first
+		}
+		return nil
+	}
+	return rec(q.Root)
+}
+
+// TestPruneCauseMatchesReference draws random AND/OR queries with IN
+// lists and advanced cuts over random (sometimes empty) intervals and
+// checks both witness functions against the reference, and that a
+// witness exists exactly when the matching MayMatch prunes.
+func TestPruneCauseMatchesReference(t *testing.T) {
+	rng := rand.New(rand.NewSource(7))
+	lit := func() int64 { return rng.Int63n(40) - 5 }
+	var node func(depth int) *expr.Node
+	node = func(depth int) *expr.Node {
+		switch k := rng.Intn(10); {
+		case depth == 0 || k < 5:
+			c := rng.Intn(3)
+			if rng.Intn(5) == 0 {
+				return expr.NewPred(expr.NewIn(c, []int64{lit(), lit()}))
+			}
+			ops := []expr.Op{expr.Lt, expr.Le, expr.Gt, expr.Ge, expr.Eq}
+			return expr.NewPred(expr.Pred{Col: c, Op: ops[rng.Intn(len(ops))], Literal: lit()})
+		case k < 6:
+			return expr.NewAdv(0)
+		default:
+			kids := make([]*expr.Node, 1+rng.Intn(3))
+			for i := range kids {
+				kids[i] = node(depth - 1)
+			}
+			if k < 8 {
+				return expr.And(kids...)
+			}
+			return expr.Or(kids...)
+		}
+	}
+	for i := 0; i < 5000; i++ {
+		q := expr.Query{Root: node(3)}
+		lo, hi := make([]int64, 3), make([]int64, 3)
+		for c := range lo {
+			lo[c] = lit()
+			hi[c] = lo[c] + rng.Int63n(20) - 2 // sometimes empty
+		}
+		for _, tc := range []struct {
+			name  string
+			got   *PruneCause
+			may   bool
+			hiAdj int64
+		}{
+			{"SMA", SMAPruneCause(lo, hi, q), SMAMayMatch(lo, hi, q), 0},
+			{"MinMax", MinMaxPruneCause(lo, hi, q), MinMaxMayMatch(lo, hi, q), 1},
+		} {
+			want := closurePruneCause(q, func(c int) (int64, int64) { return lo[c], hi[c] - tc.hiAdj })
+			if (tc.got == nil) != (want == nil) || tc.got != nil && *tc.got != *want {
+				t.Fatalf("%s %v over %v..%v: witness %+v, want %+v", tc.name, q.String(), lo, hi, tc.got, want)
+			}
+			if (tc.got != nil) == tc.may {
+				t.Fatalf("%s %v over %v..%v: witness %+v but MayMatch %v", tc.name, q.String(), lo, hi, tc.got, tc.may)
+			}
+		}
 	}
 }

@@ -352,7 +352,7 @@ func RunAggPartialDelta(store *blockstore.Store, layout *cost.Layout, aq expr.Ag
 			aggregateFullySelected(pl, vecs, nrows, &w.sel, aw.part)
 			return 0 // counted from the catalog row count below
 		}
-		return aggregateBlock(pl, vecs, nrows, &w.sel, &w.scratch, &aw.grp, w.arena, aw.part)
+		return aggregateBlock(pl, vecs, nrows, &w.sel, w.scratch, &aw.grp, w.arena, aw.part)
 	}
 	if !pl.grouped {
 		sp.catalog = func(w *scanWorker, b int) ([]int, bool, bool) {

@@ -202,17 +202,6 @@ type Result struct {
 	Header
 }
 
-// storeTotals counts the store's non-empty blocks and their rows.
-func storeTotals(store *blockstore.Store) (blocks int, rows int64) {
-	for _, m := range store.Blocks {
-		if m.Rows > 0 {
-			blocks++
-			rows += int64(m.Rows)
-		}
-	}
-	return blocks, rows
-}
-
 // Mode selects how candidate blocks are pruned.
 type Mode int
 
@@ -270,34 +259,21 @@ func candidateBlocks(store *blockstore.Store, layout *cost.Layout, q expr.Query,
 	case RouteQdTree:
 		candidates = layout.BlocksFor(q)
 		if rec != nil {
-			// Explain routing misses: any non-empty block absent from the
-			// routed set. The leaf's Desc interval usually yields a single
-			// predicate witness; advanced-cut routing may not.
-			routed := make(map[int]bool, len(candidates))
-			for _, b := range candidates {
-				routed[b] = true
-			}
-			for b := range layout.Descs {
-				if layout.Counts[b] == 0 || routed[b] {
-					continue
-				}
-				p := BlockPrune{Block: b, By: "route"}
-				if b < len(layout.Descs) {
-					p = withCause(p, store.Schema, cost.MinMaxPruneCause(layout.Descs[b].Lo, layout.Descs[b].Hi, q))
-				}
-				rec.add(p)
-			}
+			// BlocksFor returns a sorted subset of the non-empty blocks, so
+			// the rest of them are exactly routing's prunes.
+			rec.routePruned = layout.NonEmptyBlocks() - len(candidates)
+			rec.explainRoute(store.Schema, layout, q, candidates)
 		}
 	case NoRoute:
 		for b := range layout.Descs {
 			if layout.Counts[b] == 0 {
 				continue
 			}
-			if cost.MinMaxMayMatch(layout.Descs[b].Lo, layout.Descs[b].Hi, q) {
+			d := &layout.Descs[b]
+			if cost.MinMaxMayMatch(d.Lo, d.Hi, q) {
 				candidates = append(candidates, b)
-			} else if rec != nil {
-				rec.add(withCause(BlockPrune{Block: b, By: "sma"}, store.Schema,
-					cost.MinMaxPruneCause(layout.Descs[b].Lo, layout.Descs[b].Hi, q)))
+			} else if rec.smaPrune() {
+				rec.explain(store.Schema, b, "sma", cost.MinMaxPruneCause(d.Lo, d.Hi, q))
 			}
 		}
 	default:
@@ -308,14 +284,13 @@ func candidateBlocks(store *blockstore.Store, layout *cost.Layout, q expr.Query,
 		if b < 0 || b >= len(store.Blocks) {
 			return nil, fmt.Errorf("exec: candidate block %d outside store of %d blocks", b, len(store.Blocks))
 		}
-		m := store.Blocks[b]
+		m := &store.Blocks[b]
 		if m.Rows == 0 {
 			continue
 		}
 		if len(m.Min) > 0 && !cost.SMAMayMatch(m.Min, m.Max, q) {
-			if rec != nil {
-				rec.add(withCause(BlockPrune{Block: b, By: "sma"}, store.Schema,
-					cost.SMAPruneCause(m.Min, m.Max, q)))
+			if rec.smaPrune() {
+				rec.explain(store.Schema, b, "sma", cost.SMAPruneCause(m.Min, m.Max, q))
 			}
 			continue
 		}
@@ -389,7 +364,7 @@ func RunDelta(store *blockstore.Store, layout *cost.Layout, q expr.Query, acs []
 		cols:    cols,
 		workers: opt.workers(),
 		fold: func(w *scanWorker, vecs []*blockstore.ColVec, nrows int, _ bool) int64 {
-			return int64(countMatchesVec(q, acs, vecs, nrows, &w.scratch))
+			return int64(countMatchesVec(q, acs, vecs, nrows, w.scratch))
 		},
 	})
 	h.Query = q.Name

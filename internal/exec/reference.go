@@ -190,7 +190,7 @@ func RunAggNaive(store *blockstore.Store, layout *cost.Layout, aq expr.AggQuery,
 		return nil, err
 	}
 	res := &AggResult{Header: Header{Query: aq.Name}, GroupBy: append([]int(nil), aq.GroupBy...)}
-	res.BlocksTotal, res.RowsTotal = storeTotals(store)
+	res.BlocksTotal, res.RowsTotal = store.Totals()
 	candidates, err := candidateBlocks(store, layout, aq.Filter, mode, nil)
 	if err != nil {
 		return nil, err
@@ -324,7 +324,7 @@ func ReferenceJoin(tbl *table.Table, jq expr.JoinQuery, acs []expr.AdvCut) [][]i
 // charges the decoded logical footprint, as in RunAggNaive.
 func RunRowsNaive(store *blockstore.Store, layout *cost.Layout, rq expr.RowQuery, acs []expr.AdvCut, prof Profile, mode Mode) (*RowsResult, error) {
 	res := &RowsResult{Header: Header{Query: rq.Name}}
-	res.BlocksTotal, res.RowsTotal = storeTotals(store)
+	res.BlocksTotal, res.RowsTotal = store.Totals()
 	res.Cols = make([]expr.ColRef, len(rq.Cols))
 	for i, c := range rq.Cols {
 		res.Cols[i] = expr.ColRef{Side: 0, Col: c}

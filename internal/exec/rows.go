@@ -198,7 +198,7 @@ func projectBlock(root *expr.Node, acs []expr.AdvCut, vecs []*blockstore.ColVec,
 		if root == nil {
 			a.sel.SetFirst(n)
 		} else {
-			evalNodeVec(root, acs, vecs, start, n, &a.sel, &a.scratch)
+			evalNodeVec(root, acs, vecs, start, n, &a.sel, a.scratch)
 			if a.sel.None() {
 				continue
 			}

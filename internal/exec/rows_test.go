@@ -233,7 +233,7 @@ func TestJoinStatsAccounting(t *testing.T) {
 	if res.RowsMatched != int64(len(fres.Rows)) {
 		t.Errorf("RowsMatched %d, want pre-LIMIT output %d", res.RowsMatched, len(fres.Rows))
 	}
-	b, r := storeTotals(st)
+	b, r := st.Totals()
 	if res.BlocksTotal != 2*b || res.RowsTotal != 2*r {
 		t.Errorf("totals %d/%d, want doubled %d/%d", res.BlocksTotal, res.RowsTotal, 2*b, 2*r)
 	}

@@ -15,6 +15,7 @@ package exec
 import (
 	"fmt"
 	"slices"
+	"sync"
 	"time"
 
 	"repro/internal/blockstore"
@@ -30,10 +31,15 @@ type scanWorker struct {
 	slot    int
 	stats   ScanStats
 	crit    time.Duration
-	scratch vecScratch
+	scratch *vecScratch // pooled like arena
 	sel     blockstore.SelVec
 	arena   *blockstore.Arena
 }
+
+// scratchPool recycles the workers' 16 KB decode scratch across scans.
+// Every kernel writes the rows of a batch into it before it reads them
+// back, so a recycled scratch needs no clearing.
+var scratchPool = sync.Pool{New: func() any { return new(vecScratch) }}
 
 // account charges one scanned unit — a base block or a delta table — at
 // the profile's price, given the bytes read of it and its whole size.
@@ -78,7 +84,7 @@ type scanSpec struct {
 // identical for every worker count.
 func scan(store *blockstore.Store, layout *cost.Layout, prof Profile, mode Mode, opt Options, dv *DeltaView, sp scanSpec) (Header, int, error) {
 	var h Header
-	h.BlocksTotal, h.RowsTotal = storeTotals(store)
+	h.BlocksTotal, h.RowsTotal = store.Totals()
 	h.RowsTotal += dv.Rows()
 	var rec *pruneRecorder
 	if opt.Trace != nil {
@@ -101,10 +107,12 @@ func scan(store *blockstore.Store, layout *cost.Layout, prof Profile, mode Mode,
 	for i := range ws {
 		ws[i].slot = i
 		ws[i].arena = blockstore.GetArena()
+		ws[i].scratch = scratchPool.Get().(*vecScratch)
 	}
 	defer func() {
 		for i := range ws {
 			blockstore.PutArena(ws[i].arena)
+			scratchPool.Put(ws[i].scratch)
 		}
 	}()
 	visit := func(w *scanWorker, b int) error {

@@ -2,6 +2,7 @@ package exec
 
 import (
 	"repro/internal/cost"
+	"repro/internal/expr"
 	"repro/internal/obs"
 	"repro/internal/table"
 )
@@ -26,45 +27,70 @@ type BlockPrune struct {
 const maxPruneDetail = 32
 
 // pruneRecorder accumulates pruning decisions during candidateBlocks.
-// A nil recorder disables recording at zero cost.
+// A nil recorder disables recording at zero cost. The counts are exact;
+// detail holds the witnesses of the first maxPruneDetail pruned blocks,
+// routing's in block order and then the zone maps', and no witness past
+// them is ever computed.
 type pruneRecorder struct {
 	routePruned int
 	smaPruned   int
-	truncated   bool
 	detail      []BlockPrune
 }
 
-func (r *pruneRecorder) add(p BlockPrune) {
+// smaPrune counts one block the zone maps pruned and reports whether its
+// witness still fits in detail.
+func (r *pruneRecorder) smaPrune() bool {
 	if r == nil {
-		return
+		return false
 	}
-	switch p.By {
-	case "route":
-		r.routePruned++
-	case "sma":
-		r.smaPruned++
+	r.smaPruned++
+	return len(r.detail) < maxPruneDetail
+}
+
+// explain appends pruned block b's witness to detail; a nil cause leaves
+// only block/by.
+func (r *pruneRecorder) explain(schema *table.Schema, b int, by string, c *cost.PruneCause) {
+	if r.detail == nil {
+		r.detail = make([]BlockPrune, 0, maxPruneDetail)
 	}
-	if len(r.detail) < maxPruneDetail {
-		r.detail = append(r.detail, p)
-	} else {
-		r.truncated = true
+	p := BlockPrune{Block: b, By: by}
+	if c != nil {
+		if schema != nil && c.Col >= 0 && c.Col < len(schema.Cols) {
+			p.Column = schema.Cols[c.Col].Name
+		}
+		p.Op = c.Op
+		p.Bound = c.Literal
+		p.Min = c.Lo
+		p.Max = c.Hi
+	}
+	r.detail = append(r.detail, p)
+}
+
+// explainRoute records the witnesses of the first routing prunes, given
+// routePruned and the sorted candidates: a merge-walk of the block order
+// against the candidates that stops once detail is full or every routing
+// prune is explained. The block's Desc interval usually yields a single
+// predicate witness; categorical masks and advanced-cut routing may not.
+func (r *pruneRecorder) explainRoute(schema *table.Schema, layout *cost.Layout, q expr.Query, candidates []int) {
+	want := min(r.routePruned, maxPruneDetail-len(r.detail))
+	j := 0
+	for b := 0; want > 0 && b < len(layout.Descs); b++ {
+		if j < len(candidates) && candidates[j] == b {
+			j++
+			continue
+		}
+		if layout.Counts[b] == 0 {
+			continue
+		}
+		d := &layout.Descs[b]
+		r.explain(schema, b, "route", cost.MinMaxPruneCause(d.Lo, d.Hi, q))
+		want--
 	}
 }
 
-// withCause fills the witness fields of p from a prune cause (nil cause
-// leaves only block/by).
-func withCause(p BlockPrune, schema *table.Schema, c *cost.PruneCause) BlockPrune {
-	if c == nil {
-		return p
-	}
-	if schema != nil && c.Col >= 0 && c.Col < len(schema.Cols) {
-		p.Column = schema.Cols[c.Col].Name
-	}
-	p.Op = c.Op
-	p.Bound = c.Literal
-	p.Min = c.Lo
-	p.Max = c.Hi
-	return p
+// truncated reports whether pruned blocks were left out of detail.
+func (r *pruneRecorder) truncated() bool {
+	return r.routePruned+r.smaPruned > len(r.detail)
 }
 
 // annotate writes the recorder's summary onto the block_prune span.
@@ -79,7 +105,7 @@ func (r *pruneRecorder) annotate(sp *obs.ActiveSpan, blocksTotal, candidates int
 	if len(r.detail) > 0 {
 		sp.SetAttr("pruned", r.detail)
 	}
-	if r.truncated {
+	if r.truncated() {
 		sp.SetAttr("pruned_truncated", true)
 	}
 }
