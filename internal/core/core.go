@@ -614,7 +614,8 @@ func (t *Tree) QueryBlocks(q expr.Query) []int {
 // categorical values / advanced-cut outcomes) of the rows actually routed
 // there, per the optimization in Sec. 3.2: "replace each leaf's range with
 // a min-max index over the leaf's records". bids must come from RouteTable
-// on the same table.
+// on the same table, and every value must be at most table.MaxValue: a
+// leaf's interval ends one past its largest value.
 //
 // Rows beyond the schema bounds (ingest accepts any numeric value) can
 // give a leaf an interval outside its ancestors' split-time ones, so

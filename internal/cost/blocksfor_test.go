@@ -159,16 +159,17 @@ func checkLayout(t *testing.T, name string, l *cost.Layout, tbl *table.Table, qu
 	}
 }
 
-// TestBlocksForMatchesLinearScan pins the hull-index descent of BlocksFor
-// to the block-by-block check on random tables and AND/OR queries with IN
-// lists and advanced cuts, for every way a layout is built, at block
-// counts around the index's 16-block bottom nodes, and with empty blocks.
+// TestBlocksForMatchesLinearScan pins the columnar-index evaluation of
+// BlocksFor to the block-by-block check on random tables and AND/OR
+// queries with IN lists and advanced cuts, for every way a layout is
+// built, at block counts on both sides of the index's 64-block words,
+// and with empty blocks.
 func TestBlocksForMatchesLinearScan(t *testing.T) {
 	s := propSchema()
 	for _, seed := range []int64{1, 2, 3} {
 		rng := rand.New(rand.NewSource(seed))
 		queries := propQueries(rng, s, 60)
-		for _, nb := range []int{0, 1, 15, 16, 17, 33} {
+		for _, nb := range []int{0, 1, 15, 16, 17, 33, 63, 64, 65, 129} {
 			tag := fmt.Sprintf("seed %d", seed)
 			if nb == 0 {
 				empty := table.New(s, 0)
@@ -228,13 +229,42 @@ func TestBlocksForMatchesLinearScan(t *testing.T) {
 	}
 }
 
-// BenchmarkBlocksFor times block pruning on the layout the benchmark's
-// point workload serves: ErrorLog-Int at 200,000 rows, planned by greedy
-// with 100-row minimum blocks (713 blocks), and pruned for its 600
-// filters. The layout is rebuilt the way a server rebuilds it from its
-// store, without a tree. It reports µs per statement.
+// BenchmarkBlocksFor times block pruning on the layouts of the
+// benchmark's point and scan workloads at 200,000 rows, each planned by
+// greedy with 100-row minimum blocks and pruned for its workload's
+// filters: point is ErrorLog-Int with 600 filters (713 blocks), scan is
+// TPC-H with its 3 advanced cuts (1,321 blocks). The layout is rebuilt
+// the way a server rebuilds it from its store, without a tree. It
+// reports µs per statement.
 func BenchmarkBlocksFor(b *testing.B) {
-	spec := workload.ErrorLogInt(workload.ErrorLogConfig{Rows: 200000, NumQueries: 600, Seed: 42})
+	for _, wl := range []struct {
+		name string
+		spec func() *workload.Spec
+	}{
+		{"point", func() *workload.Spec {
+			return workload.ErrorLogInt(workload.ErrorLogConfig{Rows: 200000, NumQueries: 600, Seed: 42})
+		}},
+		{"scan", func() *workload.Spec { return workload.TPCH(workload.TPCHConfig{Rows: 200000, Seed: 42}) }},
+	} {
+		b.Run(wl.name, func(b *testing.B) {
+			spec := wl.spec()
+			l := greedyLayout(b, spec)
+			stmts := 0
+			for b.Loop() {
+				for _, q := range spec.Queries {
+					l.BlocksFor(q)
+				}
+				stmts += len(spec.Queries)
+			}
+			b.ReportMetric(float64(l.NumBlocks()), "blocks")
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/1e3/float64(stmts), "us/stmt")
+		})
+	}
+}
+
+// greedyLayout plans spec with greedy over its own cuts at 100-row
+// minimum blocks and returns the tree-less layout of the routed table.
+func greedyLayout(tb testing.TB, spec *workload.Spec) *cost.Layout {
 	cuts := make([]core.Cut, len(spec.Cuts))
 	for i, c := range spec.Cuts {
 		if c.IsAdv {
@@ -245,17 +275,8 @@ func BenchmarkBlocksFor(b *testing.B) {
 	}
 	tree, err := greedy.Build(spec.Table, spec.ACs, greedy.Options{MinSize: 100, Cuts: cuts, Queries: spec.Queries})
 	if err != nil {
-		b.Fatal(err)
+		tb.Fatal(err)
 	}
 	bids := tree.RouteTable(spec.Table)
-	l := cost.NewLayout("point", spec.Table, bids, len(tree.Leaves()), spec.ACs)
-	stmts := 0
-	for b.Loop() {
-		for _, q := range spec.Queries {
-			l.BlocksFor(q)
-		}
-		stmts += len(spec.Queries)
-	}
-	b.ReportMetric(float64(l.NumBlocks()), "blocks")
-	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/1e3/float64(stmts), "us/stmt")
+	return cost.NewLayout(spec.Name, spec.Table, bids, len(tree.Leaves()), spec.ACs)
 }

@@ -52,14 +52,18 @@ type Layout struct {
 	// ExtraSkip, when non-nil, may prove additional blocks skippable (used
 	// by the Bottom-Up baseline's feature-bitmap skipping).
 
-	// hulls indexes Descs in block order for BlocksFor (see buildHulls);
-	// nil for a Layout assembled without NewLayout or FromTree.
-	hulls []hullNode
+	// index is the columnar form of Descs and Counts that BlocksFor
+	// evaluates (see blockIndex), so Descs must not change once the
+	// layout is built; nil for a Layout assembled without NewLayout or
+	// FromTree, or whose descriptions differ in shape.
+	index *blockIndex
 }
 
 // BuildDescs computes min-max + categorical-mask (+ advanced-cut)
 // descriptions for an arbitrary row→block assignment. This is the SMA /
 // zone-map metadata every layout gets (Sec. 8, "Partition Pruning").
+// Every value must be at most table.MaxValue: a block's interval ends one
+// past its largest value.
 func BuildDescs(tbl *table.Table, bids []int, numBlocks int, acs []expr.AdvCut) ([]core.Desc, []int) {
 	counts := make([]int, numBlocks)
 	descs := make([]core.Desc, numBlocks)
@@ -122,7 +126,7 @@ func BuildDescs(tbl *table.Table, bids []int, numBlocks int, acs []expr.AdvCut) 
 // per-block descriptions.
 func NewLayout(name string, tbl *table.Table, bids []int, numBlocks int, acs []expr.AdvCut) *Layout {
 	descs, counts := BuildDescs(tbl, bids, numBlocks, acs)
-	return &Layout{Name: name, NumRows: tbl.N, BIDs: bids, Counts: counts, Descs: descs, hulls: buildHulls(descs, counts)}
+	return &Layout{Name: name, NumRows: tbl.N, BIDs: bids, Counts: counts, Descs: descs, index: newLayoutIndex(descs, counts)}
 }
 
 // FromTree routes the full table through a qd-tree, freezes the leaf
@@ -137,7 +141,7 @@ func FromTree(name string, t *core.Tree, tbl *table.Table) *Layout {
 		descs[i] = leaf.Desc
 		counts[i] = leaf.Count
 	}
-	return &Layout{Name: name, NumRows: tbl.N, BIDs: bids, Counts: counts, Descs: descs, Tree: t, hulls: buildHulls(descs, counts)}
+	return &Layout{Name: name, NumRows: tbl.N, BIDs: bids, Counts: counts, Descs: descs, Tree: t, index: newLayoutIndex(descs, counts)}
 }
 
 // NumBlocks returns the number of blocks in the layout.
@@ -157,26 +161,64 @@ func (l *Layout) DisableDictionaryFiltering() {
 		d.AdvMay = expr.NewFullBitset(d.AdvMay.Len())
 		d.AdvMayNot = expr.NewFullBitset(d.AdvMayNot.Len())
 	}
-	l.hulls = buildHulls(l.Descs, l.Counts)
+	l.index = newLayoutIndex(l.Descs, l.Counts)
 }
 
 // BlocksFor returns, in ascending order, the block IDs that must be
-// scanned for query q: the blocks whose description intersects the query
-// and that ExtraSkip (if any) cannot prove skippable. It descends the
-// layout's hull index, checking blocks one by one only under the hulls
-// the query may match.
+// scanned for query q: the non-empty blocks whose description intersects
+// the query and that ExtraSkip (if any) cannot prove skippable. It
+// evaluates q once over the layout's columnar index, 64 blocks at a
+// time, and calls ExtraSkip only for the blocks that survive.
 func (l *Layout) BlocksFor(q expr.Query) []int {
-	if l.hulls == nil {
-		return l.scanBlocks(0, len(l.Descs), q, nil)
+	ix := l.index
+	if ix == nil {
+		return l.scanBlocks(q)
 	}
-	return l.descend(0, q, nil)
+	e := ix.evaluator()
+	match := e.push()
+	if q.Root == nil {
+		copy(match, ix.live)
+	} else {
+		e.node(q.Root, ix.live, match)
+	}
+	var out []int
+	if n := popCount(match); n > 0 {
+		out = appendBlocks(make([]int, 0, n), match)
+	}
+	e.release()
+	if l.ExtraSkip != nil {
+		kept := out[:0]
+		for _, b := range out {
+			if !l.ExtraSkip(b, q) {
+				kept = append(kept, b)
+			}
+		}
+		out = kept
+	}
+	return out
+}
+
+// scanBlocks is BlocksFor without an index: every block checked one by
+// one.
+func (l *Layout) scanBlocks(q expr.Query) []int {
+	var out []int
+	for b := range l.Descs {
+		if l.Counts[b] == 0 || !l.Descs[b].QueryMayMatch(q) {
+			continue
+		}
+		if l.ExtraSkip != nil && l.ExtraSkip(b, q) {
+			continue
+		}
+		out = append(out, b)
+	}
+	return out
 }
 
 // NonEmptyBlocks returns how many blocks hold rows: the blocks BlocksFor
 // chooses from, so every one of them it does not return was pruned.
 func (l *Layout) NonEmptyBlocks() int {
-	if l.hulls != nil {
-		return l.hulls[0].nonEmpty
+	if l.index != nil {
+		return l.index.count
 	}
 	n := 0
 	for b := range l.Descs {

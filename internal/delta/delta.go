@@ -33,7 +33,8 @@ import (
 var ErrClosed = errors.New("delta: store is closed")
 
 // ErrSchemaMismatch is wrapped by Insert when a row does not fit the
-// schema (wrong width, or a categorical code outside the dictionary).
+// schema (wrong width, a categorical code outside the dictionary, or a
+// value above table.MaxValue).
 // HTTP ingest maps it to 400.
 var ErrSchemaMismatch = errors.New("delta: row does not match the schema")
 
@@ -124,9 +125,9 @@ func Open(schema *table.Schema, opt Options) (*Store, []string, error) {
 func (s *Store) Schema() *table.Schema { return s.schema }
 
 // checkRow validates one row against the schema: exact width, and
-// categorical values must be in-dictionary codes (numeric values are
-// unconstrained — block zone maps and re-derived layout bounds absorb
-// out-of-range data).
+// categorical values must be in-dictionary codes. Numeric values may lie
+// outside the schema bounds — block zone maps and re-derived layout
+// bounds absorb out-of-range data — but not above table.MaxValue.
 func (s *Store) checkRow(row []int64) error {
 	if len(row) != s.schema.NumCols() {
 		return fmt.Errorf("%w: row has %d values, schema has %d columns", ErrSchemaMismatch, len(row), s.schema.NumCols())
@@ -134,6 +135,9 @@ func (s *Store) checkRow(row []int64) error {
 	for c, col := range s.schema.Cols {
 		if col.Kind == table.Categorical && (row[c] < 0 || row[c] >= col.Dom) {
 			return fmt.Errorf("%w: column %s code %d outside dictionary [0,%d)", ErrSchemaMismatch, col.Name, row[c], col.Dom)
+		}
+		if row[c] > table.MaxValue {
+			return fmt.Errorf("%w: column %s value %d above table.MaxValue", ErrSchemaMismatch, col.Name, row[c])
 		}
 	}
 	return nil

@@ -284,19 +284,20 @@ func candidateBlocks(store *blockstore.Store, layout *cost.Layout, q expr.Query,
 		if b < 0 || b >= len(store.Blocks) {
 			return nil, fmt.Errorf("exec: candidate block %d outside store of %d blocks", b, len(store.Blocks))
 		}
-		m := &store.Blocks[b]
-		if m.Rows == 0 {
-			continue
+		if store.Blocks[b].Rows != 0 {
+			out = append(out, b)
 		}
-		if len(m.Min) > 0 && !cost.SMAMayMatch(m.Min, m.Max, q) {
+	}
+	var pruned func(b int)
+	if rec != nil {
+		pruned = func(b int) {
 			if rec.smaPrune() {
+				m := &store.Blocks[b]
 				rec.explain(store.Schema, b, "sma", cost.SMAPruneCause(m.Min, m.Max, q))
 			}
-			continue
 		}
-		out = append(out, b)
 	}
-	return out, nil
+	return store.ZoneIndex().Prune(q, out, pruned), nil
 }
 
 // runPool distributes tasks 0..n-1 over a pool of workers. fn receives the

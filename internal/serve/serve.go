@@ -201,7 +201,8 @@ type Server struct {
 
 // Init bootstraps a generation root: the layout is materialized as
 // generation 1 and CURRENT is pointed at it. The root is then servable by
-// New.
+// New. A table holding a value above table.MaxValue is rejected with
+// delta.ErrSchemaMismatch, as Insert rejects such a row.
 func Init(root string, tbl *table.Table, l *cost.Layout) error {
 	return InitOpts(root, tbl, l, blockstore.WriteOptions{})
 }
@@ -209,6 +210,9 @@ func Init(root string, tbl *table.Table, l *cost.Layout) error {
 // InitOpts is Init with explicit store-write options (block format,
 // encodings) for the bootstrap generation.
 func InitOpts(root string, tbl *table.Table, l *cost.Layout, opt blockstore.WriteOptions) error {
+	if err := tbl.CheckValues(); err != nil {
+		return fmt.Errorf("%w: %w", delta.ErrSchemaMismatch, err)
+	}
 	if _, err := blockstore.WriteGenerationOpts(root, 1, tbl, l.BIDs, l.NumBlocks(), opt); err != nil {
 		return err
 	}

@@ -11,8 +11,15 @@ package table
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
 )
+
+// MaxValue is the largest value a column may hold. Block descriptions
+// keep half-open intervals [lo, hi) with hi one past the largest value,
+// which math.MaxInt64 would overflow into an empty interval that prunes
+// the block for every predicate on the column.
+const MaxValue = math.MaxInt64 - 1
 
 // Kind classifies a column for qd-tree semantics.
 type Kind int
@@ -67,6 +74,9 @@ func NewSchema(cols []Column) (*Schema, error) {
 		}
 		if c.Kind == Categorical && c.Dom <= 0 {
 			return nil, fmt.Errorf("table: categorical column %q needs Dom > 0", c.Name)
+		}
+		if c.Kind == Numeric && c.Max > MaxValue {
+			return nil, fmt.Errorf("table: column %q has Max %d above MaxValue", c.Name, c.Max)
 		}
 		s.byName[c.Name] = i
 	}
@@ -212,6 +222,19 @@ func (t *Table) Sample(rate float64, minRows int, rng *rand.Rand) *Table {
 		}
 	}
 	return t.Select(rows)
+}
+
+// CheckValues returns an error naming the first value above MaxValue,
+// or nil when every value fits.
+func (t *Table) CheckValues() error {
+	for c, col := range t.Cols {
+		for r, v := range col {
+			if v > MaxValue {
+				return fmt.Errorf("table: column %s row %d holds %d, above MaxValue", t.Schema.Cols[c].Name, r, v)
+			}
+		}
+	}
+	return nil
 }
 
 // MinMax returns the observed minimum and maximum of column c over the

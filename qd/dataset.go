@@ -35,6 +35,8 @@ func NewDataset(s *Schema, tbl *Table) *Dataset {
 		d.err = fmt.Errorf("qd: dataset has no schema")
 	} else if tbl.Schema != nil && tbl.Schema != d.Schema {
 		d.err = fmt.Errorf("qd: dataset schema differs from the table's schema")
+	} else if err := tbl.CheckValues(); err != nil {
+		d.err = fmt.Errorf("qd: %w", err)
 	}
 	return d
 }

@@ -5,8 +5,10 @@ import (
 	"net/http"
 	"time"
 
+	"repro/internal/delta"
 	"repro/internal/expr"
 	"repro/internal/serve"
+	"repro/internal/table"
 )
 
 // Serving re-exports. The serve subsystem closes the loop the paper
@@ -43,6 +45,14 @@ type (
 // generation (Insert, Flush, Compact and the query path among them) after
 // Close.
 var ErrServerClosed = serve.ErrClosed
+
+// ErrSchemaMismatch is wrapped by Server.Insert (and InitServing) when a
+// row does not fit the schema: wrong width, a categorical code outside
+// the dictionary, or a value above MaxValue.
+var ErrSchemaMismatch = delta.ErrSchemaMismatch
+
+// MaxValue is the largest value a column may hold.
+const MaxValue = table.MaxValue
 
 // ServeOptions configure NewServer. The zero value serves with the greedy
 // replanner and drift gates of 16 logged queries / 10% improvement; only

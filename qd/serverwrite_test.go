@@ -2,8 +2,12 @@ package qd_test
 
 import (
 	"errors"
+	"fmt"
 	"math"
+	"net/http"
+	"net/http/httptest"
 	"path/filepath"
+	"strings"
 	"testing"
 
 	"repro/internal/blockstore"
@@ -110,6 +114,79 @@ func TestServerWriteLifecycle(t *testing.T) {
 		t.Fatal("Close must be idempotent:", err)
 	}
 	checkWritesClosed(t, srv)
+}
+
+// TestServerRejectsValuesAboveMaxValue: a block's interval ends one past
+// its largest value, so a row holding math.MaxInt64 cannot be described
+// and would be pruned from every answer once compaction folds it into a
+// block. Such a value is refused at every write boundary (Insert, HTTP
+// /ingest with 400, InitServing, NewDataset, a schema's Max), while
+// MaxValue itself is stored and answered exactly before and after
+// compaction.
+func TestServerRejectsValuesAboveMaxValue(t *testing.T) {
+	ds := microDataset(t)
+	srv := newMicroServer(t, ds)
+	defer srv.Close()
+	if err := srv.Insert([][]int64{{math.MaxInt64, 5, 0}}); !errors.Is(err, qd.ErrSchemaMismatch) {
+		t.Fatalf("Insert of MaxInt64: %v, want ErrSchemaMismatch", err)
+	}
+	h := httptest.NewServer(qd.ServerHandler(srv))
+	defer h.Close()
+	resp, err := http.Post(h.URL+"/ingest", "application/json", strings.NewReader(fmt.Sprintf(`{"rows": [[%d, 5, 0]]}`, int64(math.MaxInt64))))
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusBadRequest {
+		t.Fatalf("/ingest of MaxInt64: status %d, want 400", resp.StatusCode)
+	}
+
+	extra := []int64{qd.MaxValue, 5, 0}
+	if err := srv.Insert([][]int64{extra}); err != nil {
+		t.Fatal(err)
+	}
+	ref := qd.NewTable(ds.Table.Schema, ds.Table.N+1)
+	ref.Concat(ds.Table)
+	ref.AppendRow(extra)
+	queries := append([]qd.Query{
+		qd.NewQuery("max", qd.P(qd.Pred{Col: 0, Op: qd.Ge, Literal: qd.MaxValue})),
+		qd.NewQuery("eq", qd.P(qd.Pred{Col: 0, Op: qd.Eq, Literal: qd.MaxValue})),
+		qd.NewQuery("le", qd.P(qd.Pred{Col: 0, Op: qd.Le, Literal: math.MaxInt64})),
+	}, ds.Queries...)
+	exact := qd.PerQueryMatches(ref, queries, ds.ACs)
+	for _, when := range []string{"before compaction", "after compaction"} {
+		for i, q := range queries {
+			res, err := serverFilter(srv, q)
+			if err != nil {
+				t.Fatalf("%s: %s: %v", when, q.Name, err)
+			}
+			if res.RowsMatched != exact[i] {
+				t.Fatalf("%s: %s matched %d, want %d", when, q.Name, res.RowsMatched, exact[i])
+			}
+		}
+		if when == "before compaction" {
+			if err := srv.Compact(); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+
+	bad := qd.NewTable(ds.Table.Schema, ds.Table.N+1)
+	bad.Concat(ds.Table)
+	bad.AppendRow([]int64{math.MaxInt64, 5, 0})
+	plan, err := qd.GreedyPlanner{}.Plan(ds, qd.PlanOptions{MinBlockSize: 200})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := qd.InitServing(t.TempDir(), bad, plan); !errors.Is(err, qd.ErrSchemaMismatch) {
+		t.Fatalf("InitServing of a table holding MaxInt64: %v, want ErrSchemaMismatch", err)
+	}
+	if _, err := (qd.GreedyPlanner{}).Plan(qd.NewDataset(nil, bad).WithQueries(ds.Queries, ds.ACs), qd.PlanOptions{MinBlockSize: 200}); err == nil {
+		t.Fatal("planning a table holding MaxInt64 must fail")
+	}
+	if _, err := qd.NewSchema([]qd.Column{{Name: "x", Kind: qd.Numeric, Max: math.MaxInt64}}); err == nil {
+		t.Fatal("a schema whose Max is above MaxValue must be rejected")
+	}
 }
 
 // TestServerWriteAfterClose closes a server that still buffers an
