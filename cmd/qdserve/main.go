@@ -44,9 +44,9 @@
 // /debug/pprof/.
 //
 // A standalone or shard server prunes blocks through the layout's tree
-// and reads only the columns a statement references, through block
-// handles it opens once and keeps (up to half the process's open-file
-// limit). A /query reply carries the statement's scan counts and
+// and reads only the columns a statement references, in place from a
+// read-only mapping of each block file (no descriptor stays open per
+// block). A /query reply carries the statement's scan counts and
 // wall_time_ns.
 //
 // A generation root is created from any planned layout with

@@ -1,14 +1,16 @@
 package blockstore
 
-// Arena is a per-worker scratch reservoir for the scan hot path. One
-// block read used to cost one payload allocation per wanted column plus
-// a ColVec (and RLE run slices) each — per block, per query, per
-// worker. An arena owns all of that storage and hands it back out on
-// every read, so a steady-state scan allocates nothing per block.
+// Arena is a per-worker scratch reservoir for the scan hot path. Column
+// payloads are parsed in place from the block's mapping, but each read
+// still needs a ColVec per wanted column, RLE run slices, and sometimes a
+// copy of the file's tail (see ReadColVecsArena). An arena owns all of
+// that storage and hands it back out on every read, so a steady-state
+// scan allocates nothing per block.
 //
 // Contract: an Arena is single-owner (one scan worker); the vecs
 // returned by Store.ReadColVecsArena — and everything they reference —
-// are valid only until the same arena's next ReadColVecsArena call.
+// are valid only until the same arena's next ReadColVecsArena call, and
+// only until the store's Close.
 // Plain-converted delta vectors are likewise valid until ResetPlain.
 // Arenas come from a process-wide sync.Pool (GetArena/PutArena) so
 // concurrent queries reuse warmed buffers; ArenaPoolStats feeds the
@@ -29,7 +31,7 @@ type colScratch struct {
 
 // Arena holds reusable scan scratch. The zero value is ready to use.
 type Arena struct {
-	payload   []byte // coalesced column payload buffer (+packSlack tail)
+	payload   []byte // copy of a block file's tail whose packed columns need packSlack
 	vecs      []ColVec
 	ptrs      []*ColVec
 	want      []bool
@@ -84,7 +86,7 @@ func (a *Arena) grow(ncols int) {
 	a.decodedAt = make([]int, ncols)
 }
 
-// buffer returns the payload buffer sized to n+packSlack bytes.
+// buffer returns the tail buffer sized to n+packSlack bytes.
 func (a *Arena) buffer(n int64) []byte {
 	need := int(n) + packSlack
 	if cap(a.payload) < need {

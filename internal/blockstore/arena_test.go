@@ -1,7 +1,10 @@
 package blockstore
 
 import (
+	"errors"
 	"math/rand"
+	"os"
+	"slices"
 	"testing"
 
 	"repro/internal/table"
@@ -49,9 +52,8 @@ func arenaTestStore(t *testing.T, version int) *Store {
 
 // TestReadColVecsArenaMatchesFresh reads every block through one reused
 // arena — twice, so scratch aliasing across reads would show — and
-// compares decoded values and bytesRead against the allocating path,
-// over column subsets that include gaps (which split the coalesced
-// preads).
+// compares decoded values and bytesRead against the copying path, over
+// column subsets that include gaps.
 func TestReadColVecsArenaMatchesFresh(t *testing.T) {
 	for _, version := range []int{FormatV1, FormatV2} {
 		st := arenaTestStore(t, version)
@@ -112,7 +114,7 @@ func TestReadColVecsArenaZeroAllocs(t *testing.T) {
 		defer st.Close()
 		ar := GetArena()
 		defer PutArena(ar)
-		for b := 0; b < st.NumBlocks(); b++ { // warm file handles + scratch
+		for b := 0; b < st.NumBlocks(); b++ { // warm mappings + scratch
 			if _, _, _, err := st.ReadColVecsArena(b, nil, ar); err != nil {
 				t.Fatal(err)
 			}
@@ -126,6 +128,64 @@ func TestReadColVecsArenaZeroAllocs(t *testing.T) {
 		})
 		if allocs != 0 {
 			t.Errorf("v%d: %v allocs per warmed arena read, want 0", version, allocs)
+		}
+	}
+}
+
+// TestHeapFallbackMatchesMapping refuses every mapping, so each block
+// file is read onto the heap, and holds those reads to the mapped ones:
+// same values and bytes, every column subset, and still no allocation
+// once warm (the heap copy carries the packed slack itself).
+func TestHeapFallbackMatchesMapping(t *testing.T) {
+	for _, version := range []int{FormatV1, FormatV2} {
+		mapped := arenaTestStore(t, version)
+		defer mapped.Close()
+		heap := &Store{Dir: mapped.Dir, Schema: mapped.Schema, Blocks: mapped.Blocks, Format: mapped.Format}
+		mapFile = func(*os.File, int) ([]byte, error) { return nil, errors.ErrUnsupported }
+		for b := 0; b < heap.NumBlocks(); b++ {
+			if _, err := heap.blockBytes(b); err != nil {
+				t.Fatal(err)
+			}
+		}
+		mapFile = mmapFile
+		defer heap.Close()
+		ar := GetArena()
+		defer PutArena(ar)
+		for b := 0; b < heap.NumBlocks(); b++ {
+			if heap.files[b].data.Load() == nil || heap.files[b].mapped {
+				t.Fatalf("v%d block %d: not on the heap", version, b)
+			}
+			for _, cols := range [][]int{nil, {4}, {1, 3}, {0, 2, 4}} {
+				want, _, wantBytes, err := mapped.ReadColumns(b, cols)
+				if err != nil {
+					t.Fatal(err)
+				}
+				vecs, _, bytes, err := heap.ReadColVecsArena(b, cols, ar)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if bytes != wantBytes {
+					t.Fatalf("v%d block %d cols %v: %d bytes, mapped %d", version, b, cols, bytes, wantBytes)
+				}
+				for c, v := range vecs {
+					if (v == nil) != (want[c] == nil) {
+						t.Fatalf("v%d block %d col %d: nil mismatch", version, b, c)
+					}
+					if v != nil && !slices.Equal(v.Decode(nil), want[c]) {
+						t.Fatalf("v%d block %d col %d: heap read differs from the mapped one", version, b, c)
+					}
+				}
+			}
+		}
+		b := 0
+		allocs := testing.AllocsPerRun(50, func() {
+			if _, _, _, err := heap.ReadColVecsArena(b, nil, ar); err != nil {
+				t.Fatal(err)
+			}
+			b = (b + 1) % heap.NumBlocks()
+		})
+		if allocs != 0 {
+			t.Errorf("v%d: %v allocs per warmed heap read, want 0", version, allocs)
 		}
 	}
 }

@@ -25,12 +25,14 @@ package blockstore
 
 import (
 	"bufio"
+	"bytes"
 	"encoding/binary"
 	"encoding/json"
 	"fmt"
 	"io"
 	"os"
 	"path/filepath"
+	"runtime/debug"
 	"sync"
 	"sync/atomic"
 
@@ -87,10 +89,13 @@ type BlockMeta struct {
 }
 
 // Store is an opened block directory. Reads are safe for concurrent use:
-// each block file is opened lazily on first access, header-validated once,
-// and the handle is kept until Close and shared by all subsequent readers,
-// which use positioned reads (ReadAt / pread) and never seek. The handles
-// of every Store in the process draw on one budget (see handleBudget).
+// each block file is opened on first access, checked once, mapped
+// read-only and closed again, so no descriptor stays open per block; every
+// read parses its columns in place from the shared mapping, with no system
+// call and no copy. Where no mapping can be made the file is read onto the
+// heap once instead. Close unmaps every block and must not race reads:
+// whoever closes a store others read drains them first (the server does,
+// under its generation lock). A read after Close maps the block again.
 type Store struct {
 	Dir    string
 	Schema *table.Schema
@@ -100,7 +105,7 @@ type Store struct {
 	Format int
 
 	once  sync.Once
-	files []blockHandle // lazily-opened, validated per-block handles
+	files []blockFile // per-block contents, loaded and validated on first read
 
 	totalsOnce  sync.Once
 	totalBlocks int
@@ -110,25 +115,20 @@ type Store struct {
 	zones     *cost.ZoneIndex
 }
 
-// blockHandle caches one block's open file. The pointer is read lock-free
-// on the hot path; the mutex serializes only the first open of this block
-// (and Close), so concurrent opens of distinct blocks do not contend.
-type blockHandle struct {
-	mu sync.Mutex
-	f  atomic.Pointer[os.File]
+// blockFile holds one block file's validated contents: a read-only
+// mapping, or a heap copy with packSlack spare capacity. The pointer is
+// read lock-free on the hot path; the mutex serializes only the first
+// load of this block (and Close), so first reads of distinct blocks do
+// not contend.
+type blockFile struct {
+	mu     sync.Mutex
+	data   atomic.Pointer[[]byte]
+	mapped bool // data is a mapping Close must unmap; guarded by mu
 }
 
-// handleBudget caps the block handles all Stores of the process hold
-// open at once: half the soft RLIMIT_NOFILE, leaving the other half to
-// sockets, delta segments and everything else. Go raises the soft limit
-// to the hard one at start-up, so this is read after that. Reads of
-// blocks past the budget use a transient handle each.
-var handleBudget = fdBudget()
-
-// openHandles counts the block handles cached across all Stores; it never
-// exceeds handleBudget. Close gives a store's handles back. A Store
-// dropped without Close keeps its share until the process exits.
-var openHandles atomic.Int64
+// mapFile maps a block file; a variable so tests can refuse the mapping
+// and take the heap fallback.
+var mapFile = mmapFile
 
 type catalogJSON struct {
 	Version int         `json:"version"`
@@ -488,116 +488,141 @@ func (s *Store) magic() string {
 	return magicV1
 }
 
-// openValidated opens block b's file and validates its length against
-// the catalog (when the catalog records one) and its header, returning
-// the handle and the block's (ncols, nrows) shape. A file cut short or
-// grown fails here, so no read of any of its columns answers from it.
-func (s *Store) openValidated(b int) (*os.File, int, int, error) {
+// loadFile opens block b's file, checks its length against the catalog
+// (when the catalog records one), maps it, closes it and validates it. A
+// file cut short or grown fails here, so no read of any of its columns
+// answers from it.
+func (s *Store) loadFile(b int) (data []byte, mapped bool, err error) {
 	m := s.Blocks[b]
 	f, err := os.Open(filepath.Join(s.Dir, m.File))
 	if err != nil {
-		return nil, 0, 0, err
+		return nil, false, err
 	}
-	if m.Bytes != 0 {
-		fi, err := f.Stat()
-		if err != nil {
-			f.Close()
-			return nil, 0, 0, fmt.Errorf("blockstore: block %d stat: %w", b, err)
+	defer f.Close()
+	fi, err := f.Stat()
+	if err != nil {
+		return nil, false, fmt.Errorf("blockstore: block %d stat: %w", b, err)
+	}
+	size := fi.Size()
+	if m.Bytes != 0 && size != m.Bytes {
+		return nil, false, fmt.Errorf("blockstore: block %d file %s holds %d bytes, catalog records %d", b, m.File, size, m.Bytes)
+	}
+	if data, err = mapFile(f, int(size)); err == nil {
+		mapped = true
+	} else {
+		data = make([]byte, size, size+packSlack)
+		if _, err := io.ReadFull(f, data); err != nil {
+			return nil, false, fmt.Errorf("blockstore: block %d read: %w", b, err)
 		}
-		if fi.Size() != m.Bytes {
-			f.Close()
-			return nil, 0, 0, fmt.Errorf("blockstore: block %d file %s holds %d bytes, catalog records %d", b, m.File, fi.Size(), m.Bytes)
+	}
+	if err := s.validate(b, data); err != nil {
+		if mapped {
+			unmapFile(data)
 		}
+		return nil, false, err
 	}
-	hdr := make([]byte, 12)
-	if _, err := f.ReadAt(hdr, 0); err != nil {
-		f.Close()
-		return nil, 0, 0, fmt.Errorf("blockstore: block %d header: %w", b, err)
-	}
-	if string(hdr[:4]) != s.magic() {
-		f.Close()
-		return nil, 0, 0, fmt.Errorf("blockstore: block %d bad magic %q (want %q)", b, hdr[:4], s.magic())
-	}
-	ncols := int(binary.LittleEndian.Uint32(hdr[4:8]))
-	nrows := int(binary.LittleEndian.Uint32(hdr[8:12]))
-	if ncols != s.Schema.NumCols() || nrows != m.Rows {
-		f.Close()
-		return nil, 0, 0, fmt.Errorf("blockstore: block %d shape mismatch (%d cols, %d rows)", b, ncols, nrows)
-	}
-	return f, ncols, nrows, nil
+	return data, mapped, nil
 }
 
-// readerAt returns a header-validated io.ReaderAt over block b's file, its
-// (ncols, nrows) shape, and a release func the caller must invoke when the
-// read is done. The reader is nil for empty blocks. Each block's handle is
-// opened and validated once, then kept until Close and shared by every
-// caller — concurrent scan workers included, since ReadAt issues
-// positioned reads (pread) without touching a shared file offset. Once
-// the process-wide handleBudget is spent, reads fall back to a transient
-// handle, validated afresh, that release closes.
-func (s *Store) readerAt(b int) (io.ReaderAt, int, int, func(), error) {
-	noop := func() {}
-	if b < 0 || b >= len(s.Blocks) {
-		return nil, 0, 0, noop, fmt.Errorf("blockstore: block %d out of range", b)
-	}
+// validate checks a block file's magic and shape against the catalog and
+// that the file reaches the end of its last column, so reads can slice
+// any column without a bounds check of their own.
+func (s *Store) validate(b int, data []byte) error {
 	m := s.Blocks[b]
-	if m.Rows == 0 {
-		return nil, 0, 0, noop, nil
+	if len(data) < 12 {
+		return fmt.Errorf("blockstore: block %d header: file holds %d bytes", b, len(data))
 	}
-	s.once.Do(func() { s.files = make([]blockHandle, len(s.Blocks)) })
-	h := &s.files[b]
-	if f := h.f.Load(); f != nil {
-		return f, s.Schema.NumCols(), m.Rows, noop, nil
+	if string(data[:4]) != s.magic() {
+		return fmt.Errorf("blockstore: block %d bad magic %q (want %q)", b, data[:4], s.magic())
 	}
-	transient := func() (io.ReaderAt, int, int, func(), error) {
-		f, ncols, nrows, err := s.openValidated(b)
-		if err != nil {
-			return nil, 0, 0, noop, err
+	ncols := int(binary.LittleEndian.Uint32(data[4:8]))
+	nrows := int(binary.LittleEndian.Uint32(data[8:12]))
+	if ncols != s.Schema.NumCols() || nrows != m.Rows {
+		return fmt.Errorf("blockstore: block %d shape mismatch (%d cols, %d rows)", b, ncols, nrows)
+	}
+	end := int64(12+16*ncols) + int64(8*nrows)*int64(ncols)
+	if s.isV2() {
+		if len(m.Cols) != ncols {
+			return fmt.Errorf("blockstore: block %d catalog describes %d columns, file has %d", b, len(m.Cols), ncols)
 		}
-		return f, ncols, nrows, func() { f.Close() }, nil
+		end = v2HeaderSize(ncols)
+		for c, cm := range m.Cols {
+			if cm.Bytes < 0 {
+				return fmt.Errorf("blockstore: block %d col %d: catalog records %d bytes", b, c, cm.Bytes)
+			}
+			end += cm.Bytes
+		}
 	}
-	if openHandles.Load() >= handleBudget {
-		return transient()
+	if int64(len(data)) < end {
+		return fmt.Errorf("blockstore: block %d file %s holds %d bytes, its columns end at %d", b, m.File, len(data), end)
+	}
+	return nil
+}
+
+// blockBytes returns block b's validated file contents, nil for an empty
+// block. Each block is loaded once, then shared by every caller until
+// Close.
+func (s *Store) blockBytes(b int) ([]byte, error) {
+	if b < 0 || b >= len(s.Blocks) {
+		return nil, fmt.Errorf("blockstore: block %d out of range", b)
+	}
+	if s.Blocks[b].Rows == 0 {
+		return nil, nil
+	}
+	s.once.Do(func() { s.files = make([]blockFile, len(s.Blocks)) })
+	h := &s.files[b]
+	if p := h.data.Load(); p != nil {
+		return *p, nil
 	}
 	h.mu.Lock()
 	defer h.mu.Unlock()
-	if f := h.f.Load(); f != nil {
-		return f, s.Schema.NumCols(), m.Rows, noop, nil
+	if p := h.data.Load(); p != nil {
+		return *p, nil
 	}
-	// Reserve a slot before opening; the atomic add is the authoritative
-	// budget check, so concurrent first opens across all stores can never
-	// leave more than handleBudget handles cached.
-	if openHandles.Add(1) > handleBudget {
-		openHandles.Add(-1)
-		return transient()
-	}
-	f, ncols, nrows, err := s.openValidated(b)
+	data, mapped, err := s.loadFile(b)
 	if err != nil {
-		openHandles.Add(-1)
-		return nil, 0, 0, noop, err
+		return nil, err
 	}
-	h.f.Store(f)
-	return f, ncols, nrows, noop, nil
+	h.data.Store(&data)
+	h.mapped = mapped
+	return data, nil
 }
 
-// Close releases every cached block handle and gives it back to the
-// budget. The store remains usable; subsequent reads reopen files on
-// demand.
+// Close unmaps every loaded block. It must not race reads (see Store);
+// the store remains usable, and later reads map blocks again on demand.
 func (s *Store) Close() error {
 	var first error
 	for i := range s.files {
 		h := &s.files[i]
 		h.mu.Lock()
-		if f := h.f.Load(); f != nil {
-			if err := f.Close(); err != nil && first == nil {
+		if p := h.data.Swap(nil); p != nil && h.mapped {
+			if err := unmapFile(*p); err != nil && first == nil {
 				first = err
 			}
-			h.f.Store(nil)
-			openHandles.Add(-1)
 		}
 		h.mu.Unlock()
 	}
 	return first
+}
+
+// GuardFaults runs fn with memory faults turned into errors. A block file
+// truncated under its mapping faults when a read touches the lost pages;
+// that must fail the read, not the process. Like debug.SetPanicOnFault,
+// on which it rests, it covers only the calling goroutine, so a reader
+// that hands mapped vectors to other goroutines guards each of them.
+func GuardFaults(fn func() error) (err error) {
+	old := debug.SetPanicOnFault(true)
+	defer func() {
+		debug.SetPanicOnFault(old)
+		if r := recover(); r != nil {
+			fault, ok := r.(interface{ Addr() uintptr })
+			if !ok {
+				panic(r)
+			}
+			err = fmt.Errorf("blockstore: fault at %#x reading a mapped block file (truncated or unreadable): %v", fault.Addr(), r)
+		}
+	}()
+	return fn()
 }
 
 // errColRange reports a column index outside the schema.
@@ -610,28 +635,38 @@ func errColRange(c int) error {
 // Unrequested columns are nil entries. bytesRead is the encoded I/O volume
 // — for a v2 store this is what the column actually occupies on disk, the
 // quantity engine profiles charge ByteCost against. The returned vectors
-// are freshly allocated and safe to retain; hot paths should prefer
-// ReadColVecsArena.
+// are copied out of the block's mapping and safe to retain, past Close
+// too; hot paths should prefer ReadColVecsArena.
 func (s *Store) ReadColVecs(b int, cols []int) (vecs []*ColVec, rows int, bytesRead int64, err error) {
-	// A one-shot arena keeps a single read path; its storage simply dies
-	// with this call instead of being reused.
-	return s.ReadColVecsArena(b, cols, nil)
-}
-
-// ReadColVecsArena is ReadColVecs backed by caller-owned arena scratch:
-// payload bytes, ColVec headers, and RLE run slices all come from ar, so
-// a steady-state scan reads blocks without allocating. Runs of adjacent
-// wanted columns are coalesced into one positioned read each — a
-// full-width scan costs one pread per block instead of one per column. bytesRead still charges only wanted columns (gaps between
-// wanted runs are neither read nor charged, identical to the per-column
-// path). The returned vectors and everything they reference are valid
-// only until the next ReadColVecsArena call on the same arena.
-func (s *Store) ReadColVecsArena(b int, cols []int, ar *Arena) (vecs []*ColVec, rows int, bytesRead int64, err error) {
-	f, ncols, nrows, release, err := s.readerAt(b)
-	if err != nil || f == nil {
+	err = GuardFaults(func() error {
+		vecs, rows, bytesRead, err = s.ReadColVecsArena(b, cols, nil)
+		for _, v := range vecs {
+			if v != nil {
+				v.raw, v.packed = bytes.Clone(v.raw), bytes.Clone(v.packed)
+			}
+		}
+		return err
+	})
+	if err != nil {
 		return nil, 0, 0, err
 	}
-	defer release()
+	return vecs, rows, bytesRead, nil
+}
+
+// ReadColVecsArena is ReadColVecs without the copy: each wanted column is
+// parsed in place from the block's mapping, and ColVec headers and RLE
+// run slices come from ar, so a steady-state scan reads blocks with no
+// system call, no payload copy and no allocation. bytesRead charges the
+// wanted columns' encoded bytes, as if they were read from disk. The
+// returned vectors are valid only until the next ReadColVecsArena call on
+// the same arena and, since they may point into the mapping, only until
+// the store's Close; a caller touches them under GuardFaults.
+func (s *Store) ReadColVecsArena(b int, cols []int, ar *Arena) (vecs []*ColVec, rows int, bytesRead int64, err error) {
+	data, err := s.blockBytes(b)
+	if err != nil || data == nil {
+		return nil, 0, 0, err
+	}
+	ncols, nrows := s.Schema.NumCols(), s.Blocks[b].Rows
 	if ar == nil {
 		ar = new(Arena)
 	}
@@ -646,79 +681,40 @@ func (s *Store) ReadColVecsArena(b int, cols []int, ar *Arena) (vecs []*ColVec, 
 	if !s.isV2() {
 		// v1: fixed 8-byte columns laid out contiguously after the
 		// header + per-column min/max.
-		base := int64(12 + 16*ncols)
-		colBytes := int64(8 * nrows)
-		total := int64(0)
-		for c := 0; c < ncols; c++ {
+		colBytes := 8 * nrows
+		off := 12 + 16*ncols
+		for c := 0; c < ncols; c, off = c+1, off+colBytes {
 			if want[c] {
-				total += colBytes
-			}
-		}
-		payload := ar.buffer(total)
-		pos := 0
-		for c := 0; c < ncols; {
-			if !want[c] {
-				c++
-				continue
-			}
-			r := c
-			for r < ncols && want[r] {
-				r++
-			}
-			span := int(colBytes) * (r - c)
-			if _, err := f.ReadAt(payload[pos:pos+span], base+int64(c)*colBytes); err != nil {
-				return nil, 0, 0, fmt.Errorf("blockstore: block %d col %d: %w", b, c, err)
-			}
-			for ; c < r; c++ {
-				ar.vecs[c] = ColVec{Enc: EncPlain, N: nrows, raw: payload[pos : pos+int(colBytes)]}
+				ar.vecs[c] = ColVec{Enc: EncPlain, N: nrows, raw: data[off : off+colBytes]}
 				vecs[c] = &ar.vecs[c]
-				pos += int(colBytes)
-				bytesRead += colBytes
+				bytesRead += int64(colBytes)
 			}
 		}
 		return vecs, nrows, bytesRead, nil
 	}
 	metas := s.Blocks[b].Cols
-	if len(metas) != ncols {
-		return nil, 0, 0, fmt.Errorf("blockstore: block %d catalog describes %d columns, file has %d", b, len(metas), ncols)
-	}
-	total := int64(0)
-	for c := 0; c < ncols; c++ {
-		if want[c] {
-			total += metas[c].Bytes
-		}
-	}
-	// The buffer carries packSlack tail bytes past total; every column's
-	// payload subslice keeps its capacity through that tail, so packed
-	// parsing can extend in place (unaligned 8-byte loads) without a copy.
-	payload := ar.buffer(total)
-	pos := int64(0)
+	// src holds the file's bytes from offset base on: the file itself,
+	// until a packed column ends within packSlack bytes of the end of it.
+	// Packed decoding loads 8 bytes at a time and may reach packSlack
+	// bytes past the column, so from that column on the file's tail is
+	// copied into the arena's buffer, which has the slack.
+	src, base := data, int64(0)
 	off := v2HeaderSize(ncols)
-	for c := 0; c < ncols; {
-		if !want[c] {
-			off += metas[c].Bytes
-			c++
-			continue
-		}
-		r := c
-		span := int64(0)
-		for r < ncols && want[r] {
-			span += metas[r].Bytes
-			r++
-		}
-		if _, err := f.ReadAt(payload[pos:pos+span], off); err != nil {
-			return nil, 0, 0, fmt.Errorf("blockstore: block %d col %d: %w", b, c, err)
-		}
-		off += span
-		for ; c < r; c++ {
-			n := metas[c].Bytes
-			if err := parseColVecInto(&ar.vecs[c], metas[c].Enc, nrows, payload[pos:pos+n], &ar.cols[c]); err != nil {
+	for c := 0; c < ncols; c++ {
+		n, enc := metas[c].Bytes, metas[c].Enc
+		if want[c] {
+			if (enc == EncFOR || enc == EncDict) && off-base+n+packSlack > int64(cap(src)) {
+				tail := ar.buffer(int64(len(data)) - off)
+				copy(tail, data[off:])
+				src, base = tail, off
+			}
+			if err := parseColVecInto(&ar.vecs[c], enc, nrows, src[off-base:off-base+n], &ar.cols[c]); err != nil {
 				return nil, 0, 0, fmt.Errorf("blockstore: block %d col %d: %w", b, c, err)
 			}
 			vecs[c] = &ar.vecs[c]
-			pos += n
 			bytesRead += n
 		}
+		off += n
 	}
 	return vecs, nrows, bytesRead, nil
 }
@@ -850,25 +846,19 @@ func WriteSegment(path string, tbl *table.Table, rows []int) (int64, error) {
 
 // ReadSegment reads a segment written by WriteSegment.
 func ReadSegment(path string, schema *table.Schema) (*table.Table, error) {
-	st := &Store{Dir: "", Schema: schema, Format: FormatV1, Blocks: []BlockMeta{{ID: 0, Rows: -1, File: path}}}
-	// Rows is unknown; read the header directly.
 	f, err := os.Open(path)
 	if err != nil {
 		return nil, err
 	}
-	hdr := make([]byte, 12)
-	if _, err := f.ReadAt(hdr, 0); err != nil {
-		f.Close()
+	var hdr [12]byte
+	_, err = io.ReadFull(f, hdr[:])
+	f.Close()
+	if err != nil {
 		return nil, fmt.Errorf("blockstore: segment header: %w", err)
 	}
-	f.Close()
-	if string(hdr[:4]) != magicV1 {
-		return nil, fmt.Errorf("blockstore: segment %q bad magic", path)
-	}
-	if int(binary.LittleEndian.Uint32(hdr[4:8])) != schema.NumCols() {
-		return nil, fmt.Errorf("blockstore: segment %q column count mismatch", path)
-	}
-	st.Blocks[0].Rows = int(binary.LittleEndian.Uint32(hdr[8:12]))
+	// The row count comes from the header; loading the file checks the
+	// magic, the column count and the length as for any block.
+	st := &Store{Schema: schema, Format: FormatV1, Blocks: []BlockMeta{{Rows: int(binary.LittleEndian.Uint32(hdr[8:12])), File: path}}}
 	defer st.Close()
 	return st.ReadBlock(0)
 }

@@ -3,6 +3,7 @@ package blockstore
 import (
 	"os"
 	"path/filepath"
+	"strings"
 	"sync"
 	"testing"
 
@@ -463,158 +464,234 @@ func TestWriteSegmentBadPath(t *testing.T) {
 	}
 }
 
-// TestHandleCacheCapFallsBackToTransientReads pins the process-wide
-// handle budget: every Store draws cached handles from it, reads past it
-// use transient handles that still validate and still return the right
-// rows, and Close gives handles back.
-func TestHandleCacheCapFallsBackToTransientReads(t *testing.T) {
+// mappedTestStore writes spec's table as 64 ten-row blocks in the given
+// format; checkBlock compares a block's decoded columns with the source
+// rows.
+func mappedTestStore(t *testing.T, format int) (*Store, func(t *testing.T, b int, data [][]int64)) {
+	t.Helper()
 	spec := workload.Fig3(640, 10)
 	bids := make([]int, spec.Table.N)
 	for i := range bids {
 		bids[i] = i % 64
 	}
-	newStore := func(t *testing.T) *Store {
-		st, err := Write(t.TempDir(), spec.Table, bids, 64)
-		if err != nil {
-			t.Fatal(err)
-		}
-		t.Cleanup(func() { st.Close() })
-		return st
+	st, err := WriteOpts(t.TempDir(), spec.Table, bids, 64, WriteOptions{FormatVersion: format})
+	if err != nil {
+		t.Fatal(err)
 	}
-	// checkBlock reads block b and compares it with the source rows.
-	checkBlock := func(t *testing.T, st *Store, b int) error {
-		data, rows, _, err := st.ReadColumns(b, nil)
-		if err != nil {
-			return err
+	t.Cleanup(func() { st.Close() })
+	check := func(t *testing.T, b int, data [][]int64) {
+		t.Helper()
+		if len(data) != spec.Table.Schema.NumCols() {
+			t.Fatalf("block %d: %d columns", b, len(data))
 		}
-		if rows != 10 {
-			t.Fatalf("block %d: rows %d, want 10", b, rows)
-		}
-		for i := 0; i < rows; i++ {
-			for c := range data {
-				if got, want := data[c][i], spec.Table.Cols[c][b+64*i]; got != want {
+		for c := range data {
+			if len(data[c]) != 10 {
+				t.Fatalf("block %d col %d: %d rows, want 10", b, c, len(data[c]))
+			}
+			for i, got := range data[c] {
+				if want := spec.Table.Cols[c][b+64*i]; got != want {
 					t.Fatalf("block %d row %d col %d: %d, want %d", b, i, c, got, want)
 				}
 			}
 		}
-		return nil
 	}
-	cached := func(st *Store) int {
-		n := 0
-		for i := range st.files {
-			if st.files[i].f.Load() != nil {
-				n++
-			}
-		}
-		return n
-	}
-	// The budget is relative to handles other tests' stores still hold.
-	setBudget := func(t *testing.T, extra int64) int64 {
-		base := openHandles.Load()
-		saved := handleBudget
-		handleBudget = base + extra
-		t.Cleanup(func() { handleBudget = saved })
-		return base
-	}
+	return st, check
+}
 
-	t.Run("shared", func(t *testing.T) {
-		base := setBudget(t, 40)
-		a, b := newStore(t), newStore(t)
-		for blk := 0; blk < 64; blk++ {
-			for _, st := range []*Store{a, b} {
-				if err := checkBlock(t, st, blk); err != nil {
-					t.Fatalf("block %d: %v", blk, err)
+// TestTruncatedUnderMappingIsAnError cuts a block file to 0 bytes after
+// its first read has mapped it. The next read touches pages the file no
+// longer has, which faults; under GuardFaults that is an error, and the
+// process goes on. ReadColumns and ReadColVecs guard themselves.
+func TestTruncatedUnderMappingIsAnError(t *testing.T) {
+	for _, format := range []int{FormatV1, FormatV2} {
+		st, check := mappedTestStore(t, format)
+		ar := GetArena()
+		defer PutArena(ar)
+		decode := func(b int) ([][]int64, error) {
+			var data [][]int64
+			err := GuardFaults(func() error {
+				vecs, _, _, err := st.ReadColVecsArena(b, nil, ar)
+				for _, v := range vecs {
+					data = append(data, v.Decode(nil))
 				}
-				if got := openHandles.Load() - base; got > 40 {
-					t.Fatalf("%d handles cached, budget 40", got)
-				}
-			}
+				return err
+			})
+			return data, err
 		}
-		if na, nb := cached(a), cached(b); na+nb != 40 || na == 0 || nb == 0 {
-			t.Fatalf("stores cached %d + %d handles, want both drawing on one budget of 40", na, nb)
-		}
-		// Re-reads past the budget still return the right rows.
-		for blk := 0; blk < 64; blk++ {
-			if err := checkBlock(t, b, blk); err != nil {
-				t.Fatalf("re-read of block %d: %v", blk, err)
-			}
-		}
-	})
-
-	t.Run("corrupt after exhaustion", func(t *testing.T) {
-		setBudget(t, 0)
-		st := newStore(t)
-		if err := checkBlock(t, st, 5); err != nil {
-			t.Fatal(err)
-		}
-		if cached(st) != 0 {
-			t.Fatal("a spent budget must cache no handle")
-		}
-		path := filepath.Join(st.Dir, st.Blocks[5].File)
-		f, err := os.OpenFile(path, os.O_WRONLY, 0)
+		data, err := decode(3)
 		if err != nil {
 			t.Fatal(err)
 		}
-		f.WriteAt([]byte("XXXX"), 0)
-		f.Close()
-		if _, _, _, err := st.ReadColumns(5, nil); err == nil {
-			t.Error("bad magic on the transient path must error")
-		}
-		if err := os.Truncate(filepath.Join(st.Dir, st.Blocks[6].File), 40); err != nil {
+		check(t, 3, data)
+		if err := os.Truncate(filepath.Join(st.Dir, st.Blocks[3].File), 0); err != nil {
 			t.Fatal(err)
 		}
-		if _, _, _, err := st.ReadColumns(6, nil); err == nil {
-			t.Error("truncated block on the transient path must error")
+		if _, err := decode(3); err == nil {
+			t.Errorf("v%d: read of a block truncated under its mapping answered", format)
 		}
-	})
+		if _, _, _, err := st.ReadColumns(3, nil); err == nil {
+			t.Errorf("v%d: ReadColumns of a truncated mapped block answered", format)
+		}
+		if _, _, _, err := st.ReadColVecs(3, nil); err == nil {
+			t.Errorf("v%d: ReadColVecs of a truncated mapped block answered", format)
+		}
+		// Other blocks are unaffected, and once Close drops the mapping
+		// the next read reloads the file and fails its size check instead.
+		data, err = decode(4)
+		if err != nil {
+			t.Fatal(err)
+		}
+		check(t, 4, data)
+		st.Close()
+		if _, err := decode(3); err == nil || !strings.Contains(err.Error(), "catalog records") {
+			t.Errorf("v%d: reload of an empty block file: %v, want a size error", format, err)
+		}
+	}
+}
 
-	t.Run("close returns handles", func(t *testing.T) {
-		base := setBudget(t, 64)
-		a := newStore(t)
-		for blk := 0; blk < 64; blk++ {
-			if err := checkBlock(t, a, blk); err != nil {
+// TestCatalogColumnSizesAreChecked: a catalog whose column sizes do not
+// fit the block file, negative or past its end, fails the read with an
+// error instead of slicing out of range.
+func TestCatalogColumnSizesAreChecked(t *testing.T) {
+	for _, size := range []int64{-5, 1 << 20} {
+		st, _ := mappedTestStore(t, FormatV2)
+		st.Blocks[2].Cols[1].Bytes = size
+		if _, _, _, err := st.ReadColVecsArena(2, nil, nil); err == nil {
+			t.Errorf("column size %d in the catalog: read answered", size)
+		}
+	}
+}
+
+// TestGuardFaultsPassesOtherPanicsOn: only a memory fault becomes an
+// error; any other panic is a bug and keeps crashing.
+func TestGuardFaultsPassesOtherPanicsOn(t *testing.T) {
+	defer func() {
+		if r := recover(); r != "boom" {
+			t.Fatalf("recovered %v, want the original panic", r)
+		}
+	}()
+	GuardFaults(func() error { panic("boom") })
+}
+
+// TestRetainedVectorsSurviveClose: ReadColVecs and ReadColumns copy out
+// of the mapping, so what they return still holds its values after Close
+// unmapped the file.
+func TestRetainedVectorsSurviveClose(t *testing.T) {
+	for _, format := range []int{FormatV1, FormatV2} {
+		st, check := mappedTestStore(t, format)
+		vecs := make([][]*ColVec, st.NumBlocks())
+		cols := make([][][]int64, st.NumBlocks())
+		for b := range vecs {
+			var err error
+			if vecs[b], _, _, err = st.ReadColVecs(b, nil); err != nil {
+				t.Fatal(err)
+			}
+			if cols[b], _, _, err = st.ReadColumns(b, nil); err != nil {
 				t.Fatal(err)
 			}
 		}
-		if got := openHandles.Load() - base; got != 64 {
-			t.Fatalf("%d handles cached, want 64", got)
-		}
-		if err := a.Close(); err != nil {
+		if err := st.Close(); err != nil {
 			t.Fatal(err)
 		}
-		if got := openHandles.Load() - base; got != 0 {
-			t.Fatalf("%d handles still counted after Close", got)
-		}
-		b := newStore(t)
-		for blk := 0; blk < 64; blk++ {
-			if err := checkBlock(t, b, blk); err != nil {
-				t.Fatal(err)
+		for b := range vecs {
+			data := make([][]int64, len(vecs[b]))
+			for c, v := range vecs[b] {
+				data[c] = v.Decode(nil)
 			}
+			check(t, b, data)
+			check(t, b, cols[b])
 		}
-		if cached(b) != 64 {
-			t.Fatalf("after Close a second store cached %d handles, want 64", cached(b))
-		}
-	})
+	}
+}
 
-	t.Run("concurrent first reads", func(t *testing.T) {
-		base := setBudget(t, 64)
-		st := newStore(t)
-		var wg sync.WaitGroup
-		start := make(chan struct{})
-		for g := 0; g < 16; g++ {
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				<-start
-				if _, rows, _, err := st.ReadColumns(7, nil); err != nil || rows != 10 {
-					t.Errorf("rows=%d err=%v", rows, err)
+// TestCloseThenReadMapsAgain: a read after Close maps the block again and
+// answers the same, through the arena path and the copying one, and a
+// second Close is harmless.
+func TestCloseThenReadMapsAgain(t *testing.T) {
+	for _, format := range []int{FormatV1, FormatV2} {
+		st, check := mappedTestStore(t, format)
+		for round := 0; round < 3; round++ {
+			for b := 0; b < st.NumBlocks(); b++ {
+				data, _, _, err := st.ReadColumns(b, nil)
+				if err != nil {
+					t.Fatal(err)
 				}
-			}()
+				check(t, b, data)
+			}
+			mapped := 0
+			for i := range st.files {
+				if st.files[i].data.Load() != nil {
+					mapped++
+				}
+			}
+			if mapped != st.NumBlocks() {
+				t.Fatalf("round %d: %d of %d blocks loaded", round, mapped, st.NumBlocks())
+			}
+			for i := 0; i < 2; i++ {
+				if err := st.Close(); err != nil {
+					t.Fatal(err)
+				}
+			}
+			for i := range st.files {
+				if st.files[i].data.Load() != nil {
+					t.Fatalf("round %d: block %d still loaded after Close", round, i)
+				}
+			}
 		}
-		close(start)
-		wg.Wait()
-		if got := openHandles.Load() - base; got != 1 || cached(st) != 1 {
-			t.Fatalf("%d handles counted, %d cached, want exactly 1", got, cached(st))
+	}
+}
+
+// TestReadsHoldNoDescriptor reads every block of a 64-block store and
+// counts the process's open descriptors before and after: a mapped
+// block keeps none.
+func TestReadsHoldNoDescriptor(t *testing.T) {
+	openFDs := func() int {
+		fds, err := os.ReadDir("/proc/self/fd")
+		if err != nil {
+			t.Skip("no /proc/self/fd to count descriptors:", err)
 		}
-	})
+		return len(fds)
+	}
+	st, check := mappedTestStore(t, FormatV2)
+	before := openFDs()
+	for b := 0; b < st.NumBlocks(); b++ {
+		data, _, _, err := st.ReadColumns(b, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		check(t, b, data)
+	}
+	if after := openFDs(); after > before {
+		t.Fatalf("%d descriptors open after reading %d blocks, %d before", after, st.NumBlocks(), before)
+	}
+}
+
+// TestConcurrentFirstReadsLoadOnce: readers racing on a block's first
+// read all answer, and the block is loaded once.
+func TestConcurrentFirstReadsLoadOnce(t *testing.T) {
+	st, check := mappedTestStore(t, FormatV2)
+	var wg sync.WaitGroup
+	start := make(chan struct{})
+	seen := make([]*[]byte, 16)
+	got := make([][][]int64, len(seen))
+	for g := range seen {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			<-start
+			var err error
+			if got[g], _, _, err = st.ReadColumns(7, nil); err != nil {
+				t.Error(err)
+			}
+			seen[g] = st.files[7].data.Load()
+		}()
+	}
+	close(start)
+	wg.Wait()
+	for g := range seen {
+		check(t, 7, got[g])
+		if seen[g] != seen[0] {
+			t.Fatal("concurrent first reads loaded block 7 more than once")
+		}
+	}
 }

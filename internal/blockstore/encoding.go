@@ -157,7 +157,7 @@ func (s *SelVec) AllFirst(n int) bool {
 }
 
 // ColVec is one column of one block in its on-disk encoding, ready for
-// kernel evaluation or decoding. Construct with parseColVec (readers) or
+// kernel evaluation or decoding. Construct with parseColVecInto (readers) or
 // encodeColumn (writers/tests).
 type ColVec struct {
 	Enc Encoding
@@ -506,20 +506,11 @@ func encodeColumn(vals []int64, kind table.Kind) (Encoding, []byte) {
 	return EncPlain, out
 }
 
-// parseColVec validates and wraps one encoded column payload. For packed
-// encodings the payload slice must have at least packSlack readable bytes
-// beyond its length (readers allocate the slack; see readPayload).
-func parseColVec(enc Encoding, n int, payload []byte) (*ColVec, error) {
-	v := new(ColVec)
-	if err := parseColVecInto(v, enc, n, payload, nil); err != nil {
-		return nil, err
-	}
-	return v, nil
-}
-
-// parseColVecInto parses into caller-owned storage: v is overwritten and
-// cs (optional) donates reusable RLE run slices, so an arena-backed scan
-// parses every block of a query with zero per-block allocations.
+// parseColVecInto validates one encoded column payload and wraps it in v,
+// which is overwritten; cs (optional) donates reusable RLE run slices, so
+// an arena-backed scan parses every block of a query with zero per-block
+// allocations. For packed encodings the payload slice must have
+// packSlack spare capacity (see ReadColVecsArena), or parsing copies it.
 func parseColVecInto(v *ColVec, enc Encoding, n int, payload []byte, cs *colScratch) error {
 	*v = ColVec{Enc: enc, N: n}
 	switch enc {

@@ -9,6 +9,15 @@ import (
 	"repro/internal/table"
 )
 
+// parseColVec parses one encoded column payload into a fresh vector.
+func parseColVec(enc Encoding, n int, payload []byte) (*ColVec, error) {
+	v := new(ColVec)
+	if err := parseColVecInto(v, enc, n, payload, nil); err != nil {
+		return nil, err
+	}
+	return v, nil
+}
+
 // encDec encodes vals, parses the payload back, and fails on any error.
 func encDec(t *testing.T, vals []int64, kind table.Kind) (Encoding, *ColVec) {
 	t.Helper()

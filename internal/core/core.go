@@ -13,6 +13,7 @@ package core
 
 import (
 	"fmt"
+	"math"
 	"strings"
 
 	"repro/internal/expr"
@@ -173,6 +174,16 @@ func (d Desc) Empty() bool {
 	return false
 }
 
+// succ is the exclusive bound one past v, saturating at math.MaxInt64:
+// every stored value is at most table.MaxValue, so a bound of MaxInt64
+// already excludes nothing, and v+1 would wrap to an empty interval.
+func succ(v int64) int64 {
+	if v == math.MaxInt64 {
+		return v
+	}
+	return v + 1
+}
+
 // restrict applies predicate p (when left) or ¬p (when !left) to the
 // description in place. Equality on numeric columns tightens only the
 // positive side; the negative side keeps the parent interval, which is a
@@ -206,54 +217,42 @@ func (d *Desc) restrict(p expr.Pred, left bool, s *table.Schema) {
 		return
 	}
 	lit := p.Literal
-	min64 := func(a, b int64) int64 {
-		if a < b {
-			return a
-		}
-		return b
-	}
-	max64 := func(a, b int64) int64 {
-		if a > b {
-			return a
-		}
-		return b
-	}
 	switch p.Op {
 	case expr.Lt: // left: x < lit; right: x >= lit
 		if left {
-			d.Hi[c] = min64(d.Hi[c], lit)
+			d.Hi[c] = min(d.Hi[c], lit)
 		} else {
-			d.Lo[c] = max64(d.Lo[c], lit)
+			d.Lo[c] = max(d.Lo[c], lit)
 		}
 	case expr.Le: // left: x <= lit; right: x > lit
 		if left {
-			d.Hi[c] = min64(d.Hi[c], lit+1)
+			d.Hi[c] = min(d.Hi[c], succ(lit))
 		} else {
-			d.Lo[c] = max64(d.Lo[c], lit+1)
+			d.Lo[c] = max(d.Lo[c], succ(lit))
 		}
 	case expr.Gt: // left: x > lit; right: x <= lit
 		if left {
-			d.Lo[c] = max64(d.Lo[c], lit+1)
+			d.Lo[c] = max(d.Lo[c], succ(lit))
 		} else {
-			d.Hi[c] = min64(d.Hi[c], lit+1)
+			d.Hi[c] = min(d.Hi[c], succ(lit))
 		}
 	case expr.Ge: // left: x >= lit; right: x < lit
 		if left {
-			d.Lo[c] = max64(d.Lo[c], lit)
+			d.Lo[c] = max(d.Lo[c], lit)
 		} else {
-			d.Hi[c] = min64(d.Hi[c], lit)
+			d.Hi[c] = min(d.Hi[c], lit)
 		}
 	case expr.Eq: // numeric equality
 		if left {
-			d.Lo[c] = max64(d.Lo[c], lit)
-			d.Hi[c] = min64(d.Hi[c], lit+1)
+			d.Lo[c] = max(d.Lo[c], lit)
+			d.Hi[c] = min(d.Hi[c], succ(lit))
 		}
 		// right side: interval unchanged (hole not representable).
 	case expr.In:
 		// numeric IN: only the span [min(Set), max(Set)] is representable.
 		if left && len(p.Set) > 0 {
-			d.Lo[c] = max64(d.Lo[c], p.Set[0])
-			d.Hi[c] = min64(d.Hi[c], p.Set[len(p.Set)-1]+1)
+			d.Lo[c] = max(d.Lo[c], p.Set[0])
+			d.Hi[c] = min(d.Hi[c], succ(p.Set[len(p.Set)-1]))
 		}
 	}
 }

@@ -2,7 +2,9 @@ package core
 
 import (
 	"bytes"
+	"math"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"repro/internal/expr"
@@ -348,6 +350,33 @@ func TestPredMayMatchTruthTable(t *testing.T) {
 							p, d.Lo[0], d.Hi[0], d.Lo[1], d.Hi[1], mask, got, want)
 					}
 				}
+			}
+		}
+	}
+}
+
+// TestRestrictAtInt64Ends splits an unfrozen one-column tree on every
+// operator with a literal at either end of int64. A bound one past
+// MaxInt64 must saturate instead of wrapping, so for every probe row the
+// leaf the row routes to is among QueryBlocks of `x = row`.
+func TestRestrictAtInt64Ends(t *testing.T) {
+	s := table.MustSchema([]table.Column{{Name: "x", Kind: table.Numeric, Min: math.MinInt64, Max: table.MaxValue}})
+	probes := []int64{math.MinInt64, math.MinInt64 + 1, -1, 0, 5, table.MaxValue - 1, table.MaxValue}
+	var cuts []expr.Pred
+	for _, lit := range []int64{math.MinInt64, math.MaxInt64} {
+		for _, op := range []expr.Op{expr.Lt, expr.Le, expr.Gt, expr.Ge, expr.Eq} {
+			cuts = append(cuts, expr.Pred{Col: 0, Op: op, Literal: lit})
+		}
+		cuts = append(cuts, expr.NewIn(0, []int64{5, lit}))
+	}
+	for _, p := range cuts {
+		tree := NewTree(s, nil)
+		tree.Split(tree.Root, UnaryCut(p))
+		for _, v := range probes {
+			leaf := tree.RouteRow([]int64{v})
+			q := expr.Query{Root: expr.NewPred(expr.Pred{Col: 0, Op: expr.Eq, Literal: v})}
+			if got := tree.QueryBlocks(q); !slices.Contains(got, leaf.BlockID) {
+				t.Errorf("cut %v: row x=%d routes to leaf %d, QueryBlocks(x = %d) = %v", p, v, leaf.BlockID, v, got)
 			}
 		}
 	}

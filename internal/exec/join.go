@@ -240,13 +240,12 @@ func RunJoinDelta(store *blockstore.Store, layout *cost.Layout, jq expr.JoinQuer
 	}
 
 	// Probe: each worker assembles output tuples into its own sink.
-	less := rowLess(jq.OrderBy)
 	sinks := make([]*rowSink, workers)
 	probeEmit := make([]func([]int64), len(sinks))
 	emitted := make([]int64, len(sinks))
 	for i := range sinks {
 		i := i
-		sinks[i] = newRowSink(jq.Limit, less)
+		sinks[i] = newRowSink(jq.Limit, jq.OrderBy)
 		probeEmit[i] = func(t []int64) {
 			for _, m := range bt.lookup(t[0]) {
 				out := make([]int64, len(pl.srcSide))

@@ -227,7 +227,7 @@ func RunAggNaive(store *blockstore.Store, layout *cost.Layout, aq expr.AggQuery,
 
 // refRowLess is the reference implementation's own copy of the
 // deterministic output order (ORDER BY keys, then the full tuple
-// ascending) — deliberately not shared with the fast path's rowLess so
+// ascending) — deliberately not shared with the fast path's rowCmp so
 // an ordering bug cannot cancel out.
 func refRowLess(order []expr.OrderKey, a, b []int64) bool {
 	for _, k := range order {

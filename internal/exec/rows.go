@@ -113,11 +113,10 @@ func RunRowsDelta(store *blockstore.Store, layout *cost.Layout, rq expr.RowQuery
 	if topk {
 		sp.workers = 1 // the bound must be current when each block is considered
 	}
-	less := rowLess(rq.OrderBy)
 	sinks := make([]*rowSink, sp.workers)
 	emit := make([]func([]int64), sp.workers)
 	for i := range sinks {
-		sinks[i] = newRowSink(rq.Limit, less)
+		sinks[i] = newRowSink(rq.Limit, rq.OrderBy)
 		emit[i] = sinks[i].add
 	}
 	sp.fold = func(w *scanWorker, vecs []*blockstore.ColVec, nrows int, _ bool) int64 {

@@ -6,7 +6,7 @@ package exec
 // rows, so every statement kind (filter count, aggregate, row projection,
 // either side of a join) plugs into it as a scanSpec: which columns to
 // read, and what to do with each block's vectors. The driver owns
-// everything else — candidate pruning, the per-worker arenas, the pread
+// everything else — candidate pruning, the per-worker arenas, the read
 // of the read set (the same under every engine profile: a profile prices
 // a scan, it never widens it), ScanStats and critical-path accounting,
 // the delta pass, the block_prune/scan/delta_scan spans and the parallel
@@ -115,6 +115,9 @@ func scan(store *blockstore.Store, layout *cost.Layout, prof Profile, mode Mode,
 			scratchPool.Put(ws[i].scratch)
 		}
 	}()
+	// A block's vectors point into its file's mapping, so the read and
+	// the fold run under GuardFaults: a file truncated under the mapping
+	// fails the statement with an error instead of crashing the process.
 	visit := func(w *scanWorker, b int) error {
 		cols, full := sp.cols, false
 		if sp.catalog != nil {
@@ -123,16 +126,15 @@ func scan(store *blockstore.Store, layout *cost.Layout, prof Profile, mode Mode,
 				return nil
 			}
 		}
-		vecs, nrows, nbytes, err := store.ReadColVecsArena(b, cols, w.arena)
-		if err != nil {
-			return err
-		}
-		if vecs == nil {
+		return blockstore.GuardFaults(func() error {
+			vecs, nrows, nbytes, err := store.ReadColVecsArena(b, cols, w.arena)
+			if err != nil || vecs == nil {
+				return err
+			}
+			w.account(prof, nrows, nbytes, store.ColBytes(b, nil))
+			w.stats.RowsMatched += sp.fold(w, vecs, nrows, full)
 			return nil
-		}
-		w.account(prof, nrows, nbytes, store.ColBytes(b, nil))
-		w.stats.RowsMatched += sp.fold(w, vecs, nrows, full)
-		return nil
+		})
 	}
 	// The delta carries no layout membership and no zone maps, so every
 	// table is scanned in full (see delta.go). The pass borrows worker 0

@@ -14,31 +14,27 @@ package exec
 // — the property the differential harness pins.
 
 import (
-	"sort"
+	"cmp"
+	"slices"
 
 	"repro/internal/expr"
 )
 
-// rowLess builds the deterministic comparator over output tuples:
-// ORDER BY keys first (Pos indexes the tuple), then the whole tuple
-// ascending as the tie-break.
-func rowLess(order []expr.OrderKey) func(a, b []int64) bool {
-	return func(a, b []int64) bool {
+// rowCmp builds the deterministic three-way comparator over output
+// tuples: ORDER BY keys first (Pos indexes the tuple), then the whole
+// tuple ascending as the tie-break. It is the one definition of the
+// output order; the sort and the TopK heap both derive from it.
+func rowCmp(order []expr.OrderKey) func(a, b []int64) int {
+	return func(a, b []int64) int {
 		for _, k := range order {
-			av, bv := a[k.Pos], b[k.Pos]
-			if av != bv {
+			if c := cmp.Compare(a[k.Pos], b[k.Pos]); c != 0 {
 				if k.Desc {
-					return av > bv
+					return -c
 				}
-				return av < bv
+				return c
 			}
 		}
-		for i := range a {
-			if a[i] != b[i] {
-				return a[i] < b[i]
-			}
-		}
-		return false
+		return slices.Compare(a, b)
 	}
 }
 
@@ -47,20 +43,19 @@ func rowLess(order []expr.OrderKey) func(a, b []int64) bool {
 // front door re-merges per-shard TopK results with this exact order so
 // a gathered answer is bit-identical to a single-node execution.
 func SortRows(rows [][]int64, order []expr.OrderKey) {
-	less := rowLess(order)
-	sort.Slice(rows, func(i, j int) bool { return less(rows[i], rows[j]) })
+	slices.SortFunc(rows, rowCmp(order))
 }
 
 // rowSink collects output tuples: a bounded heap when the query has a
 // LIMIT, a plain append otherwise. Each scan worker owns one sink.
 type rowSink struct {
 	k    int // 0 = unbounded
-	less func(a, b []int64) bool
+	cmp  func(a, b []int64) int
 	rows [][]int64 // heap layout when k > 0 (worst kept row at [0])
 }
 
-func newRowSink(k int, less func(a, b []int64) bool) *rowSink {
-	return &rowSink{k: k, less: less}
+func newRowSink(k int, order []expr.OrderKey) *rowSink {
+	return &rowSink{k: k, cmp: rowCmp(order)}
 }
 
 // add offers one tuple (ownership transfers to the sink).
@@ -74,7 +69,7 @@ func (s *rowSink) add(row []int64) {
 		s.siftUp(len(s.rows) - 1)
 		return
 	}
-	if s.less(row, s.rows[0]) {
+	if s.cmp(row, s.rows[0]) < 0 {
 		s.rows[0] = row
 		s.siftDown(0)
 	}
@@ -87,7 +82,7 @@ func (s *rowSink) full() bool { return s.k > 0 && len(s.rows) == s.k }
 func (s *rowSink) worst() []int64 { return s.rows[0] }
 
 // after reports a is ordered after b (the heap's "worse" relation).
-func (s *rowSink) after(a, b []int64) bool { return s.less(b, a) }
+func (s *rowSink) after(a, b []int64) bool { return s.cmp(a, b) > 0 }
 
 func (s *rowSink) siftUp(i int) {
 	for i > 0 {

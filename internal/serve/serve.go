@@ -416,7 +416,7 @@ func (r Result) Header() *exec.Header {
 // entirely on the generation it acquired.
 //
 // Blocks are pruned by the layout's tree (exec.RouteQdTree) and read
-// through the store's cached handles under exec.EngineDBMS: only the
+// from the store's mapped block files under exec.EngineDBMS: only the
 // columns the statement references are read from blocks or copied out of
 // delta tables.
 //

@@ -16,8 +16,8 @@ import (
 // compaction are a Server's (see NewServer).
 //
 // An Engine is safe for concurrent use. Close is idempotent: the first
-// call waits for in-flight queries to drain, then releases the store's
-// cached block handles; queries issued after Close fail.
+// call waits for in-flight queries to drain, then unmaps the store's
+// block files; queries issued after Close fail.
 type Engine struct {
 	store  *BlockStore
 	layout *Layout
@@ -27,7 +27,7 @@ type Engine struct {
 
 	// mu lets queries proceed concurrently (read lock held for the scan's
 	// duration) while Close and WithMode take the write lock, so Close
-	// never yanks cached block handles from under an in-flight scan.
+	// never unmaps a block file under an in-flight scan.
 	mu     sync.RWMutex
 	mode   ExecMode
 	closed bool
@@ -139,8 +139,8 @@ func (e *Engine) AggregateWorkload(w []AggQuery) ([]*AggResult, error) {
 	return out, nil
 }
 
-// Close waits for in-flight queries to finish, releases the store's
-// cached block-file handles, and marks the engine unusable. It is
+// Close waits for in-flight queries to finish, unmaps the store's block
+// files, and marks the engine unusable. It is
 // idempotent: later calls return nil without touching the store.
 func (e *Engine) Close() error {
 	e.mu.Lock()

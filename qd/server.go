@@ -58,7 +58,7 @@ const MaxValue = table.MaxValue
 // replanner and drift gates of 16 logged queries / 10% improvement; only
 // Strategy-specific planning knobs usually need setting. A server routes
 // every statement through the layout's tree and reads only the columns
-// it references, through block handles it keeps open (see serve.Config).
+// it references, in place from read-only mappings of the block files.
 type ServeOptions struct {
 	// Strategy names the registry planner used for background replans
 	// (default "greedy"). Tree-producing strategies are recommended — the
