@@ -6,21 +6,35 @@ package exec
 // Aggregation rides the same scan pipeline as counting: candidate blocks
 // are pruned by the layout (plus SMA metadata), dispatched to a worker
 // pool, and each worker evaluates the filter in batch-of-1024 SelVec
-// bitmaps over the block's encoded columns. On top of the selection,
-// aggregates reduce where the encoding allows it without decoding:
+// bitmaps over the block's encoded columns. On top of the selection:
 //
-//   - SUM/COUNT over RLE columns add run-value × selected-run-length
-//     (ColVec.SumSelected), never touching individual rows.
-//   - COUNT/MIN/MAX short-circuit to the catalog's per-block zone maps
-//     when a block is fully selected — proven per block by SMA
+//   - Global aggregates reduce without decoding where the encoding
+//     allows it: SUM/COUNT over RLE columns add run-value ×
+//     selected-run-length (ColVec.SumSelected), never touching
+//     individual rows.
+//   - Grouped aggregates fold a column at a time. Per batch the worker
+//     lists the selected positions once, gives each selected row one
+//     group id, and then runs each aggregate as one tight loop over the
+//     batch — one switch per aggregate and batch, not per row. Group ids
+//     come from one code space when every GROUP BY column is categorical
+//     and the product of their domains is at most maxCodeSpace: a key's
+//     slot is the key read in mixed radix (first column most
+//     significant), computed by arithmetic over the decoded dictionary
+//     codes (codes are global dictionary positions, identical across
+//     blocks), and a slot-indexed array holds the group id. Numeric keys,
+//     wider code spaces and keys outside the domain fall to a map from
+//     the packed key bytes: one lookup per row. Accumulators are flat
+//     per-group arrays; keys are materialized once per group, not per
+//     row.
+//   - A block whose every row is selected — proven per block by SMA
 //     subsumption (cost.SMAFullyMatches), which covers both filterless
-//     queries and blocks lying wholly inside a filter's range. Such
-//     blocks contribute row counts and min/max without being read; if no
-//     SUM/AVG needs data either, they cost nothing at all.
-//   - GROUP BY on a dictionary-encoded column groups in code space: the
-//     accumulator is a dense array indexed by dictionary code (codes are
-//     global dictionary positions, identical across blocks), and group
-//     keys are materialized once at the end, not per row.
+//     queries and blocks lying wholly inside a filter's range — skips the
+//     filter. A global aggregate answers COUNT/MIN/MAX of such a block
+//     from the catalog's row count and zone maps and reads only its
+//     SUM/AVG columns (nothing at all if there are none). A grouped
+//     aggregate still needs every row's group, so it reads the group and
+//     aggregate columns only and folds the whole block; nothing of a
+//     grouped query is answered from the catalog.
 //
 // Each worker owns a private partial-aggregate state (counts, sums,
 // min/max per group), merged once after the pool drains — contention-free
@@ -30,8 +44,11 @@ package exec
 // sum by the merged exact count, so it too is deterministic.
 
 import (
+	"encoding/binary"
 	"fmt"
+	"math/bits"
 	"slices"
+	"sync"
 	"time"
 
 	"repro/internal/blockstore"
@@ -79,23 +96,6 @@ type aggCell struct {
 	sum   int64
 	min   int64
 	max   int64
-}
-
-// add folds one value into the cell (v is ignored for COUNT functions).
-func (c *aggCell) add(f expr.AggFunc, v int64) {
-	switch f {
-	case expr.AggSum, expr.AggAvg:
-		c.sum += v
-	case expr.AggMin:
-		if c.count == 0 || v < c.min {
-			c.min = v
-		}
-	case expr.AggMax:
-		if c.count == 0 || v > c.max {
-			c.max = v
-		}
-	}
-	c.count++
 }
 
 // addBulk folds a pre-reduced batch (sum over cnt values in [lo, hi]).
@@ -166,109 +166,239 @@ func finalizeCell(f expr.AggFunc, c aggCell) AggVal {
 	return AggVal{}
 }
 
-// aggGroup is one group's accumulator row.
-type aggGroup struct {
-	key   []int64
-	rows  int64 // selected rows in the group (group-presence counter)
-	cells []aggCell
+// maxCodeSpace caps the slots of the code-space group index (one int32
+// per slot per worker).
+const maxCodeSpace = 65536
+
+// codeSpace returns the mixed-radix digits of the GROUP BY key — each
+// column's dictionary size — when every column is categorical and the
+// product of the sizes is at most maxCodeSpace; nil otherwise.
+func codeSpace(schema *table.Schema, groupBy []int) []int64 {
+	radix := make([]int64, len(groupBy))
+	size := int64(1)
+	for i, g := range groupBy {
+		col := schema.Cols[g]
+		if col.Kind != table.Categorical || col.Dom <= 0 || col.Dom > maxCodeSpace/size {
+			return nil
+		}
+		radix[i] = col.Dom
+		size *= col.Dom
+	}
+	return radix
 }
 
-// aggPartial is one worker's private aggregate state.
+// aggPartial is one worker's private aggregate state. Groups are numbered
+// in first-seen order and live in flat per-group arrays; a global
+// aggregate is group 0 with the empty key. A key finds its group id in
+// the code-space index when radix holds it, else in the map.
 type aggPartial struct {
-	naggs  int
-	global aggGroup             // used when there is no GROUP BY
-	dense  []aggGroup           // code-space groups for one small-domain column
-	m      map[string]*aggGroup // general grouping fallback
+	naggs int
+	nkeys int
+	rows  []int64   // per group: selected rows (group-presence counter)
+	cells []aggCell // per group: naggs cells, group g at [g*naggs, (g+1)*naggs)
+	keys  []int64   // per group: nkeys key values
+
+	radix  []int64          // code space (codeSpace); nil = none
+	slots  []int32          // per code-space slot: group id + 1, 0 = not seen
+	m      map[string]int32 // packed key → group id, for keys outside the code space
 	keybuf []byte
 }
 
-func newAggPartial(naggs, denseDom int) *aggPartial {
-	p := &aggPartial{naggs: naggs, m: make(map[string]*aggGroup)}
-	p.global.cells = make([]aggCell, naggs)
-	if denseDom > 0 {
-		p.dense = make([]aggGroup, denseDom)
+// newAggPartial returns an empty state for naggs aggregates over nkeys
+// GROUP BY columns (0: a global aggregate, whose group exists from the
+// start) with the given code space.
+func newAggPartial(naggs, nkeys int, radix []int64) *aggPartial {
+	p := &aggPartial{naggs: naggs, nkeys: nkeys, radix: radix}
+	if radix != nil {
+		size := int64(1)
+		for _, d := range radix {
+			size *= d
+		}
+		p.slots = make([]int32, size)
+	}
+	if nkeys == 0 {
+		p.group(nil)
 	}
 	return p
 }
 
-// groupFor returns the accumulator of the given key, creating it on first
-// use. Single-column keys within the dense domain index the code-space
-// array; everything else lands in the map under a packed byte key.
-func (p *aggPartial) groupFor(key []int64) *aggGroup {
-	if p.dense != nil && len(key) == 1 && key[0] >= 0 && key[0] < int64(len(p.dense)) {
-		g := &p.dense[key[0]]
-		if g.cells == nil {
-			g.cells = make([]aggCell, p.naggs)
-			g.key = []int64{key[0]}
+// slot returns key's code-space slot: the key in mixed radix, first
+// column most significant, so slot order is key order. ok is false when
+// there is no code space or a key value lies outside its column's domain.
+func (p *aggPartial) slot(key []int64) (int, bool) {
+	if p.radix == nil {
+		return 0, false
+	}
+	s := int64(0)
+	for i, k := range key {
+		if uint64(k) >= uint64(p.radix[i]) {
+			return 0, false
 		}
-		return g
+		s = s*p.radix[i] + k
+	}
+	return int(s), true
+}
+
+// group returns the id of key's group, adding the group on first sight.
+func (p *aggPartial) group(key []int64) int32 {
+	if s, ok := p.slot(key); ok {
+		if id := p.slots[s]; id != 0 {
+			return id - 1
+		}
+		id := p.add(key)
+		p.slots[s] = id + 1
+		return id
 	}
 	p.keybuf = p.keybuf[:0]
 	for _, k := range key {
-		for s := 0; s < 64; s += 8 {
-			p.keybuf = append(p.keybuf, byte(uint64(k)>>s))
-		}
+		p.keybuf = binary.LittleEndian.AppendUint64(p.keybuf, uint64(k))
 	}
-	g, ok := p.m[string(p.keybuf)]
-	if !ok {
-		g = &aggGroup{key: append([]int64(nil), key...), cells: make([]aggCell, p.naggs)}
-		p.m[string(p.keybuf)] = g
+	if id, ok := p.m[string(p.keybuf)]; ok {
+		return id
 	}
-	return g
+	if p.m == nil {
+		p.m = make(map[string]int32)
+	}
+	id := p.add(key)
+	p.m[string(p.keybuf)] = id
+	return id
+}
+
+// add appends an empty group with the given key.
+func (p *aggPartial) add(key []int64) int32 {
+	id := int32(len(p.rows))
+	p.rows = append(p.rows, 0)
+	p.cells = append(p.cells, make([]aggCell, p.naggs)...)
+	p.keys = append(p.keys, key...)
+	return id
+}
+
+// key returns group g's key (nil for a global aggregate: keys is nil).
+func (p *aggPartial) key(g int) []int64 {
+	return p.keys[g*p.nkeys : (g+1)*p.nkeys : (g+1)*p.nkeys]
+}
+
+// groupCells returns group g's cells.
+func (p *aggPartial) groupCells(g int) []aggCell {
+	return p.cells[g*p.naggs : (g+1)*p.naggs]
 }
 
 // merge folds o into p (same shape; run after the worker pool drains).
 func (p *aggPartial) merge(o *aggPartial, aggs []expr.Agg) {
-	mergeGroup := func(dst *aggGroup, src *aggGroup) {
-		dst.rows += src.rows
-		for i := range aggs {
-			mergeCell(aggs[i].Func, &dst.cells[i], src.cells[i])
+	for g := range o.rows {
+		id := int(p.group(o.key(g)))
+		p.rows[id] += o.rows[g]
+		dst := p.groupCells(id)
+		for i, c := range o.groupCells(g) {
+			mergeCell(aggs[i].Func, &dst[i], c)
 		}
-	}
-	mergeGroup(&p.global, &o.global)
-	for idx := range o.dense {
-		if o.dense[idx].cells == nil {
-			continue
-		}
-		mergeGroup(p.groupFor(o.dense[idx].key), &o.dense[idx])
-	}
-	for _, g := range o.m {
-		mergeGroup(p.groupFor(g.key), g)
 	}
 }
 
-// keyLess is the lexicographic group-key order of AggResult.Rows.
-func keyLess(a, b []int64) bool {
-	for i := range a {
-		if i >= len(b) {
-			return false
+// groupIDs sets gid[j] to the group of selected row pos[j], whose key
+// values are groupVals[gi][pos[j]]. In-domain code-space keys get their
+// slot by arithmetic a column at a time; a batch holding any other key
+// looks every row up through group.
+func (p *aggPartial) groupIDs(groupVals [][]int64, pos, gid []int32, key []int64) {
+	if p.radix != nil {
+		inDomain := true
+		for gi, vals := range groupVals {
+			d := p.radix[gi]
+			scale := int32(d)
+			if gi == 0 {
+				scale = 0 // gid still holds an earlier batch's ids
+			}
+			for j, r := range pos {
+				v := vals[r]
+				if uint64(v) >= uint64(d) {
+					inDomain = false
+				}
+				gid[j] = gid[j]*scale + int32(v)
+			}
 		}
-		if a[i] != b[i] {
-			return a[i] < b[i]
+		if inDomain {
+			for j, s := range gid {
+				id := p.slots[s]
+				if id == 0 {
+					for gi, vals := range groupVals {
+						key[gi] = vals[pos[j]]
+					}
+					id = p.group(key) + 1
+				}
+				gid[j] = id - 1
+			}
+			return
 		}
 	}
-	return len(a) < len(b)
+	for j, r := range pos {
+		for gi, vals := range groupVals {
+			key[gi] = vals[r]
+		}
+		gid[j] = p.group(key)
+	}
+}
+
+// fold adds the selected rows pos, whose groups are gid, an aggregate at
+// a time: aggVals[ai] is aggregate ai's decoded batch (nil for COUNT).
+func (p *aggPartial) fold(aggs []expr.Agg, aggVals [][]int64, pos, gid []int32) {
+	for _, g := range gid {
+		p.rows[g]++
+	}
+	na := p.naggs
+	for ai, a := range aggs {
+		cells, vals := p.cells[ai:], aggVals[ai]
+		switch a.Func {
+		case expr.AggCountStar, expr.AggCount:
+			for _, g := range gid {
+				cells[int(g)*na].count++
+			}
+		case expr.AggSum, expr.AggAvg:
+			for j, g := range gid {
+				c := &cells[int(g)*na]
+				c.sum += vals[pos[j]]
+				c.count++
+			}
+		case expr.AggMin:
+			for j, g := range gid {
+				c, v := &cells[int(g)*na], vals[pos[j]]
+				if c.count == 0 || v < c.min {
+					c.min = v
+				}
+				c.count++
+			}
+		case expr.AggMax:
+			for j, g := range gid {
+				c, v := &cells[int(g)*na], vals[pos[j]]
+				if c.count == 0 || v > c.max {
+					c.max = v
+				}
+				c.count++
+			}
+		}
+	}
 }
 
 // aggPlan is the per-query execution plan shared by all scan workers.
 type aggPlan struct {
-	aq       expr.AggQuery
-	acs      []expr.AdvCut
-	grouped  bool
-	denseDom int // >0: dense code-space grouping on aq.GroupBy[0]
-	// Groupless queries split the aggregate list by what a fully-selected
-	// block (every row provably satisfies the filter, per zone-map
-	// subsumption — see cost.SMAFullyMatches) can answer from catalog
-	// metadata alone: COUNT needs only the row count, MIN/MAX only the
-	// per-block min/max; SUM/AVG always need the column data.
+	aq      expr.AggQuery
+	acs     []expr.AdvCut
+	grouped bool
+	radix   []int64 // code space of the GROUP BY key (codeSpace); nil = map only
+	// A fully-selected block (every row provably satisfies the filter,
+	// per zone-map subsumption — see cost.SMAFullyMatches) skips the
+	// filter. A global aggregate splits its list by what such a block
+	// can answer from catalog metadata alone: COUNT needs only the row
+	// count, MIN/MAX only the per-block min/max; SUM/AVG always need the
+	// column data. A grouped aggregate reads its group and aggregate
+	// columns.
 	metaAggs []int // aggregate indices servable from metadata when fully selected
 	dataAggs []int // aggregate indices that always read column data
 	readCols []int // read set for partially-selected blocks
 	dataCols []int // read set for fully-selected blocks
 }
 
-// planAgg validates the query and decides metadata shortcuts and read
-// sets.
+// planAgg validates the query and decides metadata shortcuts, read sets
+// and the code space.
 func planAgg(store *blockstore.Store, aq expr.AggQuery, acs []expr.AdvCut) (*aggPlan, error) {
 	ncols := store.Schema.NumCols()
 	for _, a := range aq.Aggs {
@@ -296,17 +426,15 @@ func planAgg(store *blockstore.Store, aq expr.AggQuery, acs []expr.AdvCut) (*agg
 			data = append(data, a.Col)
 		}
 	}
+	if pl.grouped {
+		data = read
+		pl.radix = codeSpace(store.Schema, aq.GroupBy)
+	}
 	var err error
 	if pl.readCols, err = readSet(aq.Filter, acs, ncols, read...); err != nil {
 		return nil, err
 	}
 	pl.dataCols, _ = readSet(expr.Query{}, acs, ncols, data...) // no filter, no error
-	if pl.grouped && len(aq.GroupBy) == 1 {
-		col := store.Schema.Cols[aq.GroupBy[0]]
-		if col.Kind == table.Categorical && col.Dom > 0 && col.Dom <= 65536 {
-			pl.denseDom = int(col.Dom)
-		}
-	}
 	return pl, nil
 }
 
@@ -340,45 +468,54 @@ func RunAggPartialDelta(store *blockstore.Store, layout *cost.Layout, aq expr.Ag
 	sp := scanSpec{filter: aq.Filter, cols: pl.readCols, workers: opt.workers()}
 	type aggWorker struct {
 		part *aggPartial
-		grp  aggScratch
+		grp  *aggScratch
 	}
 	aws := make([]aggWorker, sp.workers)
 	for i := range aws {
-		aws[i].part = newAggPartial(len(aq.Aggs), pl.denseDom)
+		aws[i].part = newAggPartial(len(aq.Aggs), len(aq.GroupBy), pl.radix)
+		aws[i].grp = aggScratchPool.Get().(*aggScratch)
 	}
+	defer func() {
+		for i := range aws {
+			aggScratchPool.Put(aws[i].grp)
+		}
+	}()
 	sp.fold = func(w *scanWorker, vecs []*blockstore.ColVec, nrows int, full bool) int64 {
 		aw := &aws[w.slot]
-		if full {
+		if full && !pl.grouped {
 			aggregateFullySelected(pl, vecs, nrows, &w.sel, aw.part)
 			return 0 // counted from the catalog row count below
 		}
-		return aggregateBlock(pl, vecs, nrows, &w.sel, w.scratch, &aw.grp, w.arena, aw.part)
+		return aggregateBlock(pl, vecs, nrows, full, &w.sel, w.scratch, aw.grp, w.arena, aw.part)
 	}
-	if !pl.grouped {
-		sp.catalog = func(w *scanWorker, b int) ([]int, bool, bool) {
-			m := store.Blocks[b]
-			if len(m.Min) != ncols || !cost.SMAFullyMatches(m.Min, m.Max, aq.Filter) {
-				return pl.readCols, false, false
-			}
-			// Every row of this block satisfies the filter: COUNT comes
-			// from the catalog row count, MIN/MAX from the zone maps, and
-			// the filter columns are never read. Only SUM/AVG columns (if
-			// any) are fetched, with the whole block selected; without
-			// them the block is answered entirely from the catalog.
-			rows := int64(m.Rows)
-			w.stats.RowsMatched += rows
-			for _, ai := range pl.metaAggs {
-				ag := aq.Aggs[ai]
-				cell := &aws[w.slot].part.global.cells[ai]
-				switch ag.Func {
-				case expr.AggCountStar, expr.AggCount:
-					cell.count += rows
-				default: // AggMin / AggMax
-					cell.addBulk(ag.Func, 0, m.Min[ag.Col], m.Max[ag.Col], rows)
-				}
-			}
-			return pl.dataCols, true, len(pl.dataAggs) == 0
+	sp.catalog = func(w *scanWorker, b int) ([]int, bool, bool) {
+		m := store.Blocks[b]
+		if len(m.Min) != ncols || !cost.SMAFullyMatches(m.Min, m.Max, aq.Filter) {
+			return pl.readCols, false, false
 		}
+		if pl.grouped {
+			// Every row is selected, but each still needs its group:
+			// read the group and aggregate columns, not the filter's.
+			return pl.dataCols, true, false
+		}
+		// Every row of this block satisfies the filter: COUNT comes from
+		// the catalog row count, MIN/MAX from the zone maps, and the
+		// filter columns are never read. Only SUM/AVG columns (if any) are
+		// fetched, with the whole block selected; without them the block
+		// is answered entirely from the catalog.
+		rows := int64(m.Rows)
+		w.stats.RowsMatched += rows
+		cells := aws[w.slot].part.groupCells(0)
+		for _, ai := range pl.metaAggs {
+			ag := aq.Aggs[ai]
+			switch ag.Func {
+			case expr.AggCountStar, expr.AggCount:
+				cells[ai].count += rows
+			default: // AggMin / AggMax
+				cells[ai].addBulk(ag.Func, 0, m.Min[ag.Col], m.Max[ag.Col], rows)
+			}
+		}
+		return pl.dataCols, true, len(pl.dataAggs) == 0
 	}
 	h, _, err := scan(store, layout, prof, mode, opt, dv, sp)
 	if err != nil {
@@ -399,35 +536,38 @@ func RunAggPartialDelta(store *blockstore.Store, layout *cost.Layout, aq expr.Ag
 	return res, nil
 }
 
-// aggregateFullySelected folds a block whose every row is selected:
-// only SUM/AVG aggregates remain (COUNT/MIN/MAX were served from the
-// block's catalog metadata), so each batch reduces with a full selection
-// and no filter pass.
+// aggregateFullySelected folds a block whose every row is selected into a
+// global aggregate: only SUM/AVG aggregates remain (COUNT/MIN/MAX were
+// served from the block's catalog metadata), so each batch reduces with a
+// full selection and no filter pass.
 func aggregateFullySelected(pl *aggPlan, vecs []*blockstore.ColVec, nrows int, sel *blockstore.SelVec, part *aggPartial) {
+	cells := part.groupCells(0)
 	for start := 0; start < nrows; start += blockstore.BatchSize {
-		n := nrows - start
-		if n > blockstore.BatchSize {
-			n = blockstore.BatchSize
-		}
+		n := min(nrows-start, blockstore.BatchSize)
 		sel.SetFirst(n)
 		for _, ai := range pl.dataAggs {
-			ag := pl.aq.Aggs[ai]
-			s, c := vecs[ag.Col].SumSelected(sel, start, n)
-			cell := &part.global.cells[ai]
-			cell.sum += s
-			cell.count += c
+			s, c := vecs[pl.aq.Aggs[ai].Col].SumSelected(sel, start, n)
+			cells[ai].sum += s
+			cells[ai].count += c
 		}
 	}
 }
 
-// aggScratch is the per-worker grouped-aggregation scratch: header
-// slices whose shapes are fixed per query, reused across every block the
-// worker folds.
+// aggScratch is the per-worker grouped-aggregation scratch, reused across
+// every block the worker folds: header slices whose shapes are fixed per
+// query, and the batch's selected positions and group ids.
 type aggScratch struct {
 	groupVals [][]int64
 	aggVals   [][]int64
 	key       []int64
+	pos       [blockstore.BatchSize]int32
+	gid       [blockstore.BatchSize]int32
 }
+
+// aggScratchPool recycles the workers' 8 KB grouped-aggregation scratch
+// across statements. Every batch writes its positions and group ids
+// before it reads them, so a recycled scratch needs no clearing.
+var aggScratchPool = sync.Pool{New: func() any { return new(aggScratch) }}
 
 // grow sizes the scratch for ngroups group columns and naggs aggregates.
 func (g *aggScratch) grow(ngroups, naggs int) {
@@ -443,27 +583,36 @@ func (g *aggScratch) grow(ngroups, naggs int) {
 	g.aggVals = g.aggVals[:naggs]
 }
 
-// aggregateBlock evaluates the filter over one block batch-by-batch and
-// folds the selected rows into the worker's partial state. It returns the
-// number of selected (matched) rows. Decode buffers and the per-column
-// batch memo come from the worker's arena; gs provides the grouped-path
-// header scratch — nothing here allocates once the worker is warm.
-func aggregateBlock(pl *aggPlan, vecs []*blockstore.ColVec, nrows int, sel *blockstore.SelVec, st *vecScratch, gs *aggScratch, ar *blockstore.Arena, part *aggPartial) int64 {
+// positions lists the selected rows of sel in [0, n), ascending.
+func (g *aggScratch) positions(sel *blockstore.SelVec, n int) []int32 {
+	k := 0
+	for w := 0; w < (n+63)/64; w++ {
+		for word := sel[w]; word != 0; word &= word - 1 {
+			g.pos[k] = int32(w<<6 + bits.TrailingZeros64(word))
+			k++
+		}
+	}
+	return g.pos[:k]
+}
+
+// aggregateBlock folds one block batch-by-batch into the worker's partial
+// state, evaluating the filter unless full says every row is selected. It
+// returns the number of selected (matched) rows. Decode buffers and the
+// per-column batch memo come from the worker's arena; gs provides the
+// grouped-path scratch — nothing here allocates once the worker is warm.
+func aggregateBlock(pl *aggPlan, vecs []*blockstore.ColVec, nrows int, full bool, sel *blockstore.SelVec, st *vecScratch, gs *aggScratch, ar *blockstore.Arena, part *aggPartial) int64 {
 	var matched int64
 	root := pl.aq.Filter.Root
-	var groupVals, aggVals [][]int64
-	var key []int64
+	if full {
+		root = nil
+	}
 	var decodedAt []int // per column: batch start already decoded, -1 = none
 	if pl.grouped {
 		gs.grow(len(pl.aq.GroupBy), len(pl.aq.Aggs))
-		groupVals, aggVals, key = gs.groupVals, gs.aggVals, gs.key
 		decodedAt = ar.DecodedAt(len(vecs))
 	}
 	for start := 0; start < nrows; start += blockstore.BatchSize {
-		n := nrows - start
-		if n > blockstore.BatchSize {
-			n = blockstore.BatchSize
-		}
+		n := min(nrows-start, blockstore.BatchSize)
 		if root == nil {
 			sel.SetFirst(n)
 		} else {
@@ -472,15 +621,16 @@ func aggregateBlock(pl *aggPlan, vecs []*blockstore.ColVec, nrows int, sel *bloc
 				continue
 			}
 		}
-		cnt := int64(sel.Count())
-		matched += cnt
+		cnt := sel.Count()
+		matched += int64(cnt)
 		if !pl.grouped {
-			part.global.rows += cnt
+			cells := part.groupCells(0)
+			part.rows[0] += int64(cnt)
 			for i, a := range pl.aq.Aggs {
-				cell := &part.global.cells[i]
+				cell := &cells[i]
 				switch a.Func {
 				case expr.AggCountStar, expr.AggCount:
-					cell.count += cnt
+					cell.count += int64(cnt)
 				case expr.AggSum, expr.AggAvg:
 					s, c := vecs[a.Col].SumSelected(sel, start, n)
 					cell.sum += s
@@ -488,18 +638,17 @@ func aggregateBlock(pl *aggPlan, vecs []*blockstore.ColVec, nrows int, sel *bloc
 				case expr.AggMin, expr.AggMax:
 					lo, hi, ok := vecs[a.Col].MinMaxSelected(sel, start, n)
 					if ok {
-						cell.addBulk(a.Func, 0, lo, hi, cnt)
+						cell.addBulk(a.Func, 0, lo, hi, int64(cnt))
 					}
 				}
 			}
 			continue
 		}
-		// Grouped: materialize the batch of every referenced column once,
-		// then fold row-at-a-time into the per-group accumulators. DICT
-		// group columns decode to raw dictionary codes (base 0), so the
-		// dense path below really does group in code space.
-		// decode materializes a column's batch once even when the column
-		// appears in several aggregates and/or the group key.
+		// Grouped: materialize the batch of every referenced column once
+		// (a column in several aggregates and/or the key decodes once;
+		// DICT group columns decode to raw dictionary codes, base 0, so
+		// the code space really is code space), give every selected row
+		// its group, then fold an aggregate at a time.
 		decode := func(c int) []int64 {
 			buf := ar.DecodeBuf(c)
 			if decodedAt[c] != start {
@@ -509,28 +658,18 @@ func aggregateBlock(pl *aggPlan, vecs []*blockstore.ColVec, nrows int, sel *bloc
 			return buf
 		}
 		for gi, g := range pl.aq.GroupBy {
-			groupVals[gi] = decode(g)
+			gs.groupVals[gi] = decode(g)
 		}
 		for ai, a := range pl.aq.Aggs {
-			aggVals[ai] = nil
+			gs.aggVals[ai] = nil
 			if a.NeedsColumn() {
-				aggVals[ai] = decode(a.Col)
+				gs.aggVals[ai] = decode(a.Col)
 			}
 		}
-		sel.ForEach(n, func(i int) {
-			for gi := range key {
-				key[gi] = groupVals[gi][i]
-			}
-			g := part.groupFor(key)
-			g.rows++
-			for ai, a := range pl.aq.Aggs {
-				v := int64(0)
-				if aggVals[ai] != nil {
-					v = aggVals[ai][i]
-				}
-				g.cells[ai].add(a.Func, v)
-			}
-		})
+		pos := gs.positions(sel, n)
+		gid := gs.gid[:len(pos)]
+		part.groupIDs(gs.groupVals, pos, gid, gs.key)
+		part.fold(pl.aq.Aggs, gs.aggVals, pos, gid)
 	}
 	return matched
 }

@@ -2,6 +2,7 @@ package exec
 
 import (
 	"math"
+	"math/rand"
 	"runtime"
 	"runtime/debug"
 	"testing"
@@ -9,6 +10,7 @@ import (
 	"repro/internal/blockstore"
 	"repro/internal/cost"
 	"repro/internal/expr"
+	"repro/internal/table"
 	"repro/internal/workload"
 )
 
@@ -87,35 +89,75 @@ func TestScanAllocsDoNotScaleWithBlocks(t *testing.T) {
 	}
 }
 
+// groupFixture is allocFixture over a table of two small categoricals
+// (flag: 3 values, status: 2) beside a numeric cpu in [0, 100) and a
+// quantity — the key shapes of a TPC-H Q1-like GROUP BY.
+func groupFixture(t *testing.T, n int) (*blockstore.Store, *cost.Layout) {
+	t.Helper()
+	schema := table.MustSchema([]table.Column{
+		{Name: "flag", Kind: table.Categorical, Dom: 3},
+		{Name: "status", Kind: table.Categorical, Dom: 2},
+		{Name: "cpu", Kind: table.Numeric, Min: 0, Max: 99},
+		{Name: "qty", Kind: table.Numeric, Min: 1, Max: 50},
+	})
+	rng := rand.New(rand.NewSource(3))
+	tbl := table.New(schema, n)
+	bids := make([]int, n)
+	for i := range bids {
+		tbl.AppendRow([]int64{rng.Int63n(3), rng.Int63n(2), rng.Int63n(100), 1 + rng.Int63n(50)})
+		bids[i] = i / 500
+	}
+	nblocks := (n + 499) / 500
+	layout := cost.NewLayout("flat", tbl, bids, nblocks, nil)
+	st, err := blockstore.Write(t.TempDir(), tbl, bids, nblocks)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { st.Close() })
+	return st, layout
+}
+
 // TestAggAllocsDoNotScaleWithBlocks pins the grouped-aggregation path,
 // whose per-batch decode buffers were the heaviest per-block cost before
-// the arena pass. cpu's domain is fixed at 100, so group-table growth is
-// identical for both stores.
+// the arena pass, for a one-column numeric key (the map), a two-column
+// categorical key (the code space) and a categorical + numeric key (the
+// map over two columns). Every key has a fixed set of groups (100, 6 and
+// 300), all present in both stores, so group-table growth is identical.
 func TestAggAllocsDoNotScaleWithBlocks(t *testing.T) {
-	smallSt, smallLay := allocFixture(t, 4000)
-	bigSt, bigLay := allocFixture(t, 32000)
-	aq := expr.AggQuery{
-		Name:    "bycpu",
-		GroupBy: []int{0},
-		Aggs:    []expr.Agg{{Func: expr.AggCountStar}, {Func: expr.AggSum, Col: 1}},
+	cases := []struct {
+		name    string
+		fixture func(*testing.T, int) (*blockstore.Store, *cost.Layout)
+		groupBy []int
+		aggs    []expr.Agg
+	}{
+		{"bycpu", allocFixture, []int{0}, []expr.Agg{{Func: expr.AggCountStar}, {Func: expr.AggSum, Col: 1}}},
+		{"byflagstatus", groupFixture, []int{0, 1}, []expr.Agg{
+			{Func: expr.AggCountStar}, {Func: expr.AggSum, Col: 3}, {Func: expr.AggAvg, Col: 3}, {Func: expr.AggMax, Col: 2},
+		}},
+		{"byflagcpu", groupFixture, []int{0, 2}, []expr.Agg{{Func: expr.AggCountStar}, {Func: expr.AggMin, Col: 3}}},
 	}
-	run := func(st *blockstore.Store, lay *cost.Layout) func() {
-		return func() {
-			res, err := RunAggDelta(st, lay, aq, nil, EngineDBMS, NoRoute, Options{Parallelism: 1}, nil)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if len(res.Rows) == 0 {
-				t.Fatal("grouped query returned no groups")
+	for _, tc := range cases {
+		smallSt, smallLay := tc.fixture(t, 4000)
+		bigSt, bigLay := tc.fixture(t, 32000)
+		aq := expr.AggQuery{Name: tc.name, GroupBy: tc.groupBy, Aggs: tc.aggs}
+		run := func(st *blockstore.Store, lay *cost.Layout) func() {
+			return func() {
+				res, err := RunAggDelta(st, lay, aq, nil, EngineDBMS, NoRoute, Options{Parallelism: 1}, nil)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if len(res.Rows) == 0 {
+					t.Fatal("grouped query returned no groups")
+				}
 			}
 		}
-	}
-	small := measureAllocs(t, run(smallSt, smallLay))
-	big := measureAllocs(t, run(bigSt, bigLay))
-	// The 8x store has ~8x the rows, so the per-group accumulators see the
-	// same 100 groups; only per-block work could differ.
-	if extra := big - small; extra > 8 {
-		t.Errorf("grouped agg: 56 extra blocks cost %.1f extra allocs/query (small=%.1f big=%.1f)", extra, small, big)
+		small := measureAllocs(t, run(smallSt, smallLay))
+		big := measureAllocs(t, run(bigSt, bigLay))
+		// The 8x store has ~8x the rows but the same groups; only
+		// per-block work could differ.
+		if extra := big - small; extra > 8 {
+			t.Errorf("%s: 56 extra blocks cost %.1f extra allocs/query (small=%.1f big=%.1f)", tc.name, extra, small, big)
+		}
 	}
 }
 

@@ -15,7 +15,7 @@ package exec
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 
 	"repro/internal/expr"
 )
@@ -67,57 +67,55 @@ func cellOf(c AggCellState) aggCell {
 	return aggCell{count: c.Count, sum: c.Sum, min: c.Min, max: c.Max}
 }
 
-// groupState exports one internal group accumulator.
-func groupState(g *aggGroup) AggGroupState {
-	out := AggGroupState{Key: g.key, Rows: g.rows, Cells: make([]AggCellState, len(g.cells))}
-	for i, c := range g.cells {
+// groupState exports group g of p.
+func groupState(p *aggPartial, g int) AggGroupState {
+	out := AggGroupState{Key: p.key(g), Rows: p.rows[g], Cells: make([]AggCellState, p.naggs)}
+	for i, c := range p.groupCells(g) {
 		out.Cells[i] = cellState(c)
 	}
 	return out
 }
 
-// exportPartial flattens a merged aggPartial into the wire shape. Grouped
-// groups are sorted by key, matching AggResult row order.
+// exportPartial flattens a merged aggPartial into the wire shape: a
+// global aggregate as Global, a grouped one as its non-empty groups
+// sorted by key (AggResult row order) beside an all-zero Global.
 func exportPartial(p *aggPartial, grouped bool) (AggGroupState, []AggGroupState) {
-	global := groupState(&p.global)
 	if !grouped {
-		return global, nil
+		return groupState(p, 0), nil
 	}
-	var groups []*aggGroup
-	for idx := range p.dense {
-		if p.dense[idx].cells != nil && p.dense[idx].rows > 0 {
-			groups = append(groups, &p.dense[idx])
+	global := AggGroupState{Cells: make([]AggCellState, p.naggs)}
+	out := make([]AggGroupState, 0, len(p.rows))
+	for g := range p.rows {
+		if p.rows[g] > 0 {
+			out = append(out, groupState(p, g))
 		}
-	}
-	for _, g := range p.m {
-		if g.rows > 0 {
-			groups = append(groups, g)
-		}
-	}
-	out := make([]AggGroupState, len(groups))
-	for i, g := range groups {
-		out[i] = groupState(g)
 	}
 	sortGroupStates(out)
 	return global, out
 }
 
-// sortGroupStates orders group states by lexicographic key.
+// sortGroupStates orders group states by lexicographic key, a prefix
+// first.
 func sortGroupStates(gs []AggGroupState) {
-	sort.Slice(gs, func(i, j int) bool { return keyLess(gs[i].Key, gs[j].Key) })
+	slices.SortFunc(gs, func(a, b AggGroupState) int { return slices.Compare(a.Key, b.Key) })
 }
 
-// importPartial folds one exported partial into an internal accumulator.
+// importPartial folds one exported partial into an internal accumulator
+// of the same shape.
 func importPartial(dst *aggPartial, src *AggPartialResult, aggs []expr.Agg) {
-	fold := func(g *aggGroup, s AggGroupState) {
-		g.rows += s.Rows
+	fold := func(s AggGroupState) {
+		g := int(dst.group(s.Key))
+		dst.rows[g] += s.Rows
+		cells := dst.groupCells(g)
 		for i := range aggs {
-			mergeCell(aggs[i].Func, &g.cells[i], cellOf(s.Cells[i]))
+			mergeCell(aggs[i].Func, &cells[i], cellOf(s.Cells[i]))
 		}
 	}
-	fold(&dst.global, src.Global)
+	if !src.Grouped {
+		fold(src.Global)
+	}
 	for _, s := range src.Groups {
-		fold(dst.groupFor(s.Key), s)
+		fold(s)
 	}
 }
 
@@ -157,7 +155,7 @@ func EmptyAggPartial(query string, naggs int, groupBy []int) *AggPartialResult {
 		GroupBy: append([]int(nil), groupBy...),
 		Grouped: len(groupBy) > 0,
 	}
-	out.Global, out.Groups = exportPartial(newAggPartial(naggs, 0), out.Grouped)
+	out.Global, out.Groups = exportPartial(newAggPartial(naggs, len(groupBy), nil), out.Grouped)
 	return out
 }
 
@@ -173,7 +171,7 @@ func MergeAggPartials(aggs []expr.Agg, parts ...*AggPartialResult) (*AggPartialR
 		return nil, fmt.Errorf("exec: MergeAggPartials needs at least one partial")
 	}
 	first := parts[0]
-	acc := newAggPartial(len(aggs), 0)
+	acc := newAggPartial(len(aggs), len(first.GroupBy), nil)
 	out := &AggPartialResult{
 		Header:  Header{Query: first.Query},
 		GroupBy: append([]int(nil), first.GroupBy...),

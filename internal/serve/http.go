@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"io"
 	"net/http"
+	"strconv"
 	"time"
 
 	"repro/internal/delta"
@@ -144,6 +145,15 @@ func DecodeIngestRows(schema *table.Schema, req IngestRequest) ([][]int64, error
 		row := make([]int64, ncols)
 		for i, rv := range raw {
 			c := order[i]
+			// Integers, the common case, parse from the raw bytes; a
+			// string, or anything else ParseInt rejects (null, 1.0, 1e3,
+			// overflow), takes the Unmarshal path and its error texts.
+			if len(rv) > 0 && rv[0] != '"' {
+				if v, err := strconv.ParseInt(string(rv), 10, 64); err == nil && jsonInteger(rv) {
+					row[c] = v
+					continue
+				}
+			}
 			var sval string
 			if err := json.Unmarshal(rv, &sval); err == nil {
 				code := schema.Code(c, sval)
@@ -162,6 +172,16 @@ func DecodeIngestRows(schema *table.Schema, req IngestRequest) ([][]int64, error
 		rows[ri] = row
 	}
 	return rows, nil
+}
+
+// jsonInteger reports whether b, a text ParseInt accepts, is also a
+// JSON integer: ParseInt takes a leading "+" and leading zeros ("+1",
+// "01"), JSON does not.
+func jsonInteger(b []byte) bool {
+	if len(b) > 0 && b[0] == '-' {
+		b = b[1:]
+	}
+	return len(b) > 0 && b[0] != '+' && (b[0] != '0' || len(b) == 1)
 }
 
 // Handler mounts the server's HTTP/JSON API.

@@ -343,6 +343,60 @@ func TestDecodeIngestRows(t *testing.T) {
 	}
 }
 
+// decodeIngestValueBefore is the value decoder DecodeIngestRows used
+// before its integer fast path: every value is tried as a string first,
+// then as an int64. The fast path must agree with it on every input.
+func decodeIngestValueBefore(schema *table.Schema, ri, c int, rv json.RawMessage) (int64, error) {
+	var sval string
+	if err := json.Unmarshal(rv, &sval); err == nil {
+		code := schema.Code(c, sval)
+		if code < 0 {
+			return 0, fmt.Errorf("row %d column %s: %q is not in the dictionary", ri, schema.Cols[c].Name, sval)
+		}
+		return code, nil
+	}
+	var ival int64
+	if err := json.Unmarshal(rv, &ival); err != nil {
+		return 0, fmt.Errorf("row %d column %s: want an integer or a dictionary string, got %s", ri, schema.Cols[c].Name, string(rv))
+	}
+	return ival, nil
+}
+
+// TestDecodeIngestValuesMatchTheStringFirstDecoder: the integer fast
+// path yields the same values and the same error texts as the old
+// string-first decoder, in a numeric and in a categorical column, for
+// integers at and past the int64 limits and for everything ParseInt or
+// JSON rejects.
+func TestDecodeIngestValuesMatchTheStringFirstDecoder(t *testing.T) {
+	schema := table.MustSchema([]table.Column{
+		{Name: "x", Kind: table.Numeric, Min: 0, Max: 99},
+		{Name: "svc", Kind: table.Categorical, Dom: 2, Dict: []string{"auth", "web"}},
+	})
+	values := []string{
+		"0", "7", "-7", "-0", "42", "9223372036854775807", "-9223372036854775808",
+		"9223372036854775808", "-9223372036854775809", "12345678901234567890123",
+		"1.0", "1e3", "1E3", "-1.5", "null", "true", "false",
+		`"web"`, `"auth"`, `"db"`, `""`, `"7"`,
+		"+5", "007", "-007", "00", "-", "", " 7", "7 ", "0x10", "1_000", "[1]", "{}",
+	}
+	for _, v := range values {
+		for c := range 2 {
+			row := []json.RawMessage{json.RawMessage("1"), json.RawMessage(`"web"`)}
+			row[c] = json.RawMessage(v)
+			got, gotErr := DecodeIngestRows(schema, IngestRequest{Rows: [][]json.RawMessage{row}})
+			want, wantErr := decodeIngestValueBefore(schema, 0, c, row[c])
+			switch {
+			case (gotErr == nil) != (wantErr == nil):
+				t.Errorf("%q in column %d: error %v, want %v", v, c, gotErr, wantErr)
+			case gotErr != nil && gotErr.Error() != wantErr.Error():
+				t.Errorf("%q in column %d: error %q, want %q", v, c, gotErr, wantErr)
+			case gotErr == nil && got[0][c] != want:
+				t.Errorf("%q in column %d: decoded %d, want %d", v, c, got[0][c], want)
+			}
+		}
+	}
+}
+
 // Error responses are structured JSON: every 4xx/5xx from the serving
 // API must carry Content-Type application/json and a non-empty "error"
 // message, so cluster front doors and scripted clients never have to
