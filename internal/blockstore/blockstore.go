@@ -110,9 +110,6 @@ type Store struct {
 	totalsOnce  sync.Once
 	totalBlocks int
 	totalRows   int64
-
-	zonesOnce sync.Once
-	zones     *cost.ZoneIndex
 }
 
 // blockFile holds one block file's validated contents: a read-only
@@ -463,18 +460,6 @@ func (s *Store) Totals() (blocks int, rows int64) {
 		}
 	})
 	return s.totalBlocks, s.totalRows
-}
-
-// ZoneIndex returns the columnar index over the blocks' zone maps that
-// prunes a query's candidate blocks in one pass. It is built on its first
-// call: Blocks must not change after that.
-func (s *Store) ZoneIndex() *cost.ZoneIndex {
-	s.zonesOnce.Do(func() {
-		s.zones = cost.NewZoneIndex(len(s.Blocks), s.Schema.NumCols(), func(b int) (min, max []int64) {
-			return s.Blocks[b].Min, s.Blocks[b].Max
-		})
-	})
-	return s.zones
 }
 
 // isV2 reports whether the store reads format v2 blocks.

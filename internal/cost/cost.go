@@ -170,22 +170,7 @@ func (l *Layout) DisableDictionaryFiltering() {
 // evaluates q once over the layout's columnar index, 64 blocks at a
 // time, and calls ExtraSkip only for the blocks that survive.
 func (l *Layout) BlocksFor(q expr.Query) []int {
-	ix := l.index
-	if ix == nil {
-		return l.scanBlocks(q)
-	}
-	e := ix.evaluator()
-	match := e.push()
-	if q.Root == nil {
-		copy(match, ix.live)
-	} else {
-		e.node(q.Root, ix.live, match)
-	}
-	var out []int
-	if n := popCount(match); n > 0 {
-		out = appendBlocks(make([]int, 0, n), match)
-	}
-	e.release()
+	out := l.blocksFor(q, false)
 	if l.ExtraSkip != nil {
 		kept := out[:0]
 		for _, b := range out {
@@ -198,19 +183,45 @@ func (l *Layout) BlocksFor(q expr.Query) []int {
 	return out
 }
 
-// scanBlocks is BlocksFor without an index: every block checked one by
-// one.
-func (l *Layout) scanBlocks(q expr.Query) []int {
-	var out []int
-	for b := range l.Descs {
-		if l.Counts[b] == 0 || !l.Descs[b].QueryMayMatch(q) {
-			continue
+// MinMaxBlocksFor returns, in ascending order, the non-empty blocks whose
+// description intervals q may match, exactly as MinMaxMayMatch decides
+// block by block: BlocksFor with every categorical mask and advanced cut
+// ignored and no ExtraSkip, the zone-map pruning of the paper's "no
+// route" configuration (Sec. 7.5.1). It evaluates the same index as
+// BlocksFor and shares its column arrays.
+func (l *Layout) MinMaxBlocksFor(q expr.Query) []int {
+	return l.blocksFor(q, true)
+}
+
+// blocksFor evaluates q over the layout's index, intervals only or in
+// full; without an index it checks every non-empty block one by one.
+func (l *Layout) blocksFor(q expr.Query, intervalsOnly bool) []int {
+	ix := l.index
+	if ix == nil {
+		var out []int
+		for b := range l.Descs {
+			if l.Counts[b] == 0 {
+				continue
+			}
+			d := &l.Descs[b]
+			if intervalsOnly && MinMaxMayMatch(d.Lo, d.Hi, q) || !intervalsOnly && d.QueryMayMatch(q) {
+				out = append(out, b)
+			}
 		}
-		if l.ExtraSkip != nil && l.ExtraSkip(b, q) {
-			continue
-		}
-		out = append(out, b)
+		return out
 	}
+	e := ix.evaluator(intervalsOnly)
+	match := e.push()
+	if q.Root == nil {
+		copy(match, ix.live)
+	} else {
+		e.node(q.Root, ix.live, match)
+	}
+	var out []int
+	if n := popCount(match); n > 0 {
+		out = appendBlocks(make([]int, 0, n), match)
+	}
+	e.release()
 	return out
 }
 
@@ -335,7 +346,7 @@ func mayMatch(q expr.Query, interval func(c int) (lo, hi int64)) bool {
 // per-column intervals: half-open [lo[c], hi[c]). An empty interval
 // (lo >= hi) on a referenced column prunes the block.
 func MinMaxMayMatch(lo, hi []int64, q expr.Query) bool {
-	return mayMatch(q, func(c int) (int64, int64) { return lo[c], hi[c] - 1 })
+	return mayMatch(q, func(c int) (int64, int64) { return inclusive(lo[c], hi[c]) })
 }
 
 // SMAMayMatch is SMA-only pruning over the blockstore catalog

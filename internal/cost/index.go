@@ -9,28 +9,27 @@ import (
 	"repro/internal/expr"
 )
 
-// blockIndex is a columnar index over a sequence of blocks that answers
-// "which blocks may a query match" for all blocks at once, 64 blocks to
-// a machine word. Block b is bit b&63 of word b>>6 in every bitmap.
+// blockIndex is a columnar index over a layout's block descriptions
+// that answers "which blocks may a query match" for all blocks at once,
+// 64 blocks to a machine word. Block b is bit b&63 of word b>>6 in every
+// bitmap.
 //
 // Per column it holds the blocks' inclusive value intervals as two
 // arrays, padded to a whole number of words; an empty interval is
 // stored as (MaxInt64, MinInt64), which no range test passes. A column's
-// arrays are built from the source metadata when a query first tests it,
+// arrays are built from the descriptions when a query first tests it,
 // so the index grows only by the columns queries use. Per categorical
 // column with a mask it holds one block bitmap per dictionary value (the
 // block masks transposed), and per advanced cut the bitmap of blocks
 // whose AdvMay bit is set.
 //
-// An index built without masks or advanced cuts (numAdv 0) is the
-// intervals-only (zone map) form: = and IN test the intervals, and
-// every advanced cut matches, exactly as mayMatch.
+// An evaluation may also read the index in its intervals-only (zone
+// map) form: = and IN test the intervals, and every advanced cut
+// matches, exactly as mayMatch. Both forms share the column arrays.
 type blockIndex struct {
 	words int
+	descs []core.Desc
 	cols  []colBounds
-	// interval returns block b's inclusive interval on column c; lo > hi
-	// when it is empty.
-	interval func(b, c int) (lo, hi int64)
 	// masks[c] holds the value bitmaps of column c, value v at words
 	// [v*words, (v+1)*words); nil for a column without a mask.
 	masks [][]uint64
@@ -38,8 +37,8 @@ type blockIndex struct {
 	// [i*words, (i+1)*words); an advanced cut i >= numAdv always matches.
 	adv    []uint64
 	numAdv int
-	// live holds the blocks a query is evaluated over: the non-empty
-	// blocks of a layout, every block of a store. count is its size.
+	// live holds the blocks a query is evaluated over, the non-empty
+	// blocks of the layout; count is its size.
 	live  []uint64
 	count int
 }
@@ -48,11 +47,6 @@ type blockIndex struct {
 type colBounds struct {
 	once   sync.Once
 	lo, hi []int64
-}
-
-func newBlockIndex(blocks, ncols int, interval func(b, c int) (lo, hi int64)) *blockIndex {
-	words := (blocks + 63) / 64
-	return &blockIndex{words: words, cols: make([]colBounds, ncols), interval: interval, masks: make([][]uint64, ncols), live: make([]uint64, words)}
 }
 
 // bounds returns column c's interval arrays, building them on first use.
@@ -64,11 +58,13 @@ func (ix *blockIndex) bounds(c int) (lo, hi []int64) {
 		for w, lv := range ix.live {
 			for ; lv != 0; lv &= lv - 1 {
 				b := w*64 + bits.TrailingZeros64(lv)
-				l, h := ix.interval(b, c)
-				if l > h {
-					l, h = math.MaxInt64, math.MinInt64
+				// [Lo, Hi) is non-empty only when Hi > Lo >= MinInt64, so
+				// Hi-1 cannot overflow.
+				if l, h := ix.descs[b].Lo[c], ix.descs[b].Hi[c]; l < h {
+					col.lo[b], col.hi[b] = l, h-1
+				} else {
+					col.lo[b], col.hi[b] = math.MaxInt64, math.MinInt64
 				}
-				col.lo[b], col.hi[b] = l, h
 			}
 		}
 	})
@@ -96,14 +92,8 @@ func newLayoutIndex(descs []core.Desc, counts []int) *blockIndex {
 		return nil
 	}
 	first := &descs[0]
-	ix := newBlockIndex(len(descs), len(first.Lo), func(b, c int) (int64, int64) {
-		// [Lo, Hi) is non-empty only when Hi > Lo >= MinInt64, so Hi-1
-		// cannot overflow.
-		if l, h := descs[b].Lo[c], descs[b].Hi[c]; l < h {
-			return l, h - 1
-		}
-		return 1, 0
-	})
+	ncols, words := len(first.Lo), (len(descs)+63)/64
+	ix := &blockIndex{words: words, descs: descs, cols: make([]colBounds, ncols), masks: make([][]uint64, ncols), live: make([]uint64, words)}
 	for c, m := range first.Masks {
 		ix.masks[c] = make([]uint64, m.Len()*ix.words)
 	}
@@ -143,11 +133,13 @@ func sameShape(descs []core.Desc) bool {
 }
 
 // evaluator is the scratch of one index evaluation: a stack of word
-// frames, reused across evaluations through evalFree.
+// frames, reused across evaluations through evalFree. intervalsOnly
+// evaluates the intervals-only form of the index.
 type evaluator struct {
-	ix     *blockIndex
-	frames [][]uint64
-	depth  int
+	ix            *blockIndex
+	intervalsOnly bool
+	frames        [][]uint64
+	depth         int
 }
 
 // evalFree pools idle evaluators. It is a buffered channel rather than a
@@ -158,14 +150,14 @@ type evaluator struct {
 // the garbage collector.
 var evalFree = make(chan *evaluator, 64)
 
-func (ix *blockIndex) evaluator() *evaluator {
+func (ix *blockIndex) evaluator(intervalsOnly bool) *evaluator {
 	var e *evaluator
 	select {
 	case e = <-evalFree:
 	default:
 		e = new(evaluator)
 	}
-	e.ix, e.depth = ix, 0
+	e.ix, e.intervalsOnly, e.depth = ix, intervalsOnly, 0
 	return e
 }
 
@@ -203,7 +195,7 @@ func (e *evaluator) node(n *expr.Node, live, out []uint64) {
 		e.pred(&n.Pred, live, out)
 	case expr.KindAdv:
 		ix := e.ix
-		if n.Adv >= ix.numAdv {
+		if e.intervalsOnly || n.Adv >= ix.numAdv {
 			copy(out, live)
 			return
 		}
@@ -255,13 +247,14 @@ func copyAny(dst, src []uint64) bool {
 }
 
 // pred sets out to the blocks of live that p may match: = and IN on a
-// masked column OR the value bitmaps; every other test is one pass over
-// the column's interval arrays. Literals at the ends of int64 are
-// rewritten so that no bound is ever incremented past them.
+// masked column OR the value bitmaps, unless the evaluation is
+// intervals-only; every other test is one pass over the column's
+// interval arrays. Literals at the ends of int64 are rewritten so that
+// no bound is ever incremented past them.
 func (e *evaluator) pred(p *expr.Pred, live, out []uint64) {
 	ix := e.ix
 	c := p.Col
-	if vals := ix.masks[c]; vals != nil && (p.Op == expr.Eq || p.Op == expr.In) {
+	if vals := ix.masks[c]; vals != nil && !e.intervalsOnly && (p.Op == expr.Eq || p.Op == expr.In) {
 		clear(out)
 		if p.Op == expr.Eq {
 			orValue(vals, ix.words, p.Literal, live, out)
@@ -418,65 +411,4 @@ func popCount(bm []uint64) int {
 		n += bits.OnesCount64(m)
 	}
 	return n
-}
-
-// ZoneIndex is the intervals-only block index over a block store's
-// catalog zone maps (inclusive per-column [Min, Max]). It prunes exactly
-// as SMAMayMatch does block by block: categorical masks and advanced-cut
-// bits are not available at this level, so = and IN test the intervals
-// and advanced cuts always match. A block without zone maps always
-// matches.
-type ZoneIndex struct {
-	ix *blockIndex
-	// noZone holds the blocks without zone maps.
-	noZone []uint64
-}
-
-// NewZoneIndex indexes the zone maps of a store's blocks: zone(b)
-// returns block b's inclusive per-column minima and maxima, or empty
-// slices when the block has none.
-func NewZoneIndex(blocks, ncols int, zone func(b int) (min, max []int64)) *ZoneIndex {
-	ix := newBlockIndex(blocks, ncols, func(b, c int) (int64, int64) {
-		if mins, maxs := zone(b); len(mins) == ncols && len(maxs) == ncols {
-			return mins[c], maxs[c]
-		}
-		return 1, 0 // no zone maps: noZone keeps the block
-	})
-	z := &ZoneIndex{ix: ix, noZone: make([]uint64, ix.words)}
-	for b := range blocks {
-		ix.live[b>>6] |= 1 << (b & 63)
-		if mins, maxs := zone(b); len(mins) != ncols || len(maxs) != ncols {
-			z.noZone[b>>6] |= 1 << (b & 63)
-		}
-	}
-	ix.count = blocks
-	return z
-}
-
-// Prune keeps, in their order, the blocks of the list whose zone maps q
-// may match, calling pruned (when non-nil) for every other one in that
-// order. It filters blocks in place and returns the kept prefix.
-// Every block must be below the index's block count.
-func (z *ZoneIndex) Prune(q expr.Query, blocks []int, pruned func(b int)) []int {
-	if q.Root == nil || len(blocks) == 0 {
-		return blocks
-	}
-	e := z.ix.evaluator()
-	live, match := e.push(), e.push()
-	clear(live)
-	for _, b := range blocks {
-		live[b>>6] |= 1 << (b & 63)
-	}
-	e.node(q.Root, live, match)
-	out := blocks[:0]
-	for _, b := range blocks {
-		bit := uint64(1) << (b & 63)
-		if (match[b>>6]|z.noZone[b>>6])&bit != 0 {
-			out = append(out, b)
-		} else if pruned != nil {
-			pruned(b)
-		}
-	}
-	e.release()
-	return out
 }

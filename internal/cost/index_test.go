@@ -192,42 +192,40 @@ func TestLayoutIndexShape(t *testing.T) {
 	}
 }
 
-// TestZoneIndexMatchesSMAMayMatch pins ZoneIndex.Prune to SMAMayMatch
-// block by block, over random ascending candidate lists: a block without
-// zone maps is always kept, every other one kept exactly when
-// SMAMayMatch says so, and the pruned ones are reported in order.
-func TestZoneIndexMatchesSMAMayMatch(t *testing.T) {
+// TestMinMaxBlocksForMatchesMinMaxMayMatch pins the intervals-only
+// evaluation of the layout index to MinMaxMayMatch on every non-empty
+// block, over descriptions with empty intervals and empty blocks, and a
+// hand-assembled Layout (no index) to the indexed one. Masks and
+// advanced cuts are ignored and ExtraSkip is never asked, while
+// BlocksFor, evaluated over the same column arrays, still applies all
+// three.
+func TestMinMaxBlocksForMatchesMinMaxMayMatch(t *testing.T) {
 	rng := rand.New(rand.NewSource(9))
 	queries := ixQueries(rng, 400)
+	skipAll := func(int, expr.Query) bool { return true }
 	for _, n := range ixBlockCounts {
-		mins, maxs := make([][]int64, n), make([][]int64, n)
-		for b := range n {
-			if rng.Intn(8) == 0 {
-				continue // v1-style block: no zone maps
-			}
-			mins[b], maxs[b] = make([]int64, ixCols), make([]int64, ixCols)
-			for c := range ixCols {
-				mins[b][c], maxs[b][c] = ixInterval(rng)
-			}
-		}
-		z := NewZoneIndex(n, ixCols, func(b int) ([]int64, []int64) { return mins[b], maxs[b] })
-		for _, q := range queries {
-			var cands, wantKept, wantPruned []int
-			for b := range n {
-				if rng.Intn(3) == 0 {
-					continue
-				}
-				cands = append(cands, b)
-				if len(mins[b]) == 0 || SMAMayMatch(mins[b], maxs[b], q) {
-					wantKept = append(wantKept, b)
-				} else {
-					wantPruned = append(wantPruned, b)
+		descs, counts := ixDescs(rng, n)
+		l := &Layout{Counts: counts, Descs: descs, index: newLayoutIndex(descs, counts), ExtraSkip: skipAll}
+		bare := &Layout{Counts: counts, Descs: descs, ExtraSkip: skipAll}
+		for i, q := range queries {
+			if i%2 == 0 {
+				// Interleave the full form so that either may build a
+				// column's arrays first.
+				if got := l.BlocksFor(q); len(got) != 0 {
+					t.Fatalf("%d blocks, %s: BlocksFor %v past an ExtraSkip that skips every block", n, q.String(), got)
 				}
 			}
-			var pruned []int
-			kept := z.Prune(q, slices.Clone(cands), func(b int) { pruned = append(pruned, b) })
-			if !slices.Equal(kept, wantKept) || !slices.Equal(pruned, wantPruned) {
-				t.Fatalf("%d blocks, %s over %v: kept %v pruned %v, want %v and %v", n, q.String(), cands, kept, pruned, wantKept, wantPruned)
+			var want []int
+			for b := range descs {
+				if counts[b] != 0 && MinMaxMayMatch(descs[b].Lo, descs[b].Hi, q) {
+					want = append(want, b)
+				}
+			}
+			if got := l.MinMaxBlocksFor(q); !slices.Equal(got, want) {
+				t.Fatalf("%d blocks, %s: index %v, MinMaxMayMatch %v", n, q.String(), got, want)
+			}
+			if got := bare.MinMaxBlocksFor(q); !slices.Equal(got, want) {
+				t.Fatalf("%d blocks, %s: unindexed %v, MinMaxMayMatch %v", n, q.String(), got, want)
 			}
 		}
 	}
@@ -256,32 +254,34 @@ func TestBlocksForAllocsDoNotScaleWithBlocks(t *testing.T) {
 	}
 }
 
-// TestIndexConcurrentEvaluations prunes from several goroutines at once
-// over layouts and zone indexes of different word counts, which share
-// the pooled evaluators: every result equals the sequential one.
+// TestIndexConcurrentEvaluations prunes from several goroutines at once,
+// in full and intervals-only, over layouts of different word counts,
+// which share the pooled evaluators and build their column arrays on
+// first use: every result equals the sequential one.
 func TestIndexConcurrentEvaluations(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	queries := ixQueries(rng, 60)
 	type indexed struct {
-		l     *Layout
-		z     *ZoneIndex
-		cands []int
-		want  [][]int
-		zwant [][]int
+		descs  []core.Desc
+		counts []int
+		want   [][]int
+		mwant  [][]int
 	}
 	var all []indexed
 	for _, n := range []int{65, 700} {
 		descs, counts := ixDescs(rng, n)
-		x := indexed{l: &Layout{Counts: counts, Descs: descs, index: newLayoutIndex(descs, counts)}}
-		x.z = NewZoneIndex(n, ixCols, func(b int) ([]int64, []int64) { return descs[b].Lo, descs[b].Hi })
-		for b := range n {
-			x.cands = append(x.cands, b)
-		}
+		x := indexed{descs: descs, counts: counts}
+		l := &Layout{Counts: counts, Descs: descs, index: newLayoutIndex(descs, counts)}
 		for _, q := range queries {
-			x.want = append(x.want, x.l.BlocksFor(q))
-			x.zwant = append(x.zwant, x.z.Prune(q, slices.Clone(x.cands), nil))
+			x.want = append(x.want, l.BlocksFor(q))
+			x.mwant = append(x.mwant, l.MinMaxBlocksFor(q))
 		}
 		all = append(all, x)
+	}
+	// Fresh indexes, so that the goroutines race to build the arrays.
+	layouts := make([]*Layout, len(all))
+	for i, x := range all {
+		layouts[i] = &Layout{Counts: x.counts, Descs: x.descs, index: newLayoutIndex(x.descs, x.counts)}
 	}
 	var wg sync.WaitGroup
 	for g := range 8 {
@@ -289,14 +289,15 @@ func TestIndexConcurrentEvaluations(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			for i := range 20 * len(queries) {
-				x := &all[(g+i)%len(all)]
-				qi := i % len(queries)
-				if got := x.l.BlocksFor(queries[qi]); !slices.Equal(got, x.want[qi]) {
+				k := (g + i) % len(all)
+				l, x := layouts[k], &all[k]
+				qi := (g*7 + i) % len(queries)
+				if got := l.BlocksFor(queries[qi]); !slices.Equal(got, x.want[qi]) {
 					t.Errorf("goroutine %d, %s: BlocksFor %v, want %v", g, queries[qi].String(), got, x.want[qi])
 					return
 				}
-				if got := x.z.Prune(queries[qi], slices.Clone(x.cands), nil); !slices.Equal(got, x.zwant[qi]) {
-					t.Errorf("goroutine %d, %s: Prune %v, want %v", g, queries[qi].String(), got, x.zwant[qi])
+				if got := l.MinMaxBlocksFor(queries[qi]); !slices.Equal(got, x.mwant[qi]) {
+					t.Errorf("goroutine %d, %s: MinMaxBlocksFor %v, want %v", g, queries[qi].String(), got, x.mwant[qi])
 					return
 				}
 			}

@@ -1,6 +1,10 @@
 package cost
 
-import "repro/internal/expr"
+import (
+	"math"
+
+	"repro/internal/expr"
+)
 
 // PruneCause is the witness for one SMA pruning decision: the predicate
 // that cannot match the block/shard interval. Op mirrors the query
@@ -38,14 +42,14 @@ func opString(op expr.Op) string {
 
 // pruneCause walks q like mayMatch and returns the first witness that
 // forces a prune, or nil when the query may match. Column c spans the
-// inclusive interval [lo[c], hi[c]-hiOpen]: hiOpen is 1 over the
-// half-open Desc representation and 0 over catalog zone maps. Only a
+// inclusive interval [lo[c], hi[c]] over catalog zone maps and
+// inclusive(lo[c], hi[c]) over the half-open Desc representation. Only a
 // pruned query allocates its witness.
-func pruneCause(q expr.Query, lo, hi []int64, hiOpen int64) *PruneCause {
+func pruneCause(q expr.Query, lo, hi []int64, halfOpen bool) *PruneCause {
 	if q.Root == nil {
 		return nil
 	}
-	if cause, pruned := nodeCause(q.Root, lo, hi, hiOpen); pruned {
+	if cause, pruned := nodeCause(q.Root, lo, hi, halfOpen); pruned {
 		return &cause
 	}
 	return nil
@@ -53,21 +57,25 @@ func pruneCause(q expr.Query, lo, hi []int64, hiOpen int64) *PruneCause {
 
 // nodeCause reports whether n prunes the intervals and, if so, its
 // witness.
-func nodeCause(n *expr.Node, lo, hi []int64, hiOpen int64) (PruneCause, bool) {
+func nodeCause(n *expr.Node, lo, hi []int64, halfOpen bool) (PruneCause, bool) {
 	switch n.Kind {
 	case expr.KindPred:
 		c := n.Pred.Col
-		return predCause(&n.Pred, lo[c], hi[c]-hiOpen)
+		l, h := lo[c], hi[c]
+		if halfOpen {
+			l, h = inclusive(l, h)
+		}
+		return predCause(&n.Pred, l, h)
 	case expr.KindAnd:
 		for _, c := range n.Children {
-			if cause, pruned := nodeCause(c, lo, hi, hiOpen); pruned {
+			if cause, pruned := nodeCause(c, lo, hi, halfOpen); pruned {
 				return cause, true
 			}
 		}
 	case expr.KindOr:
 		var first PruneCause
 		for i, c := range n.Children {
-			cause, pruned := nodeCause(c, lo, hi, hiOpen)
+			cause, pruned := nodeCause(c, lo, hi, halfOpen)
 			if !pruned {
 				return PruneCause{}, false // one disjunct may match
 			}
@@ -121,11 +129,21 @@ func predCause(p *expr.Pred, l, h int64) (PruneCause, bool) {
 // SMAPruneCause explains why SMAMayMatch(min, max, q) is false; nil when
 // the query may match the inclusive [min, max] zone map.
 func SMAPruneCause(min, max []int64, q expr.Query) *PruneCause {
-	return pruneCause(q, min, max, 0)
+	return pruneCause(q, min, max, false)
 }
 
 // MinMaxPruneCause explains why MinMaxMayMatch(lo, hi, q) is false over
 // the half-open Desc interval representation; nil when it may match.
 func MinMaxPruneCause(lo, hi []int64, q expr.Query) *PruneCause {
-	return pruneCause(q, lo, hi, 1)
+	return pruneCause(q, lo, hi, true)
+}
+
+// inclusive converts the half-open Desc interval [lo, hi) to an inclusive
+// one. An empty interval stays empty (lo > hi), also at hi = MinInt64,
+// where hi-1 would wrap: that one reads as (MaxInt64, MinInt64).
+func inclusive(lo, hi int64) (int64, int64) {
+	if hi == math.MinInt64 {
+		return math.MaxInt64, hi
+	}
+	return lo, hi - 1
 }

@@ -4,7 +4,7 @@ package exec
 // behind SELECT <aggs> FROM t [WHERE ...] [GROUP BY ...].
 //
 // Aggregation rides the same scan pipeline as counting: candidate blocks
-// are pruned by the layout (plus SMA metadata), dispatched to a worker
+// are pruned by the layout's block index, dispatched to a worker
 // pool, and each worker evaluates the filter in batch-of-1024 SelVec
 // bitmaps over the block's encoded columns. On top of the selection:
 //

@@ -202,17 +202,19 @@ type Result struct {
 	Header
 }
 
-// Mode selects how candidate blocks are pruned.
+// Mode selects how the layout's block index prunes candidate blocks.
+// Both modes evaluate the same index, so they share its column arrays.
 type Mode int
 
 const (
 	// RouteQdTree uses the layout's full semantic descriptions plus any
 	// ExtraSkip — the "qd-tree routing" path that adds BID IN (...)
-	// (Sec. 3.3).
+	// (Sec. 3.3). Its prunes are reported by "route".
 	RouteQdTree Mode = iota
-	// NoRoute uses only per-block min-max intervals (SMA / zone maps) —
-	// the paper's "no route" configuration where the engine's default
-	// partition pruning is the only skipping.
+	// NoRoute uses only the descriptions' per-block min-max intervals
+	// (SMA / zone maps; Layout.MinMaxBlocksFor) — the paper's "no route"
+	// configuration where the engine's default partition pruning is the
+	// only skipping. Its prunes are reported by "sma".
 	NoRoute
 )
 
@@ -249,55 +251,31 @@ func parallelSimTime(total, crit time.Duration, workers int) time.Duration {
 	return t
 }
 
-// candidateBlocks selects the blocks query q must scan under mode, then
-// drops any candidate the blockstore catalog's SMA (min/max) metadata
-// proves non-matching. Every worker count scans the exact same block
-// set.
+// candidateBlocks selects the blocks query q must scan: the layout's
+// block index evaluated under mode. With a recorder it counts every
+// non-empty block left out as a prune of mode's stage and explains the
+// first maxPruneDetail of them. Every worker count scans the exact same
+// block set.
 func candidateBlocks(store *blockstore.Store, layout *cost.Layout, q expr.Query, mode Mode, rec *pruneRecorder) ([]int, error) {
 	var candidates []int
+	by := "route"
 	switch mode {
 	case RouteQdTree:
 		candidates = layout.BlocksFor(q)
-		if rec != nil {
-			// BlocksFor returns a sorted subset of the non-empty blocks, so
-			// the rest of them are exactly routing's prunes.
-			rec.routePruned = layout.NonEmptyBlocks() - len(candidates)
-			rec.explainRoute(store.Schema, layout, q, candidates)
-		}
 	case NoRoute:
-		for b := range layout.Descs {
-			if layout.Counts[b] == 0 {
-				continue
-			}
-			d := &layout.Descs[b]
-			if cost.MinMaxMayMatch(d.Lo, d.Hi, q) {
-				candidates = append(candidates, b)
-			} else if rec.smaPrune() {
-				rec.explain(store.Schema, b, "sma", cost.MinMaxPruneCause(d.Lo, d.Hi, q))
-			}
-		}
+		candidates, by = layout.MinMaxBlocksFor(q), "sma"
 	default:
 		return nil, fmt.Errorf("exec: unknown mode %d", mode)
 	}
-	out := candidates[:0]
 	for _, b := range candidates {
 		if b < 0 || b >= len(store.Blocks) {
 			return nil, fmt.Errorf("exec: candidate block %d outside store of %d blocks", b, len(store.Blocks))
 		}
-		if store.Blocks[b].Rows != 0 {
-			out = append(out, b)
-		}
 	}
-	var pruned func(b int)
 	if rec != nil {
-		pruned = func(b int) {
-			if rec.smaPrune() {
-				m := &store.Blocks[b]
-				rec.explain(store.Schema, b, "sma", cost.SMAPruneCause(m.Min, m.Max, q))
-			}
-		}
+		rec.explainPrunes(store.Schema, layout, q, candidates, by)
 	}
-	return store.ZoneIndex().Prune(q, out, pruned), nil
+	return candidates, nil
 }
 
 // runPool distributes tasks 0..n-1 over a pool of workers. fn receives the

@@ -42,8 +42,8 @@ func (r *walkRecord) add(schema *table.Schema, b int, by string, c *cost.PruneCa
 }
 
 // fullWalk is the reference for candidateBlocks with a recorder: it
-// explains every pruned block, in block order, routing's first, by
-// checking each non-empty block of the layout against the candidates.
+// checks each non-empty block of the layout, in block order, and
+// explains every pruned one.
 func fullWalk(store *blockstore.Store, layout *cost.Layout, q expr.Query, mode Mode) ([]int, walkRecord) {
 	var r walkRecord
 	var candidates []int
@@ -72,32 +72,20 @@ func fullWalk(store *blockstore.Store, layout *cost.Layout, q expr.Query, mode M
 			}
 		}
 	}
-	var out []int
-	for _, b := range candidates {
-		m := store.Blocks[b]
-		if m.Rows == 0 {
-			continue
-		}
-		if len(m.Min) > 0 && !cost.SMAMayMatch(m.Min, m.Max, q) {
-			r.add(store.Schema, b, "sma", cost.SMAPruneCause(m.Min, m.Max, q))
-			continue
-		}
-		out = append(out, b)
-	}
-	return out, r
+	return candidates, r
 }
 
-// catalogStore is the catalog a blockstore would hold for the first keep
-// rows of tbl under bids: per-block row counts and zone maps, no files.
-// candidateBlocks reads nothing else.
-func catalogStore(tbl *table.Table, bids []int, nblocks, keep int) *blockstore.Store {
+// catalogStore is the catalog a blockstore would hold for tbl under
+// bids: per-block row counts and zone maps, no files. candidateBlocks
+// reads nothing else.
+func catalogStore(tbl *table.Table, bids []int, nblocks int) *blockstore.Store {
 	ncols := tbl.Schema.NumCols()
 	metas := make([]blockstore.BlockMeta, nblocks)
 	for b := range metas {
 		metas[b].ID = b
 	}
-	for r := 0; r < keep; r++ {
-		m := &metas[bids[r]]
+	for r, b := range bids {
+		m := &metas[b]
 		if m.Rows == 0 {
 			m.Min, m.Max = make([]int64, ncols), make([]int64, ncols)
 			for c := 0; c < ncols; c++ {
@@ -178,9 +166,8 @@ func pruneNode(rng *rand.Rand, s *table.Schema, depth int) *expr.Node {
 // counts, the same first maxPruneDetail witnesses in the same order and
 // the same truncation flag. It covers NewLayout and FromTree layouts under
 // both modes, empty blocks, IN/OR/advanced-cut queries (often no interval
-// witness), zone maps tighter than the layout's descriptions (SMA prunes
-// after routing), and pruned totals below, at and above the witness
-// list's size.
+// witness), and pruned totals below, at and above the witness list's
+// size.
 func TestPruneExplainMatchesFullWalk(t *testing.T) {
 	s := pruneSchema()
 	covered := map[string]int{}
@@ -198,10 +185,6 @@ func TestPruneExplainMatchesFullWalk(t *testing.T) {
 		}
 		for _, nb := range []int{20, 48, 80} {
 			tbl := pruneTable(rng, s, 60*nb)
-			// Only the first keep rows reach the store, so a store block's
-			// zone map can be tighter than its layout description or hold
-			// no rows at all.
-			keep := tbl.N - tbl.N/4
 			sorted := make([]int, tbl.N)
 			random := make([]int, tbl.N)
 			used := rng.Perm(nb)[:nb/2+rng.Intn(nb/2)]
@@ -229,46 +212,41 @@ func TestPruneExplainMatchesFullWalk(t *testing.T) {
 				{"tree", fromTree, fromTree.BIDs},
 			}
 			for _, l := range layouts {
-				for _, n := range []int{tbl.N, keep} {
-					store := catalogStore(tbl, l.bids, nb, n)
-					for _, mode := range []Mode{RouteQdTree, NoRoute} {
-						for _, q := range queries {
-							tag := fmt.Sprintf("seed %d, %d blocks, %s layout, %d/%d rows stored, mode %d, %s",
-								seed, nb, l.name, n, tbl.N, mode, q.StringWith(s.Names(), pruneACs))
-							rec := &pruneRecorder{}
-							got, err := candidateBlocks(store, l.layout, q, mode, rec)
-							if err != nil {
-								t.Fatalf("%s: %v", tag, err)
-							}
-							want, ref := fullWalk(store, l.layout, q, mode)
-							if !slices.Equal(got, want) {
-								t.Fatalf("%s: candidates %v, want %v", tag, got, want)
-							}
-							if rec.routePruned != ref.routePruned || rec.smaPruned != ref.smaPruned {
-								t.Fatalf("%s: pruned route/sma %d/%d, want %d/%d", tag, rec.routePruned, rec.smaPruned, ref.routePruned, ref.smaPruned)
-							}
-							if rec.truncated() != ref.truncated {
-								t.Fatalf("%s: truncated %v, want %v", tag, rec.truncated(), ref.truncated)
-							}
-							if !slices.Equal(rec.detail, ref.detail) {
-								t.Fatalf("%s: witnesses\n%+v\nwant\n%+v", tag, rec.detail, ref.detail)
-							}
-							switch total := ref.routePruned + ref.smaPruned; {
-							case total < maxPruneDetail:
-								covered["below"]++
-							case total == maxPruneDetail:
-								covered["at"]++
-							default:
-								covered["above"]++
-							}
-							if mode == RouteQdTree && ref.smaPruned > 0 {
-								covered["sma after route"]++
-							}
-							for _, p := range ref.detail {
-								if p.Op == "" {
-									covered["no interval witness"]++
-									break
-								}
+				store := catalogStore(tbl, l.bids, nb)
+				for _, mode := range []Mode{RouteQdTree, NoRoute} {
+					for _, q := range queries {
+						tag := fmt.Sprintf("seed %d, %d blocks, %s layout, mode %d, %s",
+							seed, nb, l.name, mode, q.StringWith(s.Names(), pruneACs))
+						rec := &pruneRecorder{}
+						got, err := candidateBlocks(store, l.layout, q, mode, rec)
+						if err != nil {
+							t.Fatalf("%s: %v", tag, err)
+						}
+						want, ref := fullWalk(store, l.layout, q, mode)
+						if !slices.Equal(got, want) {
+							t.Fatalf("%s: candidates %v, want %v", tag, got, want)
+						}
+						if route, sma := rec.counts(); route != ref.routePruned || sma != ref.smaPruned {
+							t.Fatalf("%s: pruned route/sma %d/%d, want %d/%d", tag, route, sma, ref.routePruned, ref.smaPruned)
+						}
+						if rec.truncated() != ref.truncated {
+							t.Fatalf("%s: truncated %v, want %v", tag, rec.truncated(), ref.truncated)
+						}
+						if !slices.Equal(rec.detail, ref.detail) {
+							t.Fatalf("%s: witnesses\n%+v\nwant\n%+v", tag, rec.detail, ref.detail)
+						}
+						switch total := ref.routePruned + ref.smaPruned; {
+						case total < maxPruneDetail:
+							covered["below"]++
+						case total == maxPruneDetail:
+							covered["at"]++
+						default:
+							covered["above"]++
+						}
+						for _, p := range ref.detail {
+							if p.Op == "" {
+								covered["no interval witness"]++
+								break
 							}
 						}
 					}
@@ -276,7 +254,7 @@ func TestPruneExplainMatchesFullWalk(t *testing.T) {
 			}
 		}
 	}
-	for _, c := range []string{"below", "at", "above", "sma after route", "no interval witness"} {
+	for _, c := range []string{"below", "at", "above", "no interval witness"} {
 		if covered[c] == 0 {
 			t.Errorf("no case with pruned total or witness %q: %v", c, covered)
 		}
@@ -294,7 +272,7 @@ func pointLayout(n int) (*blockstore.Store, *cost.Layout, expr.Query) {
 		bids[i] = i / 4
 	}
 	q := expr.AndQ("point", expr.Pred{Col: 0, Op: expr.Eq, Literal: int64(2 * n)})
-	return catalogStore(tbl, bids, n, tbl.N), cost.NewLayout("point", tbl, bids, n, nil), q
+	return catalogStore(tbl, bids, n), cost.NewLayout("point", tbl, bids, n, nil), q
 }
 
 // TestTracedPruneAllocsDoNotScaleWithBlocks: explaining a prune costs
@@ -322,8 +300,8 @@ func TestTracedPruneAllocsDoNotScaleWithBlocks(t *testing.T) {
 // BenchmarkCandidateBlocksTraced times pruning with the always-on
 // explanation, as a server runs it, on the layout of BenchmarkBlocksFor:
 // ErrorLog-Int at 200,000 rows, planned by greedy with 100-row minimum
-// blocks (713 blocks), pruned for its 600 filters. It reports µs and
-// allocations per statement.
+// blocks (713 blocks), pruned for its 600 filters, under each mode. It
+// reports µs per statement; allocs/op covers the 600 statements.
 func BenchmarkCandidateBlocksTraced(b *testing.B) {
 	spec := workload.ErrorLogInt(workload.ErrorLogConfig{Rows: 200000, NumQueries: 600, Seed: 42})
 	cuts := make([]core.Cut, len(spec.Cuts))
@@ -341,17 +319,24 @@ func BenchmarkCandidateBlocksTraced(b *testing.B) {
 	bids := tree.RouteTable(spec.Table)
 	nb := len(tree.Leaves())
 	layout := cost.NewLayout("point", spec.Table, bids, nb, spec.ACs)
-	store := catalogStore(spec.Table, bids, nb, spec.Table.N)
-	b.ReportAllocs()
-	stmts := 0
-	for b.Loop() {
-		for _, q := range spec.Queries {
-			if _, err := candidateBlocks(store, layout, q, RouteQdTree, &pruneRecorder{}); err != nil {
-				b.Fatal(err)
+	store := catalogStore(spec.Table, bids, nb)
+	for _, mode := range []struct {
+		name string
+		mode Mode
+	}{{"RouteQdTree", RouteQdTree}, {"NoRoute", NoRoute}} {
+		b.Run(mode.name, func(b *testing.B) {
+			b.ReportAllocs()
+			stmts := 0
+			for b.Loop() {
+				for _, q := range spec.Queries {
+					if _, err := candidateBlocks(store, layout, q, mode.mode, &pruneRecorder{}); err != nil {
+						b.Fatal(err)
+					}
+				}
+				stmts += len(spec.Queries)
 			}
-		}
-		stmts += len(spec.Queries)
+			b.ReportMetric(float64(layout.NumBlocks()), "blocks")
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/1e3/float64(stmts), "us/stmt")
+		})
 	}
-	b.ReportMetric(float64(layout.NumBlocks()), "blocks")
-	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/1e3/float64(stmts), "us/stmt")
 }

@@ -8,10 +8,11 @@ import (
 )
 
 // BlockPrune is the per-block explain record attached to a query
-// trace's block_prune span: which block was skipped, at which stage
-// ("route" = qd-tree routing, "sma" = zone-map metadata), and — when a
-// single predicate witnesses the prune — the column, operator, bound,
-// and the block's [Min, Max] interval for that column.
+// trace's block_prune span: which block was skipped, by which mode's
+// stage ("route" = qd-tree routing, "sma" = the zone-map intervals of
+// NoRoute), and — when a single predicate witnesses the prune — the
+// column, operator, bound, and the block's [Min, Max] interval for that
+// column.
 type BlockPrune struct {
 	Block  int    `json:"block"`
 	By     string `json:"by"`
@@ -26,34 +27,24 @@ type BlockPrune struct {
 // always exact, only the witness list is truncated.
 const maxPruneDetail = 32
 
-// pruneRecorder accumulates pruning decisions during candidateBlocks.
-// A nil recorder disables recording at zero cost. The counts are exact;
-// detail holds the witnesses of the first maxPruneDetail pruned blocks,
-// routing's in block order and then the zone maps', and no witness past
-// them is ever computed.
+// pruneRecorder accumulates the pruning decisions of candidateBlocks. A
+// nil recorder disables recording at zero cost. pruned is the exact
+// count of blocks the stage named by by left out; detail holds the
+// witnesses of the first maxPruneDetail of them in block order, and no
+// witness past them is ever computed.
 type pruneRecorder struct {
-	routePruned int
-	smaPruned   int
-	detail      []BlockPrune
-}
-
-// smaPrune counts one block the zone maps pruned and reports whether its
-// witness still fits in detail.
-func (r *pruneRecorder) smaPrune() bool {
-	if r == nil {
-		return false
-	}
-	r.smaPruned++
-	return len(r.detail) < maxPruneDetail
+	pruned int
+	by     string
+	detail []BlockPrune
 }
 
 // explain appends pruned block b's witness to detail; a nil cause leaves
 // only block/by.
-func (r *pruneRecorder) explain(schema *table.Schema, b int, by string, c *cost.PruneCause) {
+func (r *pruneRecorder) explain(schema *table.Schema, b int, c *cost.PruneCause) {
 	if r.detail == nil {
 		r.detail = make([]BlockPrune, 0, maxPruneDetail)
 	}
-	p := BlockPrune{Block: b, By: by}
+	p := BlockPrune{Block: b, By: r.by}
 	if c != nil {
 		if schema != nil && c.Col >= 0 && c.Col < len(schema.Cols) {
 			p.Column = schema.Cols[c.Col].Name
@@ -66,13 +57,17 @@ func (r *pruneRecorder) explain(schema *table.Schema, b int, by string, c *cost.
 	r.detail = append(r.detail, p)
 }
 
-// explainRoute records the witnesses of the first routing prunes, given
-// routePruned and the sorted candidates: a merge-walk of the block order
-// against the candidates that stops once detail is full or every routing
-// prune is explained. The block's Desc interval usually yields a single
-// predicate witness; categorical masks and advanced-cut routing may not.
-func (r *pruneRecorder) explainRoute(schema *table.Schema, layout *cost.Layout, q expr.Query, candidates []int) {
-	want := min(r.routePruned, maxPruneDetail-len(r.detail))
+// explainPrunes records the prunes of stage by, given the sorted
+// candidates the layout's index returned: their count by arithmetic (the
+// candidates are a subset of the non-empty blocks, so the rest of those
+// were pruned), and the witnesses of the first ones by a merge-walk of
+// the block order against the candidates that stops once detail is full
+// or every prune is explained. The block's Desc interval usually yields
+// a single predicate witness; categorical masks and advanced-cut routing
+// may not.
+func (r *pruneRecorder) explainPrunes(schema *table.Schema, layout *cost.Layout, q expr.Query, candidates []int, by string) {
+	r.pruned, r.by = layout.NonEmptyBlocks()-len(candidates), by
+	want := min(r.pruned, maxPruneDetail)
 	j := 0
 	for b := 0; want > 0 && b < len(layout.Descs); b++ {
 		if j < len(candidates) && candidates[j] == b {
@@ -83,25 +78,36 @@ func (r *pruneRecorder) explainRoute(schema *table.Schema, layout *cost.Layout, 
 			continue
 		}
 		d := &layout.Descs[b]
-		r.explain(schema, b, "route", cost.MinMaxPruneCause(d.Lo, d.Hi, q))
+		r.explain(schema, b, cost.MinMaxPruneCause(d.Lo, d.Hi, q))
 		want--
 	}
 }
 
 // truncated reports whether pruned blocks were left out of detail.
 func (r *pruneRecorder) truncated() bool {
-	return r.routePruned+r.smaPruned > len(r.detail)
+	return r.pruned > len(r.detail)
 }
 
-// annotate writes the recorder's summary onto the block_prune span.
+// counts splits the prunes by stage: one of the two is always 0.
+func (r *pruneRecorder) counts() (route, sma int) {
+	if r.by == "sma" {
+		return 0, r.pruned
+	}
+	return r.pruned, 0
+}
+
+// annotate writes the recorder's summary onto the block_prune span. Both
+// stage counts are written, so the span has the same shape under either
+// mode.
 func (r *pruneRecorder) annotate(sp *obs.ActiveSpan, blocksTotal, candidates int) {
 	if r == nil || sp == nil {
 		return
 	}
+	route, sma := r.counts()
 	sp.SetAttr("blocks_total", blocksTotal)
 	sp.SetAttr("candidates", candidates)
-	sp.SetAttr("pruned_route", r.routePruned)
-	sp.SetAttr("pruned_sma", r.smaPruned)
+	sp.SetAttr("pruned_route", route)
+	sp.SetAttr("pruned_sma", sma)
 	if len(r.detail) > 0 {
 		sp.SetAttr("pruned", r.detail)
 	}

@@ -40,7 +40,7 @@ func newServerMetrics(reg *obs.Registry) *serverMetrics {
 		queryDur:      reg.HistogramVec("qd_query_duration_seconds", "End-to-end query latency, by statement type.", nil, "type"),
 		slowQueries:   reg.Counter("qd_slow_queries_total", "Queries over the slow-query threshold."),
 		blocksScanned: reg.Counter("qd_blocks_scanned_total", "Blocks physically scanned."),
-		blocksSkipped: reg.CounterVec("qd_blocks_skipped_total", "Blocks skipped without reading, by pruning stage (route = qd-tree routing, sma = zone maps).", "reason"),
+		blocksSkipped: reg.CounterVec("qd_blocks_skipped_total", "Blocks skipped without reading, by pruning stage (route = qd-tree routing).", "reason"),
 		rowsScanned:   reg.CounterVec("qd_rows_scanned_total", "Rows scanned, by source (base = learned layout, delta = uncompacted ingest).", "source"),
 		rowsMatched:   reg.Counter("qd_rows_matched_total", "Rows matching query filters."),
 		bytesRead:     reg.Counter("qd_bytes_read_total", "Encoded bytes read from block stores."),
@@ -116,9 +116,6 @@ func (s *Server) observeQuery(tr *obs.Trace, typ string, st exec.ScanStats, err 
 		if sd.Name == "block_prune" {
 			if n := sd.IntAttr("pruned_route"); n > 0 {
 				s.metrics.blocksSkipped.With("route").Add(uint64(n))
-			}
-			if n := sd.IntAttr("pruned_sma"); n > 0 {
-				s.metrics.blocksSkipped.With("sma").Add(uint64(n))
 			}
 		}
 	}
