@@ -193,11 +193,11 @@ func (v *ColVec) Get(i int) int64 {
 	panic("blockstore: Get on unknown encoding")
 }
 
-// code extracts the packed w-bit code of row i.
+// code extracts the packed w-bit code of row i, for Get, the kernels'
+// scalar tails and the aggregate kernels' selected rows; runs of rows
+// unpack eight codes per step (unpack8). Width 0 needs no branch: its
+// mask is 0 and packSlack keeps the load in bounds.
 func (v *ColVec) code(i int) uint64 {
-	if v.width == 0 {
-		return 0
-	}
 	bitpos := uint(i) * v.width
 	return binary.LittleEndian.Uint64(v.packed[bitpos>>3:]) >> (bitpos & 7) & v.mask
 }
@@ -220,14 +220,17 @@ func (v *ColVec) DecodeRange(dst []int64, start, n int) {
 			dst[i] = int64(binary.LittleEndian.Uint64(v.raw[8*(start+i):]))
 		}
 	case EncFOR, EncDict:
-		if v.width == 0 {
-			for i := 0; i < n; i++ {
-				dst[i] = v.base
-			}
-			return
+		base, bit := v.base, uint(start)*v.width
+		i := 0
+		for ; i+8 <= n; i += 8 {
+			var c0, c1, c2, c3, c4, c5, c6, c7 uint64
+			c0, c1, c2, c3, c4, c5, c6, c7, bit = unpack8(v.packed, bit, v.width, v.mask)
+			d := dst[i : i+8 : i+8]
+			d[0], d[1], d[2], d[3] = base+int64(c0), base+int64(c1), base+int64(c2), base+int64(c3)
+			d[4], d[5], d[6], d[7] = base+int64(c4), base+int64(c5), base+int64(c6), base+int64(c7)
 		}
-		for i := 0; i < n; i++ {
-			dst[i] = v.base + int64(v.code(start+i))
+		for ; i < n; i++ {
+			dst[i] = base + int64(v.code(start+i))
 		}
 	case EncRLE:
 		r := sort.Search(len(v.runEnds), func(k int) bool { return v.runEnds[k] > int32(start) })
@@ -290,7 +293,11 @@ func (v *ColVec) filterPlain(p expr.Pred, start, n int, out *SelVec) {
 // filterPacked translates the predicate into code space once — literal L
 // against value base+code becomes a bound on the code — then compares
 // packed codes without decoding. Out-of-range literals resolve to
-// all-match or no-match without touching the payload at all.
+// all-match or no-match without touching the payload at all. IN keeps
+// the set's members inside the block's range: one member is an Eq, a
+// code space below 4096 codes is a 512-byte bitmap on the stack probed
+// eight rows per step, and a wider one binary-searches the members; no
+// path allocates.
 func (v *ColVec) filterPacked(p expr.Pred, start, n int, out *SelVec) {
 	maxCode := v.mask // (1<<width)-1; 0 for constant columns
 	switch p.Op {
@@ -352,38 +359,29 @@ func (v *ColVec) filterPacked(p expr.Pred, start, n int, out *SelVec) {
 			v.filterPackedEq(start, n, d, out)
 		}
 	case expr.In:
-		// Translate the sorted literal set into code space, dropping
-		// members outside the block's representable range.
-		codes := make([]uint64, 0, len(p.Set))
-		for _, s := range p.Set {
-			if s < v.base {
-				continue
-			}
-			if d := uint64(s) - uint64(v.base); d <= maxCode {
-				codes = append(codes, d)
-			}
-		}
-		if len(codes) == 0 {
+		// The members inside the block's representable range
+		// [base, base+maxCode] are one window of the sorted set, and
+		// code = value - base maps them in order.
+		set := p.Set
+		lo := sort.Search(len(set), func(k int) bool { return set[k] >= v.base })
+		hi := lo + sort.Search(len(set)-lo, func(k int) bool {
+			return uint64(set[lo+k])-uint64(v.base) > maxCode
+		})
+		set = set[lo:hi]
+		switch {
+		case len(set) == 0:
 			return
-		}
-		if len(codes) <= 4 {
-			for i := 0; i < n; i++ {
-				c := v.code(start + i)
-				for _, t := range codes {
-					if c == t {
-						out.Set(i)
-						break
-					}
-				}
+		case len(set) == 1:
+			v.filterPackedEq(start, n, uint64(set[0])-uint64(v.base), out)
+		case maxCode < 64*inBitmapWords:
+			var bm [inBitmapWords]uint64
+			for _, s := range set {
+				c := uint64(s) - uint64(v.base)
+				bm[c>>6] |= 1 << (c & 63)
 			}
-			return
-		}
-		for i := 0; i < n; i++ {
-			c := v.code(start + i)
-			k := sort.Search(len(codes), func(j int) bool { return codes[j] >= c })
-			if k < len(codes) && codes[k] == c {
-				out.Set(i)
-			}
+			v.filterPackedInBitmap(start, n, &bm, out)
+		default:
+			v.filterPackedInSorted(start, n, set, out)
 		}
 	}
 }

@@ -206,8 +206,12 @@ func TestSelVecOps(t *testing.T) {
 }
 
 // FuzzEncodeDecode round-trips arbitrary fuzzer-shaped columns through the
-// chooser, then checks an equality filter against the reference — the
-// encoder must never panic, never lose a value, and never mis-filter.
+// chooser, then checks DecodeRange at fuzzer-chosen start offsets and
+// every filter operator against the source values and Pred.EvalValue:
+// Lt, Le, Gt, Ge and Eq at a literal from the column, and IN with 1, 3
+// and 5 members and with one member more than the packed IN kernel's
+// code-space bitmap holds. The encoder must never panic, never lose a
+// value, and never mis-filter.
 func FuzzEncodeDecode(f *testing.F) {
 	f.Add([]byte{1, 2, 3, 4, 5, 6, 7, 8, 9}, false)
 	f.Add([]byte{0, 0, 0, 0, 0, 0, 0, 0, 255, 255}, true)
@@ -252,17 +256,41 @@ func FuzzEncodeDecode(f *testing.F) {
 				t.Fatalf("enc %v: row %d decoded %d want %d", enc, i, dec[i], vals[i])
 			}
 		}
-		p := expr.Pred{Col: 0, Op: expr.Eq, Literal: vals[len(vals)/2]}
-		var sel SelVec
-		for start := 0; start < len(vals); start += BatchSize {
-			cnt := len(vals) - start
-			if cnt > BatchSize {
-				cnt = BatchSize
+		// DecodeRange from start offsets the payload picks.
+		dst := make([]int64, len(vals))
+		for _, b := range data[:min(len(data), 8)] {
+			start := int(b) % len(vals)
+			n := len(vals) - start
+			cv.DecodeRange(dst, start, n)
+			for i := 0; i < n; i++ {
+				if dst[i] != vals[start+i] {
+					t.Fatalf("enc %v: DecodeRange(%d, %d) row %d = %d want %d", enc, start, n, i, dst[i], vals[start+i])
+				}
 			}
-			cv.Filter(p, start, cnt, &sel)
-			for i := 0; i < cnt; i++ {
-				if sel.Get(i) != (vals[start+i] == p.Literal) {
-					t.Fatalf("enc %v: filter mismatch at row %d", enc, start+i)
+		}
+		mid := vals[len(vals)/2]
+		var preds []expr.Pred
+		for _, op := range cmpOps {
+			preds = append(preds, expr.Pred{Col: 0, Op: op, Literal: mid})
+		}
+		for _, size := range []int{1, 3, 5, 64*inBitmapWords + 1} {
+			// Members from the column, then its neighbours, so a set
+			// straddles the block's code range and most members hit.
+			set := make([]int64, size)
+			for k := range set {
+				set[k] = vals[k%len(vals)] + int64(k/len(vals))
+			}
+			preds = append(preds, expr.NewIn(0, set))
+		}
+		var sel SelVec
+		for _, p := range preds {
+			for start := 0; start < len(vals); start += BatchSize {
+				cnt := min(len(vals)-start, BatchSize)
+				cv.Filter(p, start, cnt, &sel)
+				for i := 0; i < BatchSize; i++ {
+					if want := i < cnt && p.EvalValue(vals[start+i]); sel.Get(i) != want {
+						t.Fatalf("enc %v pred %v (%d members): row %d got %v want %v", enc, p.Op, len(p.Set), start+i, sel.Get(i), want)
+					}
 				}
 			}
 		}

@@ -8,6 +8,15 @@ package blockstore
 // RLE stays outside these kernels (filterRLE evaluates per run), and
 // every caller zeroes `out` first, so |= writes are sufficient.
 //
+// The packed (FOR/DICT) kernels and DecodeRange share one unpack step,
+// unpack8: eight codes per step, from one unaligned 8-byte load up to
+// width 7, two up to width 14, and one per code above, with no per-row
+// multiply and no per-value branch. Single codes (ColVec.code) serve
+// only Get, the scalar tails and the aggregate kernels' selected rows.
+// Packed IN probes a code-space bitmap built on the stack once per
+// call, or, for code spaces above its 4096-code cap, binary-searches the
+// set's members in the block's range; neither allocates.
+//
 // Bit tricks (overflow-safe signed less-than via Hacker's Delight):
 //   lt(a,b)  = msb( (a-b) ^ ((a^b) & ((a-b)^a)) )
 //   ltu(a,b) = msb(a-b)            -- valid while a,b < 2^63; packed
@@ -114,19 +123,56 @@ func filterPlainEq(raw []byte, n int, lit int64, out *SelVec) {
 	}
 }
 
+// unpack8 returns the eight w-bit codes that start at bit offset bit of
+// a packed payload, and the offset just past them. Eight codes and the
+// offset's 0..7 bits within its first byte span at most 8w+7 bits, so
+// up to width 7 one unaligned 8-byte load holds all eight, and up to
+// width 14 two loads hold four each; wider codes take one load each,
+// from an offset that grows by w. No row index is multiplied, the width
+// test is once per eight codes (never per value), packSlack keeps every
+// load in bounds, and mask 0 (width 0) yields zeros.
+func unpack8(packed []byte, bit, w uint, mask uint64) (c0, c1, c2, c3, c4, c5, c6, c7 uint64, next uint) {
+	next = bit + 8*w
+	if w <= 14 {
+		x := binary.LittleEndian.Uint64(packed[bit>>3:]) >> (bit & 7)
+		c0, c1, c2, c3 = x&mask, x>>w&mask, x>>(2*w)&mask, x>>(3*w)&mask
+		if w <= 7 {
+			x >>= 4 * w
+		} else {
+			bit += 4 * w
+			x = binary.LittleEndian.Uint64(packed[bit>>3:]) >> (bit & 7)
+		}
+		c4, c5, c6, c7 = x&mask, x>>w&mask, x>>(2*w)&mask, x>>(3*w)&mask
+		return c0, c1, c2, c3, c4, c5, c6, c7, next
+	}
+	c0 = binary.LittleEndian.Uint64(packed[bit>>3:]) >> (bit & 7) & mask
+	bit += w
+	c1 = binary.LittleEndian.Uint64(packed[bit>>3:]) >> (bit & 7) & mask
+	bit += w
+	c2 = binary.LittleEndian.Uint64(packed[bit>>3:]) >> (bit & 7) & mask
+	bit += w
+	c3 = binary.LittleEndian.Uint64(packed[bit>>3:]) >> (bit & 7) & mask
+	bit += w
+	c4 = binary.LittleEndian.Uint64(packed[bit>>3:]) >> (bit & 7) & mask
+	bit += w
+	c5 = binary.LittleEndian.Uint64(packed[bit>>3:]) >> (bit & 7) & mask
+	bit += w
+	c6 = binary.LittleEndian.Uint64(packed[bit>>3:]) >> (bit & 7) & mask
+	bit += w
+	c7 = binary.LittleEndian.Uint64(packed[bit>>3:]) >> (bit & 7) & mask
+	return c0, c1, c2, c3, c4, c5, c6, c7, next
+}
+
 // filterPackedLt writes ltu(code, d) bits over packed codes, XORed
 // with inv (0 keeps Lt-in-code-space, 0xff turns it into Ge).
 func (v *ColVec) filterPackedLt(start, n int, d uint64, inv uint64, out *SelVec) {
+	bit := uint(start) * v.width
 	i := 0
 	for ; i+8 <= n; i += 8 {
-		w := ltuBit(v.code(start+i), d) |
-			ltuBit(v.code(start+i+1), d)<<1 |
-			ltuBit(v.code(start+i+2), d)<<2 |
-			ltuBit(v.code(start+i+3), d)<<3 |
-			ltuBit(v.code(start+i+4), d)<<4 |
-			ltuBit(v.code(start+i+5), d)<<5 |
-			ltuBit(v.code(start+i+6), d)<<6 |
-			ltuBit(v.code(start+i+7), d)<<7
+		var c0, c1, c2, c3, c4, c5, c6, c7 uint64
+		c0, c1, c2, c3, c4, c5, c6, c7, bit = unpack8(v.packed, bit, v.width, v.mask)
+		w := ltuBit(c0, d) | ltuBit(c1, d)<<1 | ltuBit(c2, d)<<2 | ltuBit(c3, d)<<3 |
+			ltuBit(c4, d)<<4 | ltuBit(c5, d)<<5 | ltuBit(c6, d)<<6 | ltuBit(c7, d)<<7
 		out.orByte(i, w^inv)
 	}
 	for ; i < n; i++ {
@@ -139,16 +185,13 @@ func (v *ColVec) filterPackedLt(start, n int, d uint64, inv uint64, out *SelVec)
 // filterPackedGt writes ltu(d, code) bits, XORed with inv (0 keeps Gt,
 // 0xff turns it into Le).
 func (v *ColVec) filterPackedGt(start, n int, d uint64, inv uint64, out *SelVec) {
+	bit := uint(start) * v.width
 	i := 0
 	for ; i+8 <= n; i += 8 {
-		w := ltuBit(d, v.code(start+i)) |
-			ltuBit(d, v.code(start+i+1))<<1 |
-			ltuBit(d, v.code(start+i+2))<<2 |
-			ltuBit(d, v.code(start+i+3))<<3 |
-			ltuBit(d, v.code(start+i+4))<<4 |
-			ltuBit(d, v.code(start+i+5))<<5 |
-			ltuBit(d, v.code(start+i+6))<<6 |
-			ltuBit(d, v.code(start+i+7))<<7
+		var c0, c1, c2, c3, c4, c5, c6, c7 uint64
+		c0, c1, c2, c3, c4, c5, c6, c7, bit = unpack8(v.packed, bit, v.width, v.mask)
+		w := ltuBit(d, c0) | ltuBit(d, c1)<<1 | ltuBit(d, c2)<<2 | ltuBit(d, c3)<<3 |
+			ltuBit(d, c4)<<4 | ltuBit(d, c5)<<5 | ltuBit(d, c6)<<6 | ltuBit(d, c7)<<7
 		out.orByte(i, w^inv)
 	}
 	for ; i < n; i++ {
@@ -160,16 +203,14 @@ func (v *ColVec) filterPackedGt(start, n int, d uint64, inv uint64, out *SelVec)
 
 // filterPackedEq writes eq(code, d) bits.
 func (v *ColVec) filterPackedEq(start, n int, d uint64, out *SelVec) {
+	bit, di := uint(start)*v.width, int64(d)
 	i := 0
 	for ; i+8 <= n; i += 8 {
-		w := eqBit(int64(v.code(start+i)), int64(d)) |
-			eqBit(int64(v.code(start+i+1)), int64(d))<<1 |
-			eqBit(int64(v.code(start+i+2)), int64(d))<<2 |
-			eqBit(int64(v.code(start+i+3)), int64(d))<<3 |
-			eqBit(int64(v.code(start+i+4)), int64(d))<<4 |
-			eqBit(int64(v.code(start+i+5)), int64(d))<<5 |
-			eqBit(int64(v.code(start+i+6)), int64(d))<<6 |
-			eqBit(int64(v.code(start+i+7)), int64(d))<<7
+		var c0, c1, c2, c3, c4, c5, c6, c7 uint64
+		c0, c1, c2, c3, c4, c5, c6, c7, bit = unpack8(v.packed, bit, v.width, v.mask)
+		w := eqBit(int64(c0), di) | eqBit(int64(c1), di)<<1 | eqBit(int64(c2), di)<<2 |
+			eqBit(int64(c3), di)<<3 | eqBit(int64(c4), di)<<4 | eqBit(int64(c5), di)<<5 |
+			eqBit(int64(c6), di)<<6 | eqBit(int64(c7), di)<<7
 		out.orByte(i, w)
 	}
 	for ; i < n; i++ {
@@ -177,6 +218,72 @@ func (v *ColVec) filterPackedEq(start, n int, d uint64, out *SelVec) {
 			out.Set(i)
 		}
 	}
+}
+
+// filterPackedInBitmap writes membership bits of each code in bm, a
+// code-space bitmap; the caller guarantees every code is below 4096, so
+// the word index masked to 63 never drops a bit.
+func (v *ColVec) filterPackedInBitmap(start, n int, bm *[inBitmapWords]uint64, out *SelVec) {
+	bit := uint(start) * v.width
+	i := 0
+	for ; i+8 <= n; i += 8 {
+		var c0, c1, c2, c3, c4, c5, c6, c7 uint64
+		c0, c1, c2, c3, c4, c5, c6, c7, bit = unpack8(v.packed, bit, v.width, v.mask)
+		w := bmBit(bm, c0) | bmBit(bm, c1)<<1 | bmBit(bm, c2)<<2 | bmBit(bm, c3)<<3 |
+			bmBit(bm, c4)<<4 | bmBit(bm, c5)<<5 | bmBit(bm, c6)<<6 | bmBit(bm, c7)<<7
+		out.orByte(i, w)
+	}
+	for ; i < n; i++ {
+		if bmBit(bm, v.code(start+i)) != 0 {
+			out.Set(i)
+		}
+	}
+}
+
+// filterPackedInSorted writes membership bits of each value base+code in
+// set, a sorted slice, with a binary search per code.
+func (v *ColVec) filterPackedInSorted(start, n int, set []int64, out *SelVec) {
+	bit, base := uint(start)*v.width, v.base
+	i := 0
+	for ; i+8 <= n; i += 8 {
+		var c0, c1, c2, c3, c4, c5, c6, c7 uint64
+		c0, c1, c2, c3, c4, c5, c6, c7, bit = unpack8(v.packed, bit, v.width, v.mask)
+		w := inSorted(set, base+int64(c0)) | inSorted(set, base+int64(c1))<<1 |
+			inSorted(set, base+int64(c2))<<2 | inSorted(set, base+int64(c3))<<3 |
+			inSorted(set, base+int64(c4))<<4 | inSorted(set, base+int64(c5))<<5 |
+			inSorted(set, base+int64(c6))<<6 | inSorted(set, base+int64(c7))<<7
+		out.orByte(i, w)
+	}
+	for ; i < n; i++ {
+		if inSorted(set, base+int64(v.code(start+i))) != 0 {
+			out.Set(i)
+		}
+	}
+}
+
+// inBitmapWords sizes the packed IN kernel's code-space bitmap: 4096
+// codes in 512 bytes, small enough to build on the stack per call.
+const inBitmapWords = 64
+
+// bmBit returns bit c of a code-space bitmap (c < 64*inBitmapWords).
+func bmBit(bm *[inBitmapWords]uint64, c uint64) uint64 {
+	return bm[(c>>6)&(inBitmapWords-1)] >> (c & 63) & 1
+}
+
+// inSorted returns 1 if x is a member of the non-empty sorted set, else
+// 0. The search keeps the last member <= x, and its loop count depends
+// only on len(set). (An arithmetic step in place of the if measured
+// slower.)
+func inSorted(set []int64, x int64) uint64 {
+	lo := 0
+	for n := len(set); n > 1; {
+		half := n >> 1
+		if set[lo+half] <= x {
+			lo += half
+		}
+		n -= half
+	}
+	return eqBit(set[lo], x)
 }
 
 // CmpSelect writes the selection of a[i] op b[i] over rows [0, n) into

@@ -502,10 +502,13 @@ func RunAggPartialDelta(store *blockstore.Store, layout *cost.Layout, aq expr.Ag
 		// the catalog row count, MIN/MAX from the zone maps, and the
 		// filter columns are never read. Only SUM/AVG columns (if any) are
 		// fetched, with the whole block selected; without them the block
-		// is answered entirely from the catalog.
+		// is answered entirely from the catalog. The block's rows count
+		// here whether or not aggregateFullySelected folds it next.
 		rows := int64(m.Rows)
 		w.stats.RowsMatched += rows
-		cells := aws[w.slot].part.groupCells(0)
+		part := aws[w.slot].part
+		part.rows[0] += rows
+		cells := part.groupCells(0)
 		for _, ai := range pl.metaAggs {
 			ag := aq.Aggs[ai]
 			switch ag.Func {

@@ -278,6 +278,40 @@ func TestAggregateFilteredZoneMapShortcut(t *testing.T) {
 	}
 }
 
+// TestGlobalPartialRowsCountFullySelectedBlocks pins the global group's
+// row count of a partial result to RowsMatched when some blocks are
+// answered from the catalog (COUNT/MIN/MAX only) and some are folded
+// with a full selection (SUM), beside blocks that run the filter.
+func TestGlobalPartialRowsCountFullySelectedBlocks(t *testing.T) {
+	st, layout, tbl, acs := aggFixture(t, 21)
+	threshold := tbl.Cols[0][tbl.N*5/8] + 1
+	filter := expr.Query{Root: expr.NewPred(expr.Pred{Col: 0, Op: expr.Ge, Literal: threshold})}
+	for _, tc := range []struct {
+		aggs        []expr.Agg
+		catalogOnly bool // full blocks are answered without a read
+	}{
+		{[]expr.Agg{{Func: expr.AggCountStar}, {Func: expr.AggMin, Col: 4}}, true},
+		{[]expr.Agg{{Func: expr.AggCountStar}, {Func: expr.AggSum, Col: 2}}, false},
+	} {
+		aq := expr.AggQuery{Name: "global-rows", Aggs: tc.aggs, Filter: filter}
+		p, err := RunAggPartialDelta(st, layout, aq, acs, EngineDBMS, RouteQdTree, Options{Parallelism: 2}, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		naive, err := RunAggNaive(st, layout, aq, acs, EngineDBMS, RouteQdTree)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if tc.catalogOnly && p.BlocksScanned >= naive.BlocksScanned {
+			t.Fatalf("%v: no block was answered from the catalog (%d of %d scanned)", tc.aggs, p.BlocksScanned, naive.BlocksScanned)
+		}
+		if p.RowsMatched == 0 || p.Global.Rows != p.RowsMatched {
+			t.Errorf("%v: Global.Rows = %d, RowsMatched = %d", tc.aggs, p.Global.Rows, p.RowsMatched)
+		}
+		requireSameRows(t, "global-rows", p.Finalize(aq.Aggs).Rows, ReferenceAggregate(tbl, aq, acs))
+	}
+}
+
 // TestAggregateEmptySelection pins SQL empty-input semantics: COUNT is a
 // valid 0, SUM/MIN/MAX/AVG are invalid, and GROUP BY yields no rows.
 func TestAggregateEmptySelection(t *testing.T) {

@@ -62,29 +62,75 @@ func measureAllocs(t *testing.T, fn func()) float64 {
 // matchAll selects every row without letting SMA pruning drop blocks.
 var matchAll = expr.Query{Name: "all", Root: expr.NewPred(expr.Pred{Col: 0, Op: expr.Ge, Literal: math.MinInt64})}
 
+// inFixture is allocFixture over a table of a 16-value categorical (a
+// DICT column, whose codes fit the packed IN kernel's bitmap) beside
+// disk in [0, 10000) (a FOR column whose code space is above the cap).
+func inFixture(t *testing.T, n int) (*blockstore.Store, *cost.Layout) {
+	t.Helper()
+	schema := table.MustSchema([]table.Column{
+		{Name: "tag", Kind: table.Categorical, Dom: 16},
+		{Name: "disk", Kind: table.Numeric, Min: 0, Max: 9999},
+	})
+	rng := rand.New(rand.NewSource(5))
+	tbl := table.New(schema, n)
+	bids := make([]int, n)
+	for i := range bids {
+		tbl.AppendRow([]int64{rng.Int63n(16), rng.Int63n(10000)})
+		bids[i] = i / 500
+	}
+	nblocks := (n + 499) / 500
+	layout := cost.NewLayout("flat", tbl, bids, nblocks, nil)
+	st, err := blockstore.Write(t.TempDir(), tbl, bids, nblocks)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { st.Close() })
+	return st, layout
+}
+
+// inQuery is a one-predicate IN filter over column col.
+func inQuery(col int, set ...int64) expr.Query {
+	return expr.Query{Name: "in", Root: expr.NewPred(expr.NewIn(col, set))}
+}
+
 // TestScanAllocsDoNotScaleWithBlocks pins the count-scan path (the
 // filter-count engine) for both profiles: 56 extra blocks may
-// not cost more than a handful of extra allocations.
+// not cost more than a handful of extra allocations. Besides a range
+// filter, it runs IN over a DICT column (3 and 8 members, the code-space
+// bitmap) and over a FOR column whose code space is above the bitmap's
+// cap (the sorted search), which must not allocate per call either.
 func TestScanAllocsDoNotScaleWithBlocks(t *testing.T) {
-	smallSt, smallLay := allocFixture(t, 4000) // 8 blocks
-	bigSt, bigLay := allocFixture(t, 32000)    // 64 blocks
-	for _, prof := range []Profile{EngineSpark, EngineDBMS} {
-		run := func(st *blockstore.Store, lay *cost.Layout) func() {
-			return func() {
-				res, err := RunDelta(st, lay, matchAll, nil, prof, NoRoute, Options{Parallelism: 1}, nil)
-				if err != nil {
-					t.Fatal(err)
-				}
-				if res.BlocksScanned == 0 {
-					t.Fatal("matchAll scanned no blocks")
+	cases := []struct {
+		name    string
+		fixture func(*testing.T, int) (*blockstore.Store, *cost.Layout)
+		q       expr.Query
+	}{
+		{"ge", allocFixture, matchAll},
+		{"in3-dict", inFixture, inQuery(0, 1, 6, 11)},
+		{"in8-dict", inFixture, inQuery(0, 0, 2, 3, 5, 7, 9, 12, 15)},
+		{"in5-for", inFixture, inQuery(1, 17, 2500, 4097, 6001, 9998)},
+	}
+	for _, tc := range cases {
+		smallSt, smallLay := tc.fixture(t, 4000) // 8 blocks
+		bigSt, bigLay := tc.fixture(t, 32000)    // 64 blocks
+		for _, prof := range []Profile{EngineSpark, EngineDBMS} {
+			run := func(st *blockstore.Store, lay *cost.Layout) func() {
+				return func() {
+					res, err := RunDelta(st, lay, tc.q, nil, prof, NoRoute, Options{Parallelism: 1}, nil)
+					if err != nil {
+						t.Fatal(err)
+					}
+					if res.BlocksScanned != lay.NonEmptyBlocks() {
+						t.Fatalf("%s scanned %d of %d blocks", tc.name, res.BlocksScanned, lay.NonEmptyBlocks())
+					}
 				}
 			}
-		}
-		small := measureAllocs(t, run(smallSt, smallLay))
-		big := measureAllocs(t, run(bigSt, bigLay))
-		if extra := big - small; extra > 8 {
-			t.Errorf("%s: 56 extra blocks cost %.1f extra allocs/query (small=%.1f big=%.1f); scan scratch is allocating per block",
-				prof.Name, extra, small, big)
+			small := measureAllocs(t, run(smallSt, smallLay))
+			big := measureAllocs(t, run(bigSt, bigLay))
+			if extra := big - small; extra > 8 {
+				t.Errorf("%s/%s: 56 extra blocks cost %.1f extra allocs/query (small=%.1f big=%.1f); scan scratch is allocating per block",
+					tc.name, prof.Name, extra, small, big)
+			}
 		}
 	}
 }
